@@ -27,26 +27,17 @@ from .colouring import (
     from_k_colouring,
     image_dimension,
     is_orientable,
-    is_proper,
     non_orientability_witness,
 )
 from .covers import CoverError, build_cover
 from .fileio import FileFormatError
-from .pipeline import Finding, certify
-from .polytopes import (
-    PolytopeError,
-    facet_subpolytope,
-    find_isomorphism,
-    make_120cell,
-    make_dodecahedron,
-)
+from .pipeline import Finding, certify, extend_from_facet
+from .polytopes import PolytopeError, make_120cell, make_dodecahedron
 from .search import (
     BudgetError,
     SearchBudget,
     enumerate_chromatic_colourings,
     enumerate_small_covers,
-    search_orientable_extension,
-    seed_from_facet,
 )
 
 EXIT_OK = 0
@@ -62,9 +53,7 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    nodes = args.budget_nodes if args.budget_nodes is not None else 10**8
-    seconds = args.budget_seconds if args.budget_seconds is not None else 1800.0
-    return SearchBudget(nodes, seconds, args.parallel)
+    return SearchBudget(args.budget_nodes, args.budget_seconds)
 
 
 def _write_run_manifest(
@@ -125,7 +114,6 @@ def cmd_check(args: argparse.Namespace, t0: float) -> int:
         print("orientable: no")
     witness = non_orientability_witness(P, lam)
     if witness is not None:
-        i, j, k = witness
         print(f"witness triple: facets {witness} with colours summing to zero")
     else:
         print("witness triple: none")
@@ -152,7 +140,7 @@ def cmd_enumerate(args: argparse.Namespace, t0: float) -> int:
             "representatives": rep_files,
         }
         path = outdir / "chromatic-summary.json"
-        fileio._write_json(summary, path)
+        fileio.write_json(summary, path)
         state = "complete" if result.complete else "incomplete (lower bounds)"
         print(
             f"{result.count} colouring(s) up to renaming, "
@@ -185,7 +173,7 @@ def cmd_enumerate(args: argparse.Namespace, t0: float) -> int:
             "class_records": classes,
         }
         path = outdir / "enumeration-summary.json"
-        fileio._write_json(summary, path)
+        fileio.write_json(summary, path)
         state = "complete" if result.complete else "incomplete (lower bound)"
         print(
             f"{len(result.classes)} class(es): {orientable} orientable, "
@@ -196,18 +184,8 @@ def cmd_enumerate(args: argparse.Namespace, t0: float) -> int:
 
 
 def cmd_extend(args: argparse.Namespace, t0: float) -> int:
-    D = make_dodecahedron()
-    Z = make_120cell()
-    mu = _load_total_colouring(D, args.colouring)
-    sub, _ = facet_subpolytope(Z, args.seed_facet)
-    psi = find_isomorphism(sub, D)
-    if psi is None:
-        raise PolytopeError(f"facet {args.seed_facet} of the 120-cell is not dodecahedral")
-    mu_sub = Colouring(
-        sub, mu.rank, tuple(mu.colours[psi[j]] for j in range(sub.facet_count))
-    )
-    seed = seed_from_facet(Z, args.seed_facet, mu_sub, args.rank)
-    outcome = search_orientable_extension(Z, seed, _budget(args))
+    mu = _load_total_colouring(make_dodecahedron(), args.colouring)
+    outcome, _, _ = extend_from_facet(mu, args.seed_facet, args.rank, _budget(args))
     outdir = _outdir(args)
     summary = {
         "status": outcome.status,
@@ -222,7 +200,7 @@ def cmd_extend(args: argparse.Namespace, t0: float) -> int:
     else:
         print(f"{outcome.status} after {outcome.nodes} nodes")
     path = outdir / "extension-summary.json"
-    fileio._write_json(summary, path)
+    fileio.write_json(summary, path)
     _write_run_manifest(args, {"colouring": Path(args.colouring)}, path, outdir, t0)
     # an exhausted space is a definitive mathematical result, not a failure
     # of the run, but scripts need to see it is not a success either
@@ -236,7 +214,7 @@ def cmd_cover(args: argparse.Namespace, t0: float) -> int:
     summary = fileio.cover_summary(C)
     outdir = _outdir(args)
     path = outdir / "cover-summary.json"
-    fileio._write_json(summary, path)
+    fileio.write_json(summary, path)
     print(
         f"{summary['copies']} copies, chi {summary['euler_characteristic']}, "
         f"orientable: {summary['orientable']}, volume {summary['volume']['exact']}"
@@ -281,9 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--budget-nodes", type=int, default=None, metavar="N")
-        sp.add_argument("--budget-seconds", type=float, default=None, metavar="S")
-        sp.add_argument("--parallel", type=int, default=1, metavar="W")
+        sp.add_argument(
+            "--budget-nodes", type=int, default=SearchBudget.nodes, metavar="N"
+        )
+        sp.add_argument(
+            "--budget-seconds", type=float, default=SearchBudget.seconds, metavar="S"
+        )
 
     def add_out(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(

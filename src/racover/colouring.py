@@ -8,9 +8,9 @@ equivalent to a covector hitting 1 on every colour.
 """
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .polytopes import (
@@ -27,6 +27,7 @@ __all__ = [
     "is_proper",
     "image_dimension",
     "is_orientable",
+    "zero_sum_triples",
     "non_orientability_witness",
     "from_k_colouring",
     "induced_colouring",
@@ -132,24 +133,32 @@ def is_orientable(P: Polytope, lam: Colouring) -> Optional[Functional]:
     return None if x is None else Functional(x)
 
 
+def zero_sum_triples(colours: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
+    """Facet triples i < j < k with zero colour sum, in lexicographic order.
+
+    Per-colour index lists turn each pair into one lookup, so the first
+    triple costs O(m^2) and later ones come lazily.
+    """
+    where: Dict[int, List[int]] = {}
+    for k, c in enumerate(colours):
+        where.setdefault(c, []).append(k)
+    m = len(colours)
+    for i in range(m):
+        for j in range(i + 1, m):
+            ks = where.get(colours[i] ^ colours[j], [])
+            for k in ks[bisect.bisect_right(ks, j):]:
+                yield (i, j, k)
+
+
 def non_orientability_witness(
     P: Polytope, lam: Colouring
 ) -> Optional[Tuple[int, int, int]]:
-    """Three facets with zero colour sum, if any.
+    """The lexicographically first three facets with zero colour sum, if any.
 
     Such a triple rules out an orienting covector; its absence decides
     nothing.
     """
-    where: Dict[int, int] = {}
-    for i, c in enumerate(lam.colours):
-        where.setdefault(c, i)
-    m = len(lam.colours)
-    for i in range(m):
-        for j in range(i + 1, m):
-            k = where.get(lam.colours[i] ^ lam.colours[j])
-            if k is not None and k > j:
-                return (i, j, k)
-    return None
+    return next(zero_sum_triples(lam.colours), None)
 
 
 def from_k_colouring(P: Polytope, assignment: Sequence[int]) -> Colouring:
@@ -174,16 +183,8 @@ def induced_colouring(P: Polytope, F: int, lam: Colouring) -> Colouring:
     """
     _require_proper(P, lam)
     sub, inc = facet_subpolytope(P, F)
-    lf = lam.colours[F]
-    p = (lf & -lf).bit_length() - 1
-    low = (1 << p) - 1
-    vals = []
-    for g in inc:
-        v = lam.colours[g]
-        if v >> p & 1:
-            v ^= lf
-        vals.append((v & low) | (v >> (p + 1)) << p)
-    out = Colouring(sub, lam.rank - 1, tuple(vals))
+    q = gf2.quotient_map(lam.colours[F])
+    out = Colouring(sub, lam.rank - 1, tuple(q(lam.colours[g]) for g in inc))
     if not is_proper(sub, out):
         raise ColouringError("induced colouring failed to be proper")
     return out

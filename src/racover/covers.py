@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import gf2
 from .colouring import Colouring, induced_colouring, is_orientable, is_proper
@@ -197,19 +197,6 @@ def cover_orientable(C: CoverComplex) -> bool:
     return gf2.solve_all_ones(C.colouring.colours) is not None
 
 
-def _quotient_projector(lf: int):
-    """Coordinate projection V -> V/<lf> matching induced_colouring."""
-    p = (lf & -lf).bit_length() - 1
-    low = (1 << p) - 1
-
-    def q(v: int) -> int:
-        if v >> p & 1:
-            v ^= lf
-        return (v & low) | (v >> (p + 1)) << p
-
-    return q
-
-
 def facet_preimage(C: CoverComplex, F: int) -> List[HypersurfaceComponent]:
     """Decompose the preimage of facet F into hypersurface components.
 
@@ -252,7 +239,7 @@ def facet_preimage(C: CoverComplex, F: int) -> List[HypersurfaceComponent]:
 
     sub, inc = facet_subpolytope(P, F)
     mu = induced_colouring(P, F, lam)
-    q = _quotient_projector(lf)
+    q = gf2.quotient_map(lf)
 
     out = []
     for comp in components:

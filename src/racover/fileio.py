@@ -18,15 +18,13 @@ from .covers import (
     CoverComplex,
     CutReport,
     Volume,
-    build_cover,
     cover_connected,
     cover_euler_characteristic,
     cover_orientable,
-    cut_along,
     facet_preimage,
     volume,
 )
-from .pipeline import Certificate, ChainAssembly, CheckResult, GlueStep
+from .pipeline import Certificate, ChainAssembly, CheckResult, GlueStep, cut_cover
 from .polytopes import Polytope, PolytopeError
 
 
@@ -37,7 +35,7 @@ class FileFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # JSON plumbing
 
-def _write_json(obj: dict, path: Union[str, Path]) -> None:
+def write_json(obj: dict, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
@@ -69,7 +67,7 @@ def write_polytope(P: Polytope, path: Union[str, Path]) -> None:
         "adjacency": [list(e) for e in P.adjacency],
         "vertices": [list(v) for v in P.vertices],
     }
-    _write_json(obj, path)
+    write_json(obj, path)
 
 
 def load_polytope(path: Union[str, Path]) -> Polytope:
@@ -261,7 +259,7 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
         "notes": list(cert.notes),
     }
     path = out / "certificate.json"
-    _write_json(obj, path)
+    write_json(obj, path)
     return path
 
 
@@ -292,21 +290,24 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
         if isinstance(mu, PartialColouring) or isinstance(lam, PartialColouring):
             raise FileFormatError(f"{path}: certificate colourings must be total")
         n = obj["n"]
+        d_facet = obj["d_facet"]
+        if not isinstance(d_facet, int) or not 0 <= d_facet < Q.facet_count:
+            raise FileFormatError(
+                f"{path}: d_facet {d_facet!r} is not a facet of the ambient polytope"
+            )
         assembly = ChainAssembly(
             n,
             P,
             mu,
             Q,
             lam,
-            obj["d_facet"],
+            d_facet,
             tuple(obj["witness_facets"]),
             tuple(GlueStep(**s) for s in obj["glue_steps"]),
             tuple(obj["natural_map"]),
             obj["base_facet"],
         )
-        cover = build_cover(Q, lam, cells_per_copy=n)
-        components = facet_preimage(cover, obj["d_facet"])
-        cut = cut_along(cover, components[0])
+        cover, components, cut = cut_cover(assembly)
         cls = obj["class"]
         checks = tuple(
             CheckResult(c["name"], c["passed"], c["detail"]) for c in obj["checks"]
@@ -322,7 +323,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             assembly.glue_steps,
             assembly,
             cover,
-            tuple(components),
+            components,
             cut,
             checks,
             tuple(obj["notes"]),
@@ -348,7 +349,7 @@ class RunManifest:
 
 
 def write_manifest(m: RunManifest, path: Union[str, Path]) -> None:
-    _write_json(
+    write_json(
         {
             "format": "racover-run",
             "command": m.command,

@@ -5,7 +5,7 @@ least significant bit.  A list of ints is a matrix given by its rows.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 __all__ = [
     "parity",
@@ -13,6 +13,7 @@ __all__ = [
     "span",
     "independent",
     "solve_all_ones",
+    "quotient_map",
     "invertible_maps",
     "apply_map",
 ]
@@ -78,6 +79,23 @@ def solve_all_ones(rows: Iterable[int]) -> Optional[int]:
         if parity(x & p) != pb:
             x ^= low
     return x
+
+
+def quotient_map(lf: int) -> Callable[[int], int]:
+    """Projection V -> V/<lf> written in the echelon complement.
+
+    The pivot coordinate of lf (its lowest set bit) is eliminated and the
+    remaining coordinates close up in increasing order.
+    """
+    p = (lf & -lf).bit_length() - 1
+    low = (1 << p) - 1
+
+    def q(v: int) -> int:
+        if v >> p & 1:
+            v ^= lf
+        return (v & low) | (v >> (p + 1)) << p
+
+    return q
 
 
 def invertible_maps(dim: int) -> List[List[int]]:

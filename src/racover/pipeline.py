@@ -1,7 +1,7 @@
 """Chain construction and certification.
 
 Starting from a non-orientable colouring class of the dodecahedron, builds
-the mirrored chain P of n dodecahedra and the parallel chain Q of n
+the mirrored chain P of n dodecahedra and the companion chain Q of n
 120-cells carrying an orientable extension, then certifies the resulting
 cover: copy counts, connectivity, orientability, Euler characteristic, the
 preimage of the merged dodecahedral facet, the cut along one of its
@@ -25,6 +25,7 @@ from .colouring import (
     is_orientable,
     is_proper,
     transport,
+    zero_sum_triples,
 )
 from .covers import (
     V_120CELL_PI2,
@@ -92,7 +93,7 @@ class GlueStep:
 
 @dataclass(frozen=True)
 class ChainAssembly:
-    """The two parallel chains and the bookkeeping connecting them.
+    """The two companion chains and the bookkeeping connecting them.
 
     `d_facet` is the facet of Q into which the summands' dodecahedral
     facets merged; `natural_map` sends facet j of its subpolytope to the
@@ -151,18 +152,6 @@ def _dodecahedron_census() -> EnumerationResult:
     return enumerate_small_covers(make_dodecahedron())
 
 
-def _zero_sum_triples(colours: Sequence[int]) -> List[Tuple[int, int, int]]:
-    m = len(colours)
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = colours[i] ^ colours[j]
-            for k in range(j + 1, m):
-                if colours[k] == s:
-                    out.append((i, j, k))
-    return out
-
-
 def select_class(result: EnumerationResult, policy: str = "max-symmetry") -> ChosenClass:
     """Pick a non-orientable class and equip it with witness and glue data.
 
@@ -196,7 +185,7 @@ def select_class(result: EnumerationResult, policy: str = "max-symmetry") -> Cho
 
     lam = record.colouring
     P = lam.polytope
-    for triple in _zero_sum_triples(lam.colours):
+    for triple in zero_sum_triples(lam.colours):
         for f in range(P.facet_count):
             if f in triple:
                 continue
@@ -205,31 +194,41 @@ def select_class(result: EnumerationResult, policy: str = "max-symmetry") -> Cho
     raise Finding(f"class {index} has no witness triple with a disjoint facet")
 
 
+def extend_from_facet(
+    mu: Colouring,
+    base_facet: int = 0,
+    rank: int = 5,
+    budget: Optional[SearchBudget] = None,
+) -> Tuple[SearchOutcome, Tuple[int, ...], Tuple[int, ...]]:
+    """Transport a dodecahedral colouring onto a 120-cell facet and search
+    an orientable extension from it.
+
+    Returns the search outcome, whatever its status, plus the incidence and
+    trace maps: facet j of the facet subpolytope sits on 120-cell facet
+    inc[j] and corresponds to dodecahedron facet psi[j].
+    """
+    Z = make_120cell()
+    sub, inc = facet_subpolytope(Z, base_facet)
+    psi = find_isomorphism(sub, mu.polytope)
+    if psi is None:
+        raise PolytopeError(f"facet {base_facet} of the 120-cell is not dodecahedral")
+    mu_sub = Colouring(
+        sub, mu.rank, tuple(mu.colours[psi[j]] for j in range(sub.facet_count))
+    )
+    seed = seed_from_facet(Z, base_facet, mu_sub, rank)
+    return search_orientable_extension(Z, seed, budget), inc, psi
+
+
 def extend_class(
     chosen: ChosenClass,
     base_facet: int = 0,
     rank: int = 5,
     budget: Optional[SearchBudget] = None,
 ) -> Tuple[SearchOutcome, Tuple[int, ...], Tuple[int, ...]]:
-    """Extend the class over the 120-cell from the given facet.
-
-    Returns the search outcome plus the incidence and trace maps: facet j
-    of the facet subpolytope sits on 120-cell facet inc[j] and corresponds
-    to dodecahedron facet psi[j].  Raises on anything but success: budget
-    exhaustion and a genuinely empty search space are kept distinct.
-    """
-    Z = make_120cell()
-    D = chosen.colouring.polytope
-    sub, inc = facet_subpolytope(Z, base_facet)
-    psi = find_isomorphism(sub, D)
-    if psi is None:
-        raise PolytopeError(f"facet {base_facet} of the 120-cell is not dodecahedral")
-    mu_sub = Colouring(
-        sub,
-        chosen.colouring.rank,
-        tuple(chosen.colouring.colours[psi[j]] for j in range(sub.facet_count)),
-    )
-    outcome = search_orientable_extension(Z, seed_from_facet(Z, base_facet, mu_sub, rank), budget)
+    """`extend_from_facet` for a chosen class, raising on anything but
+    success: budget exhaustion and a genuinely empty search space are kept
+    distinct."""
+    outcome, inc, psi = extend_from_facet(chosen.colouring, base_facet, rank, budget)
     if outcome.status == "budget-out":
         raise BudgetError(f"extension search stopped after {outcome.nodes} nodes")
     if outcome.colouring is None:
@@ -582,6 +581,16 @@ def run_checks(
     return tuple(checks), notes
 
 
+def cut_cover(
+    a: ChainAssembly,
+) -> Tuple[CoverComplex, Tuple[HypersurfaceComponent, ...], CutReport]:
+    """The ambient cover of n cells per copy, the preimage components of
+    the merged facet, and the cut along the first of them."""
+    cover = build_cover(a.Q, a.lam_Q, cells_per_copy=a.n)
+    components = tuple(facet_preimage(cover, a.d_facet))
+    return cover, components, cut_along(cover, components[0])
+
+
 def certify(
     n: int,
     policy: str = "max-symmetry",
@@ -590,9 +599,7 @@ def certify(
     """Run the full construction for chain length n and check every claim."""
     chosen = select_class(_dodecahedron_census(), policy)
     a = assemble_chain(chosen, n, budget)
-    cover = build_cover(a.Q, a.lam_Q, cells_per_copy=n)
-    components = facet_preimage(cover, a.d_facet)
-    cut = cut_along(cover, components[0])
+    cover, components, cut = cut_cover(a)
     checks, notes = run_checks(a, cover, components, cut)
     class_id = canonical_form(chosen.colouring.polytope, chosen.colouring).decode()
     return Certificate(
@@ -606,7 +613,7 @@ def certify(
         a.glue_steps,
         a,
         cover,
-        tuple(components),
+        components,
         cut,
         checks,
         notes,
@@ -620,9 +627,7 @@ def validate_certificate(cert: Certificate) -> Tuple[CheckResult, ...]:
     colourings; the fresh pass/fail vector must reproduce the recorded
     one, and for a certificate claiming success every check must hold.
     """
-    cover = build_cover(cert.assembly.Q, cert.assembly.lam_Q, cells_per_copy=cert.n)
-    components = facet_preimage(cover, cert.assembly.d_facet)
-    cut = cut_along(cover, components[0])
+    cover, components, cut = cut_cover(cert.assembly)
     checks, _ = run_checks(cert.assembly, cover, components, cut)
     if [(c.name, c.passed) for c in checks] != [(c.name, c.passed) for c in cert.checks]:
         raise Finding("re-validation disagrees with the stored checks")

@@ -33,6 +33,7 @@ __all__ = [
     "orbifold_euler_characteristic",
     "symmetry_group",
     "find_isomorphism",
+    "greedy_facet_order",
     "antipodal_facet",
 ]
 
@@ -472,6 +473,29 @@ def gauss_bonnet_pi2_multiple(P: Polytope) -> Fraction:
 # ---------------------------------------------------------------------------
 # automorphisms and isomorphisms
 
+def greedy_facet_order(P: Polytope, start: Sequence[int]) -> List[int]:
+    """Static facet order: given ones first, then repeatedly the facet with
+    most already-ordered neighbours (ties to lowest index)."""
+    m = P.facet_count
+    placed = [False] * m
+    scores = [0] * m
+    order = list(start)
+    for f in order:
+        placed[f] = True
+    for f in order:
+        for g in P.neighbours[f]:
+            scores[g] += 1
+    for _ in range(m - len(order)):
+        best = max(
+            (f for f in range(m) if not placed[f]), key=lambda f: (scores[f], -f)
+        )
+        order.append(best)
+        placed[best] = True
+        for g in P.neighbours[best]:
+            scores[g] += 1
+    return order
+
+
 def _iso_search(src: Polytope, dst: Polytope, find_all: bool) -> List[Tuple[int, ...]]:
     """Backtracking search for facet bijections src -> dst.
 
@@ -493,23 +517,8 @@ def _iso_search(src: Polytope, dst: Polytope, find_all: bool) -> List[Tuple[int,
     for t, d in enumerate(deg_dst):
         deg_mask[d] = deg_mask.get(d, 0) | 1 << t
 
-    # static order: greedy, always the facet seeing most already-ordered
-    # neighbours, so candidate masks stay tight
-    order = [0]
-    placed = [False] * m
-    placed[0] = True
-    scores = [0] * m
-    for j in src.neighbours[0]:
-        scores[j] += 1
-    for _ in range(m - 1):
-        best = max(
-            (i for i in range(m) if not placed[i]),
-            key=lambda i: (scores[i], -i),
-        )
-        order.append(best)
-        placed[best] = True
-        for j in src.neighbours[best]:
-            scores[j] += 1
+    # the greedy order keeps candidate masks tight
+    order = greedy_facet_order(src, [0])
     prev_nbrs = []
     pos = {f: k for k, f in enumerate(order)}
     for k, f in enumerate(order):

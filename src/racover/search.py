@@ -22,7 +22,7 @@ from .colouring import (
     is_orientable,
     is_proper,
 )
-from .polytopes import Polytope, facet_subpolytope, symmetry_group
+from .polytopes import Polytope, facet_subpolytope, greedy_facet_order, symmetry_group
 
 __all__ = [
     "SearchBudget",
@@ -40,17 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock limits; parallel width is accepted for interface
-    compatibility but the engines run single-threaded (see notes in the
-    repository about determinism)."""
+    """Node and wall-clock limits for one search."""
 
     nodes: int = 10 ** 8
     seconds: float = 1800.0
-    parallel: int = 1
 
     def __post_init__(self):
-        if self.nodes <= 0 or self.seconds <= 0 or self.parallel <= 0:
-            raise ValueError("budget fields must be positive")
+        for name in ("nodes", "seconds"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"budget {name} must be positive, got {value}")
 
 
 class BudgetError(Exception):
@@ -185,29 +184,6 @@ def enumerate_small_covers(
     return EnumerationResult(tuple(records), complete, meter.nodes, meter.seconds)
 
 
-def _greedy_order(P: Polytope, start: Sequence[int]) -> List[int]:
-    """Static facet order: given ones first, then repeatedly the facet with
-    most already-ordered neighbours (ties to lowest index)."""
-    m = P.facet_count
-    placed = [False] * m
-    scores = [0] * m
-    order = list(start)
-    for f in order:
-        placed[f] = True
-    for f in order:
-        for g in P.neighbours[f]:
-            scores[g] += 1
-    for _ in range(m - len(order)):
-        best = max(
-            (f for f in range(m) if not placed[f]), key=lambda f: (scores[f], -f)
-        )
-        order.append(best)
-        placed[best] = True
-        for g in P.neighbours[best]:
-            scores[g] += 1
-    return order
-
-
 def enumerate_chromatic_colourings(
     P: Polytope, k: int, budget: Optional[SearchBudget] = None
 ) -> ChromaticResult:
@@ -233,7 +209,7 @@ def enumerate_chromatic_colourings(
     v0 = P.vertices[0]
     for i, f in enumerate(v0):
         assign[f] = i + 1
-    order = _greedy_order(P, v0)[n:]
+    order = greedy_facet_order(P, v0)[n:]
 
     classes: Dict[bytes, Tuple[int, ...]] = {}
 

@@ -9,10 +9,20 @@ from racover import __version__
 from racover.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from racover.colouring import Colouring
 from racover.fileio import load_colouring, write_colouring, write_polytope
+from racover.pipeline import extend_class, select_class
 
 
 def _manifest(outdir):
     return json.loads((outdir / "run-manifest.json").read_text(encoding="utf-8"))
+
+
+def _output_files(outdir):
+    """Every file a run wrote except its manifest, which records wall time."""
+    return {
+        str(p.relative_to(outdir)): p.read_bytes()
+        for p in sorted(outdir.rglob("*"))
+        if p.is_file() and p.name != "run-manifest.json"
+    }
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -25,6 +35,23 @@ def test_generate_is_deterministic(tmp_path):
     assert m["command"] == "generate"
     assert m["tool_version"] == __version__
     assert m["result_digest"] == _manifest(b)["result_digest"]
+
+    # every other file-producing command reruns byte for byte too
+    poly = str(a / "dodecahedron.json")
+    cls = str(a / "census" / "class-000.txt")
+    for name, argv in [
+        ("census", ["enumerate", poly]),
+        ("chromatic", ["enumerate", poly, "--chromatic", "4"]),
+        ("extension", ["extend", cls]),
+        ("cover", ["cover", poly, cls]),
+        ("certificate", ["certify", "--n", "1"]),
+    ]:
+        for root in (a, b):
+            assert main(argv + ["--out", str(root / name)]) == EXIT_OK, name
+        files = _output_files(a / name)
+        assert files, name
+        assert files == _output_files(b / name), name
+        assert _manifest(a / name)["result_digest"] == _manifest(b / name)["result_digest"]
 
 
 def test_generate_respects_racover_out(tmp_path, monkeypatch):
@@ -122,6 +149,18 @@ def test_extend_finds_an_extension(tmp_path, z120, census, capsys):
     assert lam.rank == 5
 
 
+def test_extend_matches_extend_class(tmp_path, z120, census):
+    write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
+    code = main(["extend", str(tmp_path / "class.txt"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    outcome, _, _ = extend_class(select_class(census, "index:0"), base_facet=0)
+    summary = json.loads((tmp_path / "extension-summary.json").read_text("utf-8"))
+    assert summary["seed_facet"] == 0
+    assert summary["nodes"] == outcome.nodes
+    lam = load_colouring(z120, tmp_path / "extension.txt")
+    assert (lam.rank, lam.colours) == (outcome.colouring.rank, outcome.colouring.colours)
+
+
 def test_extend_budget_out_keeps_exit_zero(tmp_path, census, capsys):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main([
@@ -176,10 +215,16 @@ def test_certify_rejects_a_malformed_policy(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def test_bad_budget_is_a_usage_error(tmp_path, census, capsys):
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--budget-nodes", "nodes"), ("--budget-seconds", "seconds")],
+    ids=["nodes", "seconds"],
+)
+def test_bad_budget_is_a_usage_error(tmp_path, census, capsys, flag, field):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main([
-        "extend", str(tmp_path / "class.txt"), "--budget-nodes", "0",
+        "extend", str(tmp_path / "class.txt"), flag, "0",
         "--out", str(tmp_path),
     ])
     assert code == EXIT_USAGE
+    assert field in capsys.readouterr().err

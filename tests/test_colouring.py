@@ -22,6 +22,7 @@ from racover.colouring import (
     is_proper,
     non_orientability_witness,
     transport,
+    zero_sum_triples,
 )
 from racover.polytopes import facet_subpolytope, symmetry_group
 
@@ -73,6 +74,28 @@ def test_witness_blocks_orientability(pentagon):
     assert w is not None
     i, j, k = w
     assert lam.colours[i] ^ lam.colours[j] ^ lam.colours[k] == 0
+
+
+def _brute_force_zero_sum_triples(colours):
+    m = len(colours)
+    return [
+        (i, j, k)
+        for i in range(m)
+        for j in range(i + 1, m)
+        for k in range(j + 1, m)
+        if colours[i] ^ colours[j] ^ colours[k] == 0
+    ]
+
+
+def test_zero_sum_triples_match_brute_force(pentagon, census):
+    cases = [rec.colouring for rec in census.classes]
+    cases.append(Colouring(pentagon, 2, (1, 2, 1, 2, 3)))
+    assert len(cases) == 26
+    for lam in cases:
+        want = _brute_force_zero_sum_triples(lam.colours)
+        assert list(zero_sum_triples(lam.colours)) == want
+        witness = non_orientability_witness(lam.polytope, lam)
+        assert witness == (want[0] if want else None)
 
 
 def test_is_orientable_requires_properness(pentagon):

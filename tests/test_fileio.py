@@ -160,6 +160,16 @@ def test_certificate_detects_tampered_files(tmp_path, cert1):
         load_certificate(path)
 
 
+@pytest.mark.parametrize("d_facet", [10**6, -1])
+def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
+    path = write_certificate(cert1, tmp_path / "cert")
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["d_facet"] = d_facet
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="d_facet"):
+        load_certificate(path)
+
+
 def test_sha256_file_matches_digest_of_bytes(tmp_path):
     path = tmp_path / "x"
     path.write_bytes(b"abc")

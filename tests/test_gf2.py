@@ -109,3 +109,14 @@ def test_invertible_maps_compose_to_permutations():
     for cols in gf2.invertible_maps(3):
         images = {gf2.apply_map(cols, v) for v in range(1, 8)}
         assert images == set(range(1, 8))
+
+
+def test_quotient_map_is_the_projection_onto_v_mod_lf():
+    for lf in range(1, 16):
+        q = gf2.quotient_map(lf)
+        assert q(lf) == 0
+        assert {q(v) for v in range(16)} == set(range(8))
+        for u in range(16):
+            assert q(u ^ lf) == q(u)
+            for v in range(16):
+                assert q(u ^ v) == q(u) ^ q(v)
