@@ -151,7 +151,7 @@ def cover_connected(C: CoverComplex) -> bool:
     return len(seen) == len(idx)
 
 
-def _direct_euler_characteristic(C: CoverComplex) -> Fraction:
+def _direct_euler_characteristic(C: CoverComplex) -> int:
     """Euler characteristic from the glued complex's own face counts.
 
     A face of P given by the facet subset S has |G| / |span of S's colours|
@@ -166,11 +166,12 @@ def _direct_euler_characteristic(C: CoverComplex) -> Fraction:
     for v in P.vertices:
         for k in range(1, n + 1):
             subsets[k].update(itertools.combinations(v, k))
-    total = Fraction((-1) ** n * len(C.group))
+    copies = len(C.group)
+    total = (-1) ** n * copies
     for k in range(1, n + 1):
+        sign = (-1) ** (n - k)
         for S in subsets[k]:
-            orbit = len(gf2.span([cols[f] for f in S]))
-            total += Fraction((-1) ** (n - k) * len(C.group), orbit)
+            total += sign * (copies >> gf2.rank(cols[f] for f in S))
     return total
 
 

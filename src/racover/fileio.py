@@ -25,7 +25,7 @@ from .covers import (
     volume,
 )
 from .pipeline import Certificate, ChainAssembly, CheckResult, GlueStep, cut_cover
-from .polytopes import Polytope, PolytopeError
+from .polytopes import Polytope, PolytopeError, make_120cell
 
 
 class FileFormatError(ValueError):
@@ -263,6 +263,16 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
     return path
 
 
+def _int_field(
+    path: Path, obj: dict, key: str, lo: int, hi: Optional[int], what: str
+) -> int:
+    """The integer obj[key], required to lie in [lo, hi)."""
+    value = obj[key]
+    if type(value) is not int or value < lo or (hi is not None and value >= hi):
+        raise FileFormatError(f"{path}: {key} {value!r} is not {what}")
+    return value
+
+
 def load_certificate(path: Union[str, Path]) -> Certificate:
     """Rebuild a Certificate from certificate.json and its referenced files.
 
@@ -289,12 +299,14 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
         lam = load_colouring(Q, base / refs["ambient_colouring"]["path"])
         if isinstance(mu, PartialColouring) or isinstance(lam, PartialColouring):
             raise FileFormatError(f"{path}: certificate colourings must be total")
-        n = obj["n"]
-        d_facet = obj["d_facet"]
-        if not isinstance(d_facet, int) or not 0 <= d_facet < Q.facet_count:
-            raise FileFormatError(
-                f"{path}: d_facet {d_facet!r} is not a facet of the ambient polytope"
-            )
+        n = _int_field(path, obj, "n", 1, None, "a chain length of at least 1")
+        d_facet = _int_field(
+            path, obj, "d_facet", 0, Q.facet_count, "a facet of the ambient polytope"
+        )
+        base_facet = _int_field(
+            path, obj, "base_facet", 0, make_120cell().facet_count,
+            "a facet of the 120-cell",
+        )
         assembly = ChainAssembly(
             n,
             P,
@@ -305,7 +317,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             tuple(obj["witness_facets"]),
             tuple(GlueStep(**s) for s in obj["glue_steps"]),
             tuple(obj["natural_map"]),
-            obj["base_facet"],
+            base_facet,
         )
         cover, components, cut = cut_cover(assembly)
         cls = obj["class"]

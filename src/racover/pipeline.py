@@ -41,16 +41,14 @@ from .covers import (
     facet_preimage,
 )
 from .polytopes import (
-    FacetMatching,
     Polytope,
     PolytopeError,
     antipodal_facet,
-    connected_sum,
+    chain_sum,
     facet_subpolytope,
     find_isomorphism,
     make_120cell,
     make_dodecahedron,
-    relabel,
 )
 from .search import (
     BudgetError,
@@ -236,66 +234,23 @@ def extend_class(
     return outcome, inc, psi
 
 
-def _grow(
-    cur: Polytope,
-    vals: List[int],
-    prov: List[List[Optional[int]]],
-    base: Polytope,
-    tag: str,
-    base_vals: Sequence[int],
-    attach: int,
-) -> Tuple[Polytope, List[int], List[List[Optional[int]]]]:
-    """Glue one more mirrored copy of `base` onto the chain.
-
-    The newest summand's facet `attach` (base numbering) is identified with
-    the same facet of the fresh copy by the label-identity matching, the
-    colour array is carried across, and every provenance array is pushed
-    through the merge maps.  Merged facets must agree in colour.
-    """
-    newest = prov[-1]
-    F1 = newest[attach]
-    if F1 is None or "|" in cur.facet_labels[F1]:
-        raise PolytopeError(f"facet {attach} of the newest summand is not pure")
-    addition = relabel(base, tag)
-    pairing = tuple((newest[g], g) for g in base.neighbours[attach])
-    out, m1, m2 = connected_sum(cur, addition, FacetMatching(F1, attach, pairing))
-
-    new_vals: List[Optional[int]] = [None] * out.facet_count
-    for old, ni in enumerate(m1):
-        if ni is not None:
-            new_vals[ni] = vals[old]
-    for h, ni in enumerate(m2):
-        if ni is None:
-            continue
-        c = base_vals[h]
-        if new_vals[ni] is None:
-            new_vals[ni] = c
-        elif new_vals[ni] != c:
-            raise ColouringError(
-                f"colour mismatch across the gluing at {out.facet_labels[ni]}"
-            )
-    new_prov = [
-        [None if old is None else m1[old] for old in arr] for arr in prov
-    ]
-    new_prov.append(list(m2))
-    return out, new_vals, new_prov  # type: ignore[return-value]
-
-
-def _next_attach(D: Polytope, attach: int, prov: List[List[Optional[int]]],
-                 cur: Polytope) -> int:
-    """Facet of the newest summand to glue the next copy at: the antipode
-    of its own attachment facet, or the lowest pure facet if the antipode
-    was consumed (it never is on a straight chain)."""
-    cand = antipodal_facet(D, attach)
-    newest = prov[-1]
-    ni = newest[cand]
-    if ni is not None and "|" not in cur.facet_labels[ni]:
-        return cand
-    for f in range(D.facet_count):
-        ni = newest[f]
-        if ni is not None and "|" not in cur.facet_labels[ni]:
-            return f
-    raise Finding("no pure facet left to continue the chain")
+def _glued_colours(
+    out: Polytope, prov: Sequence[Sequence[Optional[int]]], base_vals: Sequence[int]
+) -> Tuple[int, ...]:
+    """Colour array of a chain glued from copies of one coloured base:
+    every piece of a merged facet must carry the same colour."""
+    vals: List[Optional[int]] = [None] * out.facet_count
+    for row in prov:
+        for g, ni in enumerate(row):
+            if ni is None:
+                continue
+            if vals[ni] is None:
+                vals[ni] = base_vals[g]
+            elif vals[ni] != base_vals[g]:
+                raise ColouringError(
+                    f"colour mismatch across the gluing at {out.facet_labels[ni]}"
+                )
+    return tuple(vals)  # type: ignore[arg-type]
 
 
 def assemble_chain(
@@ -309,9 +264,12 @@ def assemble_chain(
     Both chains are glued by label-identity matchings at matching facets:
     the dodecahedral glue facet traces the 120-cell facet glued on the
     other side, so the summands' dodecahedral facets merge into the single
-    facet `d_facet` of Q whose subpolytope is a twin of P.  The witness
-    triple of the first summand is never touched by any gluing, so the
-    chain colouring stays non-orientable for every n.
+    facet `d_facet` of Q whose subpolytope is a twin of P.  Summand t is
+    glued to summand t + 1 at the chosen glue facet for odd t and at its
+    antipode for even t, so each summand's two glue facets are disjoint
+    and each chain is built in one pass.  The witness triple of the first
+    summand is never touched by any gluing, so the chain colouring stays
+    non-orientable for every n.
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
@@ -325,44 +283,35 @@ def assemble_chain(
     z_of_d = {psi[j]: inc[j] for j in range(len(inc))}
     d_of_z = {z: d for d, z in z_of_d.items()}
 
-    P_cur = relabel(D, "1")
-    Q_cur = relabel(Z, "1")
-    mu_vals = list(chosen.colouring.colours)
-    lam_vals = list(lam_Z.colours)
-    p_prov: List[List[Optional[int]]] = [list(range(D.facet_count))]
-    q_prov: List[List[Optional[int]]] = [list(range(Z.facet_count))]
+    ends = (chosen.glue_facet, antipodal_facet(D, chosen.glue_facet))
+    attach = [ends[t % 2] for t in range(n - 1)]
+    attach_z = [z_of_d[a] for a in attach]
+    P, p_prov = chain_sum(D, attach)
+    Q, q_prov = chain_sum(Z, attach_z)
+    mu = chosen.colouring
+    mu_P = Colouring(P, mu.rank, _glued_colours(P, p_prov, mu.colours))
+    lam_Q = Colouring(Q, lam_Z.rank, _glued_colours(Q, q_prov, lam_Z.colours))
+    glue_steps = tuple(
+        GlueStep(t + 2, a, z) for t, (a, z) in enumerate(zip(attach, attach_z))
+    )
 
-    glue_steps = []
-    attach = chosen.glue_facet
-    for t in range(2, n + 1):
-        attach_z = z_of_d[attach]
-        P_cur, mu_vals, p_prov = _grow(
-            P_cur, mu_vals, p_prov, D, str(t), chosen.colouring.colours, attach
-        )
-        Q_cur, lam_vals, q_prov = _grow(
-            Q_cur, lam_vals, q_prov, Z, str(t), lam_Z.colours, attach_z
-        )
-        glue_steps.append(GlueStep(t, attach, attach_z))
-        attach = _next_attach(D, attach, p_prov, P_cur)
-
-    mu_P = Colouring(P_cur, chosen.colouring.rank, tuple(mu_vals))
-    lam_Q = Colouring(Q_cur, lam_Z.rank, tuple(lam_vals))
     d_facet = q_prov[0][base_facet]
     assert d_facet is not None
     witness_facets = tuple(p_prov[0][w] for w in chosen.witness)
     if any(w is None for w in witness_facets):
         raise Finding("a witness facet was consumed by the gluings")
-    nat = _natural_map(Q_cur, d_facet, d_of_z, p_prov, P_cur)
-    _verify_facet_map(facet_subpolytope(Q_cur, d_facet)[0], P_cur, nat)
+    sub, incQ = facet_subpolytope(Q, d_facet)
+    nat = _natural_map(Q, incQ, d_of_z, p_prov)
+    _verify_facet_map(sub, P, nat)
     return ChainAssembly(
         n,
-        P_cur,
+        P,
         mu_P,
-        Q_cur,
+        Q,
         lam_Q,
         d_facet,
         witness_facets,  # type: ignore[arg-type]
-        tuple(glue_steps),
+        glue_steps,
         nat,
         base_facet,
         chosen,
@@ -372,17 +321,16 @@ def assemble_chain(
 
 def _natural_map(
     Q: Polytope,
-    d_facet: int,
+    incQ: Sequence[int],
     d_of_z: Dict[int, int],
-    p_prov: List[List[Optional[int]]],
-    P: Polytope,
+    p_prov: Sequence[Sequence[Optional[int]]],
 ) -> Tuple[int, ...]:
-    """Facet map from the subpolytope of `d_facet` onto P, read off the
-    chain provenance: every piece of a chain facet adjacent to d_facet
-    traces a dodecahedral facet in its own summand, and all pieces must
-    point at the same facet of P."""
+    """Facet map from the subpolytope of the merged facet, whose facets sit
+    on the chain facets `incQ`, onto P, read off the chain provenance:
+    every piece of a chain facet adjacent to the merged facet traces a
+    dodecahedral facet in its own summand, and all pieces must point at the
+    same facet of P."""
     z_index = {lab: f for f, lab in enumerate(make_120cell().facet_labels)}
-    _, incQ = facet_subpolytope(Q, d_facet)
     nat = []
     for qf in incQ:
         targets = set()
@@ -406,10 +354,9 @@ def _verify_facet_map(src: Polytope, dst: Polytope, fmap: Sequence[int]) -> None
     """Require that the facet bijection `fmap` is an isomorphism src -> dst."""
     if sorted(fmap) != list(range(dst.facet_count)):
         raise PolytopeError("facet map is not a bijection")
-    for a in range(src.facet_count):
-        for b in range(a + 1, src.facet_count):
-            if src.adjacent(a, b) != dst.adjacent(fmap[a], fmap[b]):
-                raise PolytopeError("facet map breaks adjacency")
+    mapped = {(min(fmap[a], fmap[b]), max(fmap[a], fmap[b])) for a, b in src.adjacency}
+    if mapped != set(dst.adjacency):
+        raise PolytopeError("facet map breaks adjacency")
     if {frozenset(fmap[x] for x in v) for v in src.vertices} != dst.vertex_sets:
         raise PolytopeError("facet map breaks the vertex family")
 

@@ -28,6 +28,7 @@ __all__ = [
     "make_120cell",
     "facet_subpolytope",
     "connected_sum",
+    "chain_sum",
     "relabel",
     "f_vector",
     "orbifold_euler_characteristic",
@@ -118,9 +119,12 @@ class Polytope:
         if seen != (1 << m) - 1:
             raise PolytopeError("facet adjacency graph is disconnected")
 
-        self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(k for k, v in enumerate(self.vertices) if i in v) for i in range(m)
-        )
+        # one pass in ascending vertex order keeps each list sorted
+        incidence: List[List[int]] = [[] for _ in range(m)]
+        for k, v in enumerate(self.vertices):
+            for i in v:
+                incidence[i].append(k)
+        self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incidence))
         self._digest: Optional[str] = None
 
     @property
@@ -420,6 +424,60 @@ def connected_sum(
 
     out = Polytope(P1.dimension, labels, adj, verts)
     return out, tuple(map1), tuple(map2)
+
+
+def chain_sum(
+    base: Polytope, attach: Sequence[int]
+) -> Tuple[Polytope, Tuple[Tuple[Optional[int], ...], ...]]:
+    """Glue len(attach) + 1 copies of `base` end to end in one pass.
+
+    Copy s (labels '<s+1>.<old>') is glued to copy s + 1 at facet
+    attach[s] of both by the label-identity matching.  The result equals
+    folding `connected_sum` over relabelled copies: a merged facet is the
+    run of pieces (s, g), (s + 1, g), ... of one base facet g, it sits at
+    the position of its first piece in (summand, base index) order, and
+    its label joins the pieces in summand order.  Returns the chain plus
+    one provenance map per copy from base facets to chain facets (None
+    for the glued facets).
+    """
+    m = base.facet_count
+    for t, a in enumerate(attach):
+        if t and (a == attach[t - 1] or base.adjacent(a, attach[t - 1])):
+            raise PolytopeError(f"facet {a} of summand {t + 1} is not pure")
+    for a in set(attach):
+        identity_matching(base, a, base, a).validate(base, base)
+
+    prov: List[List[Optional[int]]] = []
+    pieces: List[List[str]] = []
+    for s in range(len(attach) + 1):
+        # copy s loses the facets it is glued at to copies s - 1 and s + 1
+        glued = set(attach[max(s - 1, 0) : s + 1])
+        merged = base.adjacency_masks[attach[s - 1]] if s else 0
+        row: List[Optional[int]] = [None] * m
+        for g in range(m):
+            if g in glued:
+                continue
+            if merged >> g & 1:
+                row[g] = prov[s - 1][g]
+            else:
+                row[g] = len(pieces)
+                pieces.append([])
+            pieces[row[g]].append(f"{s + 1}.{base.facet_labels[g]}")  # type: ignore[index]
+        prov.append(row)
+
+    adj = set()
+    verts = []
+    for row in prov:
+        for i, j in base.adjacency:
+            a, b = row[i], row[j]
+            if a is not None and b is not None:
+                adj.add((min(a, b), max(a, b)))
+        for v in base.vertices:
+            mapped = [row[g] for g in v]
+            if None not in mapped:
+                verts.append(mapped)
+    out = Polytope(base.dimension, ["|".join(p) for p in pieces], adj, verts)
+    return out, tuple(tuple(row) for row in prov)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,18 @@ def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
         load_certificate(path)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("n", 0), ("n", -1), ("n", "1"), ("base_facet", 10**6), ("base_facet", -1)]
+)
+def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
+    path = write_certificate(cert1, tmp_path / "cert")
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj[key] = value
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=key):
+        load_certificate(path)
+
+
 def test_sha256_file_matches_digest_of_bytes(tmp_path):
     path = tmp_path / "x"
     path.write_bytes(b"abc")

@@ -5,17 +5,29 @@ import dataclasses
 
 import pytest
 
-from racover import gf2
+from racover import gf2, polytopes
 from racover.colouring import equivalent, induced_colouring, is_orientable, is_proper, transport
 from racover.pipeline import (
     Finding,
+    GlueStep,
+    _verify_facet_map,
     assemble_chain,
     certify,
     extend_class,
     select_class,
     validate_certificate,
 )
-from racover.polytopes import f_vector, facet_subpolytope
+from racover.polytopes import (
+    FacetMatching,
+    PolytopeError,
+    antipodal_facet,
+    connected_sum,
+    f_vector,
+    facet_subpolytope,
+    make_120cell,
+    make_dodecahedron,
+    relabel,
+)
 from racover.search import BudgetError, EnumerationResult, SearchBudget
 
 CHECK_NAMES = [
@@ -170,3 +182,100 @@ def test_certify_with_an_index_policy(census):
     assert cert.passed
     assert cert.class_index == 0
     assert cert.policy == "index:0"
+
+
+def _grow_by_connected_sum(cur, vals, prov, base, tag, base_vals, attach):
+    """One step of the reference chain: glue a fresh copy of `base` onto
+    the newest summand's facet `attach` with `connected_sum`."""
+    newest = prov[-1]
+    F1 = newest[attach]
+    assert F1 is not None and "|" not in cur.facet_labels[F1]
+    pairing = tuple((newest[g], g) for g in base.neighbours[attach])
+    out, m1, m2 = connected_sum(cur, relabel(base, tag), FacetMatching(F1, attach, pairing))
+    new_vals = [None] * out.facet_count
+    for old, ni in enumerate(m1):
+        if ni is not None:
+            new_vals[ni] = vals[old]
+    for h, ni in enumerate(m2):
+        if ni is not None:
+            assert new_vals[ni] in (None, base_vals[h])
+            new_vals[ni] = base_vals[h]
+    new_prov = [[None if old is None else m1[old] for old in arr] for arr in prov]
+    new_prov.append(list(m2))
+    return out, new_vals, new_prov
+
+
+def _reference_chain(chosen, n, base_facet=0):
+    """The chain glued one summand at a time, rebuilding after each step;
+    the natural map is read off the facet labels."""
+    D, Z = make_dodecahedron(), make_120cell()
+    outcome, inc, psi = extend_class(chosen, base_facet)
+    lam_Z = outcome.colouring
+    z_of_d = {psi[j]: inc[j] for j in range(len(inc))}
+    d_of_z = {z: d for d, z in z_of_d.items()}
+    P, Q = relabel(D, "1"), relabel(Z, "1")
+    mu_vals, lam_vals = list(chosen.colouring.colours), list(lam_Z.colours)
+    p_prov, q_prov = [list(range(12))], [list(range(120))]
+    steps = []
+    attach = chosen.glue_facet
+    for t in range(2, n + 1):
+        P, mu_vals, p_prov = _grow_by_connected_sum(
+            P, mu_vals, p_prov, D, str(t), chosen.colouring.colours, attach
+        )
+        Q, lam_vals, q_prov = _grow_by_connected_sum(
+            Q, lam_vals, q_prov, Z, str(t), lam_Z.colours, z_of_d[attach]
+        )
+        steps.append(GlueStep(t, attach, z_of_d[attach]))
+        attach = antipodal_facet(D, attach)
+    d_facet = q_prov[0][base_facet]
+    nat = []
+    for qf in facet_subpolytope(Q, d_facet)[1]:
+        targets = set()
+        for piece in Q.facet_labels[qf].split("|"):
+            tag, zlab = piece.split(".", 1)
+            targets.add(p_prov[int(tag) - 1][d_of_z[Z.facet_labels.index(zlab)]])
+        (target,) = targets
+        nat.append(target)
+    witness = tuple(p_prov[0][w] for w in chosen.witness)
+    return P, tuple(mu_vals), Q, tuple(lam_vals), tuple(steps), d_facet, witness, tuple(nat)
+
+
+@pytest.mark.parametrize("policy", ["max-symmetry", "index:0", "index:24"])
+def test_one_shot_assembly_matches_the_summand_by_summand_reference(census, policy):
+    chosen = select_class(census, policy)
+    for n in range(1, 5):
+        a = assemble_chain(chosen, n)
+        P, mu, Q, lam, steps, d_facet, witness, nat = _reference_chain(chosen, n)
+        assert a.P.same_structure(P) and a.Q.same_structure(Q)
+        assert a.mu_P.colours == mu and a.lam_Q.colours == lam
+        assert a.glue_steps == steps
+        assert a.d_facet == d_facet
+        assert a.witness_facets == witness
+        assert a.natural_map == nat
+
+
+def test_assembly_builds_a_constant_number_of_polytopes(census, z120, monkeypatch):
+    chosen = select_class(census)
+    built = []
+    init = polytopes.Polytope.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(polytopes.Polytope, "__init__", counting_init)
+    counts = []
+    for n in (2, 8):
+        built.clear()
+        assemble_chain(chosen, n)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+def test_verify_facet_map_rejects_two_swapped_facets(dodecahedron):
+    identity = list(range(12))
+    _verify_facet_map(dodecahedron, dodecahedron, identity)
+    swapped = identity[:]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(PolytopeError, match="adjacency"):
+        _verify_facet_map(dodecahedron, dodecahedron, swapped)

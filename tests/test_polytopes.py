@@ -10,6 +10,7 @@ from racover.polytopes import (
     Polytope,
     PolytopeError,
     antipodal_facet,
+    chain_sum,
     connected_sum,
     f_vector,
     facet_subpolytope,
@@ -140,6 +141,24 @@ def test_connected_sum_rejects_a_broken_matching(dodecahedron):
     pairing[1] = (nb[1], nb[0])
     with pytest.raises(PolytopeError):
         connected_sum(A, B, FacetMatching(0, 0, tuple(pairing)))
+
+
+def test_chain_sum_rejects_a_consumed_glue_facet(dodecahedron):
+    # facet 1 touches facet 0, so after the first gluing it is merged
+    for attach in ([0, 1], [0, 0]):
+        with pytest.raises(PolytopeError, match="not pure"):
+            chain_sum(dodecahedron, attach)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain"])
+def test_facet_vertices_match_the_incidence_definition(request, name):
+    if name == "3-chain":
+        P, _ = chain_sum(make_dodecahedron(), [0, antipodal_facet(make_dodecahedron(), 0)])
+    else:
+        P = request.getfixturevalue(name)
+    assert P.facet_vertices == tuple(
+        tuple(k for k, v in enumerate(P.vertices) if i in v) for i in range(P.facet_count)
+    )
 
 
 def test_find_isomorphism_positive_and_negative(pentagon):
