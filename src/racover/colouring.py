@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .polytopes import (
@@ -33,6 +34,8 @@ __all__ = [
     "induced_colouring",
     "extend_colouring_generic",
     "equivalent",
+    "normal_sequence",
+    "orbit_keys",
     "canonical_form",
     "automorphism_order",
     "transport",
@@ -59,6 +62,7 @@ class Colouring:
 
     Zero colours are representable (they arise on error paths and in
     degenerate inputs) but can never be part of a proper colouring.
+    Properness on `polytope` is computed at most once per instance.
     """
 
     polytope: Polytope
@@ -73,6 +77,10 @@ class Colouring:
         for c in self.colours:
             if not 0 <= c < 1 << self.rank:
                 raise ColouringError(f"colour {c} outside GF(2)^{self.rank}")
+
+    @cached_property
+    def _proper(self) -> bool:
+        return _independent_at_vertices(self.polytope, self.colours)
 
 
 @dataclass(frozen=True)
@@ -106,10 +114,15 @@ class PartialColouring:
         return Colouring(self.polytope, self.rank, tuple(self.colours))  # type: ignore[arg-type]
 
 
+def _independent_at_vertices(P: Polytope, cols: Sequence[int]) -> bool:
+    return all(gf2.independent([cols[i] for i in v]) for v in P.vertices)
+
+
 def is_proper(P: Polytope, lam: Colouring) -> bool:
     """True when the colours at every vertex are linearly independent."""
-    cols = lam.colours
-    return all(gf2.independent([cols[i] for i in v]) for v in P.vertices)
+    if P is lam.polytope:
+        return lam._proper
+    return _independent_at_vertices(P, lam.colours)
 
 
 def image_dimension(lam: Colouring) -> int:
@@ -225,7 +238,7 @@ def extend_colouring_generic(P: Polytope, F: int, lam_sub: Colouring) -> Colouri
     return out
 
 
-def _normal_sequence(seq: Sequence[int]) -> Tuple[int, ...]:
+def normal_sequence(seq: Sequence[int]) -> Tuple[int, ...]:
     """Greedy re-echelonization: the j-th new independent colour becomes
     e_j and every colour is rewritten in the resulting basis.  The output
     is a complete invariant for the action of invertible linear maps."""
@@ -247,22 +260,26 @@ def _normal_sequence(seq: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def orbit_keys(P: Polytope, lam: Colouring) -> FrozenSet[Tuple[int, ...]]:
+    """Normal sequences of lam composed with every symmetry of P.
+
+    A colouring mu of P is equivalent to lam exactly when
+    normal_sequence(mu.colours) is one of them.
+    """
+    _require_proper(P, lam)
+    cols = lam.colours
+    return frozenset(
+        normal_sequence(tuple(map(cols.__getitem__, sigma))) for sigma in symmetry_group(P)
+    )
+
+
 def canonical_form(P: Polytope, lam: Colouring) -> bytes:
-    """Class invariant: minimal normal sequence over all symmetries of P.
+    """Class invariant: the least of the orbit keys.
 
     Equal byte strings exactly characterize equivalence (an invertible map
     of the images combined with a symmetry of the polytope).
     """
-    _require_proper(P, lam)
-    cols = lam.colours
-    m = len(cols)
-    best: Optional[Tuple[int, ...]] = None
-    for sigma in symmetry_group(P):
-        cand = _normal_sequence([cols[sigma[j]] for j in range(m)])
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return " ".join(map(str, best)).encode()
+    return " ".join(map(str, min(orbit_keys(P, lam)))).encode()
 
 
 def equivalent(P: Polytope, lam1: Colouring, lam2: Colouring) -> bool:

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
@@ -77,6 +78,11 @@ class CoverComplex:
 
     def partner(self, g: int, F: int) -> int:
         return g ^ self.colouring.colours[F]
+
+    @cached_property
+    def euler_characteristic(self) -> int:
+        """See `cover_euler_characteristic`; computed once per cover."""
+        return _checked_euler_characteristic(self)
 
 
 @dataclass(frozen=True)
@@ -180,8 +186,13 @@ def cover_euler_characteristic(C: CoverComplex) -> int:
 
     The product |G| * chi_orb(P) must be an integer and must agree with
     the direct face count of the glued complex; disagreement signals a
-    non-manifold gluing and raises.
+    non-manifold gluing and raises.  The checked value is kept on C, so
+    later calls (the certificate writer's summary) reuse it.
     """
+    return C.euler_characteristic
+
+
+def _checked_euler_characteristic(C: CoverComplex) -> int:
     chi = len(C.group) * orbifold_euler_characteristic(C.polytope)
     if chi.denominator != 1:
         raise CoverError(f"non-integral Euler characteristic {chi}")

@@ -9,6 +9,13 @@ all be read off combinatorially.
 
 Facet ordering is deterministic for every generator in this module, so
 serialized polytopes are stable across runs.
+
+Automorphisms and isomorphisms come from flag propagation.  A flag is a
+vertex with an ordering of its n facets; each edge lies on exactly two
+vertices, so the image of one flag fixes a whole map, walked vertex to
+vertex without branching and then checked in full.  The symmetry group is
+generated by the maps found from flags outside the orbit of the base flag
+(a handful: four for the 120-cell), and listed breadth first from them.
 """
 from __future__ import annotations
 
@@ -17,7 +24,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "PolytopeError",
@@ -33,6 +41,7 @@ __all__ = [
     "f_vector",
     "orbifold_euler_characteristic",
     "symmetry_group",
+    "symmetry_generators",
     "find_isomorphism",
     "greedy_facet_order",
     "antipodal_facet",
@@ -554,83 +563,181 @@ def greedy_facet_order(P: Polytope, start: Sequence[int]) -> List[int]:
     return order
 
 
-def _iso_search(src: Polytope, dst: Polytope, find_all: bool) -> List[Tuple[int, ...]]:
-    """Backtracking search for facet bijections src -> dst.
+_Perm = Tuple[int, ...]  # facet permutation: sigma[f] is the image of f
+_Flag = Tuple[int, ...]  # the facets of one vertex, in a chosen order
+_Flips = List[List[Tuple[int, int]]]
 
-    Candidates for each facet are narrowed by intersecting the target
-    adjacency masks of already-mapped neighbours; a full pairwise
-    consistency check runs per placement, so accepted leaves preserve
-    adjacency exactly.  The vertex families are compared at each leaf.
+
+def _edge_flips(P: Polytope) -> _Flips:
+    """flips[k][i] = (k2, g): dropping the i-th facet of vertex k leaves an
+    edge whose other vertex is k2, where facet g takes the dropped one's
+    place.
+
+    Raises unless every edge lies on exactly two vertices and the vertex
+    graph is connected, as in every simple polytope; propagation needs both.
+    """
+    ends: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+    for k, v in enumerate(P.vertices):
+        for i in range(len(v)):
+            ends.setdefault(v[:i] + v[i + 1 :], []).append((k, i))
+    flips: _Flips = [[(-1, -1)] * P.dimension for _ in P.vertices]
+    for e, on in ends.items():
+        if len(on) != 2:
+            raise PolytopeError(f"edge {e} does not lie on exactly two vertices ({len(on)} found)")
+        (k, i), (k2, i2) = on
+        flips[k][i] = (k2, P.vertices[k2][i2])
+        flips[k2][i2] = (k, P.vertices[k][i])
+    seen = {0}
+    queue = [0]
+    for k in queue:
+        for k2, _ in flips[k]:
+            if k2 not in seen:
+                seen.add(k2)
+                queue.append(k2)
+    if len(seen) != len(P.vertices):
+        raise PolytopeError("vertex graph is disconnected")
+    return flips
+
+
+def _propagate(
+    src: Polytope, dst: Polytope, src_flips: _Flips, dst_flips: _Flips, target: int, flag: _Flag
+) -> Optional[_Perm]:
+    """The isomorphism src -> dst sending the facets of src.vertices[0], in
+    order, to `flag`, an ordering of the facets of dst.vertices[target];
+    None if there is none.
+
+    Walking vertex to vertex across edges fixes each facet's image without
+    branching; the result is then checked in full: a bijection preserving
+    adjacency and mapping the vertex family onto the vertex family.
     """
     m = src.facet_count
-    if dst.facet_count != m or src.dimension != dst.dimension:
-        return []
-    if len(src.adjacency) != len(dst.adjacency) or len(src.vertices) != len(dst.vertices):
-        return []
-    deg_src = [len(src.neighbours[i]) for i in range(m)]
-    deg_dst = [len(dst.neighbours[i]) for i in range(m)]
-    if sorted(deg_src) != sorted(deg_dst):
-        return []
-    deg_mask = {}
-    for t, d in enumerate(deg_dst):
-        deg_mask[d] = deg_mask.get(d, 0) | 1 << t
+    src_nb, dst_nb = src.neighbours, dst.neighbours
+    img = [-1] * m
+    for f, t in zip(src.vertices[0], flag):
+        if len(src_nb[f]) != len(dst_nb[t]):
+            return None
+        img[f] = t
+    at = [-1] * len(src.vertices)
+    at[0] = target
+    queue = [0]
+    for k in queue:
+        w = dst.vertices[at[k]]
+        for f, (k2, g) in zip(src.vertices[k], src_flips[k]):
+            w2, h = dst_flips[at[k]][w.index(img[f])]
+            if img[g] < 0:
+                if len(src_nb[g]) != len(dst_nb[h]):
+                    return None
+                img[g] = h
+            elif img[g] != h:
+                return None
+            if at[k2] < 0:
+                at[k2] = w2
+                queue.append(k2)
+    if len(set(img)) != m or -1 in img:
+        return None
+    masks = dst.adjacency_masks
+    if any(not masks[img[i]] >> img[j] & 1 for i, j in src.adjacency):
+        return None
+    if any(frozenset(map(img.__getitem__, v)) not in dst.vertex_sets for v in src.vertices):
+        return None
+    return tuple(img)
 
-    # the greedy order keeps candidate masks tight
+
+def _comparable(src: Polytope, dst: Polytope) -> bool:
+    """Cheap invariants every isomorphism preserves."""
+    return (
+        src.dimension == dst.dimension
+        and src.facet_count == dst.facet_count
+        and len(src.adjacency) == len(dst.adjacency)
+        and len(src.vertices) == len(dst.vertices)
+        and sorted(map(len, src.neighbours)) == sorted(map(len, dst.neighbours))
+    )
+
+
+def _orbit(start: Tuple[int, ...], gens: Sequence[_Perm]) -> Set[Tuple[int, ...]]:
+    """Images of a tuple of facets under the group generated by `gens`,
+    breadth first.  From a flag this is its orbit; from the identity
+    permutation, the group itself."""
+    orbit = {start}
+    queue = [start]
+    for t in queue:
+        pick = itemgetter(*t)  # pick(g) = (g[t[0]], g[t[1]], ...), as a tuple: len(t) >= 2
+        for g in gens:
+            image = pick(g)
+            if image not in orbit:
+                orbit.add(image)
+                queue.append(image)
+    return orbit
+
+
+_generator_cache: Dict[str, Tuple[_Perm, ...]] = {}
+_group_cache: Dict[str, Tuple[_Perm, ...]] = {}
+
+
+def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
+    """Generators of the automorphism group of P, cached by digest.
+
+    A flag is a vertex with an ordering of its facets; the base flag is
+    P.vertices[0] in sorted order.  An automorphism is fixed by the flag
+    it sends the base flag to, so the group acts freely on flags.  Flags
+    are tried in vertex order, and one is propagated only when it lies
+    outside the orbit of the base flag under the generators found so
+    far: then it either admits no automorphism or yields a new generator.
+    """
+    gens = _generator_cache.get(P.digest)
+    if gens is None:
+        flips = _edge_flips(P)
+        base = P.vertices[0]
+        found: List[_Perm] = []
+        orbit = {base}
+        for k, v in enumerate(P.vertices):
+            for flag in itertools.permutations(v):
+                if flag in orbit:
+                    continue
+                sigma = _propagate(P, P, flips, flips, k, flag)
+                if sigma is not None:
+                    found.append(sigma)
+                    orbit = _orbit(base, found)
+        gens = _generator_cache[P.digest] = tuple(found)
+    return gens
+
+
+def symmetry_group(P: Polytope) -> Tuple[_Perm, ...]:
+    """All facet permutations preserving adjacency and the vertex family,
+    sorted, cached by digest; sigma[f] is the image of facet f."""
+    group = _group_cache.get(P.digest)
+    if group is None:
+        identity = tuple(range(P.facet_count))
+        group = _group_cache[P.digest] = tuple(sorted(_orbit(identity, symmetry_generators(P))))
+    return group
+
+
+def find_isomorphism(src: Polytope, dst: Polytope) -> Optional[_Perm]:
+    """The facet bijection realizing an isomorphism src -> dst, or None.
+
+    Of all isomorphisms, the one whose images listed in
+    `greedy_facet_order(src, [0])` are lexicographically least.  That
+    order starts at facet 0, which is also the first facet of
+    src.vertices[0], so flags are tried by ascending image of facet 0 and
+    the first image that admits an isomorphism settles the search.
+    """
+    if not _comparable(src, dst):
+        return None
+    src_flips, dst_flips = _edge_flips(src), _edge_flips(dst)
     order = greedy_facet_order(src, [0])
-    prev_nbrs = []
-    pos = {f: k for k, f in enumerate(order)}
-    for k, f in enumerate(order):
-        prev_nbrs.append([pos[g] for g in src.neighbours[f] if pos[g] < k])
-
-    dst_masks = dst.adjacency_masks
-    src_vertex_tuples = src.vertices
-    dst_vertex_sets = dst.vertex_sets
-    sols: List[Tuple[int, ...]] = []
-    img = [0] * m
-
-    def rec(k: int, used: int) -> bool:
-        if k == m:
-            perm = [0] * m
-            for p, f in enumerate(order):
-                perm[f] = img[p]
-            for v in src_vertex_tuples:
-                if frozenset(perm[i] for i in v) not in dst_vertex_sets:
-                    return False
-            sols.append(tuple(perm))
-            return not find_all
-        f = order[k]
-        cand = deg_mask.get(deg_src[f], 0) & ~used
-        tnb = 0
-        for p in prev_nbrs[k]:
-            cand &= dst_masks[img[p]]
-            tnb |= 1 << img[p]
-        for t in _bits(cand):
-            if dst_masks[t] & used == tnb:
-                img[k] = t
-                if rec(k + 1, used | 1 << t):
-                    return True
-        return False
-
-    rec(0, 0)
-    return sols
-
-
-_symmetry_cache: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
-
-
-def symmetry_group(P: Polytope) -> Tuple[Tuple[int, ...], ...]:
-    """All facet permutations preserving adjacency and the vertex family."""
-    cached = _symmetry_cache.get(P.digest)
-    if cached is None:
-        cached = tuple(sorted(_iso_search(P, P, find_all=True)))
-        _symmetry_cache[P.digest] = cached
-    return cached
-
-
-def find_isomorphism(src: Polytope, dst: Polytope) -> Optional[Tuple[int, ...]]:
-    """One facet bijection realizing an isomorphism, or None."""
-    sols = _iso_search(src, dst, find_all=False)
-    return sols[0] if sols else None
+    for first in range(dst.facet_count):
+        best: Optional[Tuple[List[int], _Perm]] = None
+        for k in dst.facet_vertices[first]:
+            rest = [t for t in dst.vertices[k] if t != first]
+            for tail in itertools.permutations(rest):
+                sigma = _propagate(src, dst, src_flips, dst_flips, k, (first,) + tail)
+                if sigma is not None:
+                    key = [sigma[f] for f in order]
+                    if best is None or key < best[0]:
+                        best = (key, sigma)
+        if best is not None:
+            return best[1]
+    return None
 
 
 def antipodal_facet(P: Polytope, f: int) -> int:

@@ -18,11 +18,12 @@ from .colouring import (
     ColouringError,
     PartialColouring,
     automorphism_order,
-    canonical_form,
     is_orientable,
     is_proper,
+    normal_sequence,
+    orbit_keys,
 )
-from .polytopes import Polytope, facet_subpolytope, greedy_facet_order, symmetry_group
+from .polytopes import Polytope, facet_subpolytope, greedy_facet_order, symmetry_generators
 
 __all__ = [
     "SearchBudget",
@@ -130,8 +131,8 @@ def enumerate_small_covers(
     Depth-first over facets in index order.  The facets of the first vertex
     are pinned to e_1, ..., e_n, which loses no classes (any proper
     colouring can be moved there by a linear map) and removes the GL(n)
-    factor from the search; remaining duplicates fall to canonical-form
-    deduplication.
+    factor from the search.  Each new class stores its orbit keys, so a
+    later leaf is recognised by one normal sequence and one set lookup.
     """
     n = P.dimension
     m = P.facet_count
@@ -141,7 +142,7 @@ def enumerate_small_covers(
         colours[f] = 1 << k
     rest = [f for f in range(m) if colours[f] is None]
 
-    seen: Set[bytes] = set()
+    seen: Set[Tuple[int, ...]] = set()
     records: List[ClassRecord] = []
 
     def feasible(f: int, v: int) -> bool:
@@ -157,9 +158,10 @@ def enumerate_small_covers(
     def rec(idx: int) -> None:
         if idx == len(rest):
             lam = Colouring(P, n, tuple(colours))  # type: ignore[arg-type]
-            key = canonical_form(P, lam)
-            if key not in seen:
-                seen.add(key)
+            if not is_proper(P, lam):
+                raise AssertionError("incremental properness bookkeeping failed")
+            if normal_sequence(lam.colours) not in seen:
+                seen.update(orbit_keys(P, lam))
                 records.append(
                     ClassRecord(
                         lam,
@@ -202,7 +204,7 @@ def enumerate_chromatic_colourings(
     if k < n:
         raise ValueError(f"{k} colours cannot colour an {n}-polytope (clique bound)")
     m = P.facet_count
-    syms = symmetry_group(P)
+    gens = symmetry_generators(P)
     meter = _Meter(budget)
 
     assign = [0] * m
@@ -244,17 +246,24 @@ def enumerate_chromatic_colourings(
     except BudgetError:
         complete = False
 
-    # Group orbit: the symmetry images of any one member reach the whole
-    # orbit of its class, so one sweep per unvisited class suffices.
-    rem = set(classes)
+    # Symmetry orbits of classes, walked breadth-first under the group's
+    # generators.  A key is itself a colouring of its class, so the walk
+    # needs no representative and also crosses classes a budgeted sweep
+    # missed, exactly as the whole group would.
+    visited: Set[bytes] = set()
     orbit_count = 0
     for key in sorted(classes):
-        if key not in rem:
+        if key in visited:
             continue
         orbit_count += 1
-        rep = classes[key]
-        for sig in syms:
-            rem.discard(norm([rep[sig[j]] for j in range(m)]))
+        visited.add(key)
+        frontier = [key]
+        for seq in frontier:
+            for g in gens:
+                image = norm(tuple(map(seq.__getitem__, g)))
+                if image not in visited:
+                    visited.add(image)
+                    frontier.append(image)
     reps = tuple(classes[key] for key in sorted(classes))
     return ChromaticResult(
         len(classes), orbit_count, complete, meter.nodes, meter.seconds, reps

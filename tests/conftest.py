@@ -43,6 +43,21 @@ def cert1() -> Certificate:
     return certify(1)
 
 
+def renumbered(P: Polytope, rng: random.Random) -> Polytope:
+    """P with its facets renumbered at random; labels travel with facets."""
+    p = list(range(P.facet_count))
+    rng.shuffle(p)
+    labels = [""] * P.facet_count
+    for f, lab in enumerate(P.facet_labels):
+        labels[p[f]] = lab
+    return Polytope(
+        P.dimension,
+        labels,
+        [(p[i], p[j]) for i, j in P.adjacency],
+        [[p[g] for g in v] for v in P.vertices],
+    )
+
+
 def random_proper_colouring(P: Polytope, rank: int, rng: random.Random) -> Colouring:
     """A uniformly seeded (not uniformly distributed) proper colouring.
 

@@ -108,6 +108,22 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("chromatic", [[], ["--chromatic", "4"]])
+def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys, chromatic):
+    # without one vertex, three edges lie on a single vertex
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({
+        "format": "racover-polytope",
+        "dimension": 3,
+        "facets": list(dodecahedron.facet_labels),
+        "adjacency": [list(e) for e in dodecahedron.adjacency],
+        "vertices": [list(v) for v in dodecahedron.vertices[1:]],
+    }))
+    code = main(["enumerate", str(path), "--out", str(tmp_path)] + chromatic)
+    assert code == EXIT_USAGE
+    assert "does not lie on exactly two vertices (1 found)" in capsys.readouterr().err
+
+
 def test_enumerate_writes_class_files(tmp_path, pentagon, capsys):
     write_polytope(pentagon, tmp_path / "p.json")
     code = main(["enumerate", str(tmp_path / "p.json"), "--out", str(tmp_path)])

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_proper_colouring
-from racover import gf2
+from racover import colouring, gf2
 from racover.colouring import (
     Colouring,
     ColouringError,
@@ -21,9 +21,11 @@ from racover.colouring import (
     is_orientable,
     is_proper,
     non_orientability_witness,
+    orbit_keys,
     transport,
     zero_sum_triples,
 )
+from racover.covers import CoverError, build_cover
 from racover.polytopes import facet_subpolytope, symmetry_group
 
 # a proper 4-colouring of the dodecahedron in the canonical face numbering
@@ -101,6 +103,58 @@ def test_zero_sum_triples_match_brute_force(pentagon, census):
 def test_is_orientable_requires_properness(pentagon):
     with pytest.raises(ColouringError):
         is_orientable(pentagon, Colouring(pentagon, 2, (1, 1, 2, 1, 2)))
+
+
+def test_every_entry_point_rejects_an_improper_colouring(dodecahedron):
+    cols = list(DODECA_4COL)
+    cols[1] = cols[0]  # facets 0 and 1 touch
+    lam = Colouring(dodecahedron, 4, tuple(1 << (c - 1) for c in cols))
+    proper = from_k_colouring(dodecahedron, DODECA_4COL)
+    calls = [
+        lambda: is_orientable(dodecahedron, lam),
+        lambda: induced_colouring(dodecahedron, 3, lam),
+        lambda: canonical_form(dodecahedron, lam),
+        lambda: orbit_keys(dodecahedron, lam),
+        lambda: automorphism_order(dodecahedron, lam),
+        lambda: equivalent(dodecahedron, proper, lam),
+    ]
+    # twice over: a remembered verdict must still reject
+    for _ in range(2):
+        assert not is_proper(dodecahedron, lam)
+        for call in calls:
+            with pytest.raises(ColouringError, match="not proper"):
+                call()
+        with pytest.raises(CoverError):
+            build_cover(dodecahedron, lam)
+
+
+def test_properness_is_checked_once_per_colouring(monkeypatch, dodecahedron):
+    seen = []
+    real = colouring._independent_at_vertices
+
+    def counting(P, cols):
+        seen.append((P, tuple(cols)))
+        return real(P, cols)
+
+    monkeypatch.setattr(colouring, "_independent_at_vertices", counting)
+    lam = from_k_colouring(dodecahedron, DODECA_4COL)
+    assert is_proper(dodecahedron, lam)
+    assert is_orientable(dodecahedron, lam) is not None
+    for F in range(12):
+        induced_colouring(dodecahedron, F, lam)
+    build_cover(dodecahedron, lam)
+    canonical_form(dodecahedron, lam)
+    assert seen.count((dodecahedron, lam.colours)) == 1
+    # an equal colouring is a separate object and is checked on its own
+    twin = Colouring(dodecahedron, lam.rank, lam.colours)
+    assert is_proper(dodecahedron, twin)
+    assert seen.count((dodecahedron, lam.colours)) == 2
+    # checked against a polytope other than its own, nothing is remembered
+    sub, copy = facet_subpolytope(dodecahedron, 0)[0], facet_subpolytope(dodecahedron, 0)[0]
+    mu = Colouring(sub, 2, (1, 2, 1, 2, 3))
+    for _ in range(2):
+        assert is_proper(copy, mu)
+    assert seen.count((copy, mu.colours)) == 2
 
 
 def test_induced_colouring_on_a_dodecahedron_facet(dodecahedron):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from racover import fileio
+from racover import covers, fileio
 from racover.colouring import Colouring, PartialColouring, from_k_colouring
 from racover.covers import build_cover, cut_along, facet_preimage
 from racover.fileio import (
@@ -148,6 +148,17 @@ def test_certificate_round_trip(tmp_path, cert1):
     second = tmp_path / "again"
     write_certificate(loaded, second)
     assert (second / "certificate.json").read_bytes() == path.read_bytes()
+
+
+def test_writer_reuses_the_checked_euler_characteristic(monkeypatch, tmp_path, cert1):
+    # certify's euler-characteristic check has already computed chi both ways
+    def recompute(C):
+        raise AssertionError("Euler characteristic computed again")
+
+    monkeypatch.setattr(covers, "_checked_euler_characteristic", recompute)
+    path = write_certificate(cert1, tmp_path / "cert")
+    chi = json.loads(path.read_text())["cover"]["euler_characteristic"]
+    assert chi == 272
 
 
 def test_certificate_detects_tampered_files(tmp_path, cert1):

@@ -1,10 +1,14 @@
 """Combinatorial polytopes: generators, invariants, sums, isomorphisms."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 
+from conftest import renumbered
+from racover import polytopes
 from racover.polytopes import (
     FacetMatching,
     Polytope,
@@ -16,14 +20,109 @@ from racover.polytopes import (
     facet_subpolytope,
     find_isomorphism,
     gauss_bonnet_pi2_multiple,
+    greedy_facet_order,
     identity_matching,
     make_120cell,
     make_dodecahedron,
     make_polygon,
     orbifold_euler_characteristic,
     relabel,
+    symmetry_generators,
     symmetry_group,
 )
+
+
+def _iso_search(src: Polytope, dst: Polytope, find_all: bool) -> List[Tuple[int, ...]]:
+    """Reference engine: backtracking search for facet bijections src -> dst.
+
+    Candidates for each facet are narrowed by intersecting the target
+    adjacency masks of already-mapped neighbours; a full pairwise
+    consistency check runs per placement, so accepted leaves preserve
+    adjacency exactly.  The vertex families are compared at each leaf.
+    Leaves come in lexicographic order of the images along
+    `greedy_facet_order(src, [0])`.
+    """
+    m = src.facet_count
+    if dst.facet_count != m or src.dimension != dst.dimension:
+        return []
+    if len(src.adjacency) != len(dst.adjacency) or len(src.vertices) != len(dst.vertices):
+        return []
+    deg_src = [len(src.neighbours[i]) for i in range(m)]
+    deg_dst = [len(dst.neighbours[i]) for i in range(m)]
+    if sorted(deg_src) != sorted(deg_dst):
+        return []
+    deg_mask = {}
+    for t, d in enumerate(deg_dst):
+        deg_mask[d] = deg_mask.get(d, 0) | 1 << t
+
+    order = greedy_facet_order(src, [0])
+    prev_nbrs = []
+    pos = {f: k for k, f in enumerate(order)}
+    for k, f in enumerate(order):
+        prev_nbrs.append([pos[g] for g in src.neighbours[f] if pos[g] < k])
+
+    dst_masks = dst.adjacency_masks
+    sols: List[Tuple[int, ...]] = []
+    img = [0] * m
+
+    def bits(mask: int):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def rec(k: int, used: int) -> bool:
+        if k == m:
+            perm = [0] * m
+            for p, f in enumerate(order):
+                perm[f] = img[p]
+            for v in src.vertices:
+                if frozenset(perm[i] for i in v) not in dst.vertex_sets:
+                    return False
+            sols.append(tuple(perm))
+            return not find_all
+        f = order[k]
+        cand = deg_mask.get(deg_src[f], 0) & ~used
+        tnb = 0
+        for p in prev_nbrs[k]:
+            cand &= dst_masks[img[p]]
+            tnb |= 1 << img[p]
+        for t in bits(cand):
+            if dst_masks[t] & used == tnb:
+                img[k] = t
+                if rec(k + 1, used | 1 << t):
+                    return True
+        return False
+
+    rec(0, 0)
+    return sols
+
+
+def _reference_isomorphism(src: Polytope, dst: Polytope):
+    sols = _iso_search(src, dst, find_all=False)
+    return sols[0] if sols else None
+
+
+def _is_automorphism(P: Polytope, sigma) -> bool:
+    if sorted(sigma) != list(range(P.facet_count)):
+        return False
+    if any(not P.adjacent(sigma[i], sigma[j]) for i, j in P.adjacency):
+        return False
+    return all(frozenset(map(sigma.__getitem__, v)) in P.vertex_sets for v in P.vertices)
+
+
+def _flip(P: Polytope, a: int, b: int):
+    """Dual of an edge flip: facets a, b stop touching, the two facets
+    meeting them at their two common vertices start touching.  None when
+    that would leave a facet with fewer than three sides."""
+    v1, v2 = [v for v in P.vertices if a in v and b in v]
+    (c,) = set(v1) - {a, b}
+    (d,) = set(v2) - {a, b}
+    if P.adjacent(c, d) or min(len(P.neighbours[a]), len(P.neighbours[b])) <= 3:
+        return None
+    adj = [e for e in P.adjacency if set(e) != {a, b}] + [(c, d)]
+    verts = [v for v in P.vertices if v not in (v1, v2)] + [(a, c, d), (b, c, d)]
+    return Polytope(3, P.facet_labels, adj, verts)
 
 
 def test_polygon_f_vector_and_adjacency(pentagon):
@@ -79,8 +178,101 @@ def test_symmetry_group_orders(pentagon, dodecahedron):
         assert sorted(sigma) == list(range(5))
 
 
+@pytest.mark.parametrize(
+    "name", ["triangle", "pentagon", "dodecahedron", "renumbered", "2-chain"]
+)
+def test_symmetry_group_matches_the_backtracking_reference(name):
+    D = make_dodecahedron()
+    P = {
+        "triangle": lambda: make_polygon(3),
+        "pentagon": lambda: make_polygon(5),
+        "dodecahedron": lambda: D,
+        "renumbered": lambda: renumbered(D, random.Random(3)),
+        "2-chain": lambda: chain_sum(D, [0])[0],
+    }[name]()
+    assert symmetry_group(P) == tuple(sorted(_iso_search(P, P, find_all=True)))
+    assert all(_is_automorphism(P, g) for g in symmetry_generators(P))
+
+
 def test_symmetry_group_of_the_120cell(z120):
-    assert len(symmetry_group(z120)) == 14400
+    group = symmetry_group(z120)
+    assert len(group) == 14400
+    assert len(set(group)) == 14400
+    assert tuple(range(120)) in group
+    members = set(group)
+    for g in symmetry_generators(z120):
+        assert all(tuple(map(a.__getitem__, g)) in members for a in group)
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b = rng.choice(group), rng.choice(group)
+        assert tuple(map(a.__getitem__, b)) in members
+    # the 120-cell's vertices are exactly the 4-cliques of its facet graph,
+    # so a facet bijection preserving adjacency preserves them too
+    edges = {i * 120 + j for i, j in z120.adjacency}
+    edges |= {j * 120 + i for i, j in z120.adjacency}
+    for g in group:
+        assert all(g[i] * 120 + g[j] in edges for i, j in z120.adjacency)
+    assert all(_is_automorphism(z120, g) for g in rng.sample(group, 300))
+
+
+def test_120cell_symmetries_need_few_flag_propagations(monkeypatch):
+    calls = []
+    real = polytopes._propagate
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(polytopes, "_propagate", counting)
+    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    monkeypatch.setattr(polytopes, "_group_cache", {})
+    assert len(symmetry_group(make_120cell())) == 14400
+    assert len(calls) <= 16
+
+
+def test_find_isomorphism_matches_the_reference_on_every_120cell_facet(z120, dodecahedron):
+    for F in range(z120.facet_count):
+        sub, _ = facet_subpolytope(z120, F)
+        psi = find_isomorphism(sub, dodecahedron)
+        assert psi is not None
+        assert psi == _reference_isomorphism(sub, dodecahedron)
+
+
+def test_find_isomorphism_on_twisted_dodecahedra(dodecahedron):
+    # two flips far from a first one: same facet, edge and vertex counts
+    # and the same degree sequence, isomorphic or not by where they sit
+    once = _flip(dodecahedron, 0, 1)
+    A, B, C = _flip(once, 3, 9), _flip(once, 4, 9), _flip(once, 8, 9)
+    assert sorted(map(len, A.neighbours)) == sorted(map(len, C.neighbours))
+    assert find_isomorphism(A, C) is None
+    assert _reference_isomorphism(A, C) is None
+    psi = find_isomorphism(A, B)
+    assert psi is not None and psi == _reference_isomorphism(A, B)
+
+
+def test_find_isomorphism_matches_the_reference_on_random_simple_polytopes(dodecahedron):
+    # less symmetric polytopes, some with three pairwise adjacent facets
+    # and no common vertex, renumbered twice: the least bijection among
+    # several must be the reference's first leaf
+    rng = random.Random(1)
+    for _ in range(200):
+        P = dodecahedron
+        for _ in range(rng.randint(1, 6)):
+            P = _flip(P, *rng.choice(P.adjacency)) or P
+        A, B = renumbered(P, rng), renumbered(P, rng)
+        assert find_isomorphism(A, B) == _reference_isomorphism(A, B)
+
+
+def test_find_isomorphism_checks_adjacency_no_vertex_shows(dodecahedron):
+    # two octagons with two extra adjacencies each, diameters against
+    # short chords: same vertices, same degrees, not isomorphic
+    ring = [(i, (i + 1) % 8) for i in range(8)]
+    labels = [f"e{i}" for i in range(8)]
+    diameters = Polytope(2, labels, ring + [(0, 4), (2, 6)], ring)
+    chords = Polytope(2, labels, ring + [(0, 6), (2, 4)], ring)
+    assert find_isomorphism(diameters, chords) is None
+    assert _reference_isomorphism(diameters, chords) is None
+    assert find_isomorphism(diameters, renumbered(diameters, random.Random(2))) is not None
 
 
 def test_antipodal_facets(dodecahedron):
@@ -165,6 +357,15 @@ def test_find_isomorphism_positive_and_negative(pentagon):
     assert find_isomorphism(pentagon, relabel(pentagon, "x")) is not None
     assert find_isomorphism(pentagon, make_polygon(6)) is None
     assert find_isomorphism(make_polygon(7), make_dodecahedron()) is None
+
+
+def test_symmetries_need_every_edge_on_two_vertices(dodecahedron):
+    # dropping one vertex leaves three edges on a single vertex
+    broken = Polytope(3, dodecahedron.facet_labels, dodecahedron.adjacency,
+                      dodecahedron.vertices[1:])
+    with pytest.raises(PolytopeError, match=r"does not lie on exactly two vertices \(1 found\)"):
+        symmetry_group(broken)
+    assert find_isomorphism(dodecahedron, broken) is None
 
 
 def test_constructor_rejects_bad_input():

@@ -2,19 +2,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from conftest import renumbered
+from racover import gf2
 from racover.colouring import (
     Colouring,
     ColouringError,
     PartialColouring,
+    automorphism_order,
     canonical_form,
     is_orientable,
     is_proper,
 )
-from racover.polytopes import facet_subpolytope, find_isomorphism
+from racover.polytopes import facet_subpolytope, find_isomorphism, symmetry_group
 from racover.search import (
+    ClassRecord,
     SearchBudget,
     enumerate_chromatic_colourings,
     enumerate_small_covers,
@@ -59,6 +64,54 @@ def test_dodecahedron_census_shape(census):
     assert orientable == [5]
     orders = sorted(r.automorphisms for r in census.classes)
     assert orders == [1] * 14 + [2] * 7 + [4, 6, 12, 24]
+
+
+def _census_by_canonical_form(P):
+    """Reference census: the same search tree, every leaf grouped by its
+    canonical form, the first leaf of each class kept."""
+    n, m = P.dimension, P.facet_count
+    colours = [None] * m
+    for k, f in enumerate(P.vertices[0]):
+        colours[f] = 1 << k
+    rest = [f for f in range(m) if colours[f] is None]
+    first = {}
+
+    def rec(idx):
+        if idx == len(rest):
+            lam = Colouring(P, n, tuple(colours))
+            first.setdefault(canonical_form(P, lam), lam)
+            return
+        f = rest[idx]
+        for v in range(1, 1 << n):
+            ok = all(
+                gf2.independent([v] + [colours[g] for g in P.vertices[vi]
+                                       if g != f and colours[g] is not None])
+                for vi in P.facet_vertices[f]
+            )
+            if ok:
+                colours[f] = v
+                rec(idx + 1)
+                colours[f] = None
+
+    rec(0)
+    return tuple(
+        ClassRecord(lam, is_orientable(P, lam) is not None, automorphism_order(P, lam))
+        for lam in first.values()
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_orbit_set_census_matches_canonical_form_grouping(dodecahedron, census, seed):
+    if seed is None:
+        P, result = dodecahedron, census
+        assert result.nodes == 55797
+    else:
+        P = renumbered(dodecahedron, random.Random(seed))
+        result = enumerate_small_covers(P)
+    assert result.complete
+    assert result.classes == _census_by_canonical_form(P)
+    assert len(result.classes) == 25
+    assert sum(r.orientable for r in result.classes) == 1
 
 
 def test_enumeration_budget_cuts_off(dodecahedron):
@@ -110,6 +163,45 @@ def test_dodecahedron_chromatic_counts(dodecahedron):
     for rep in result.representatives:
         for i, j in dodecahedron.adjacency:
             assert rep[i] != rep[j]
+
+
+def _orbit_count_by_full_sweep(P, result):
+    """Reference orbit count: one sweep over the whole symmetry group per
+    unvisited class, as the count was first computed."""
+
+    def norm(seq):
+        ren = {}
+        return bytes(ren.setdefault(c, len(ren) + 1) for c in seq)
+
+    rem = {norm(rep) for rep in result.representatives}
+    count = 0
+    for rep in result.representatives:
+        if norm(rep) not in rem:
+            continue
+        count += 1
+        for sigma in symmetry_group(P):
+            rem.discard(norm([rep[sigma[j]] for j in range(P.facet_count)]))
+    return count
+
+
+@pytest.mark.parametrize(
+    "name,k,nodes", [("dodecahedron", 4, None), ("dodecahedron", 5, None), ("z120", 5, 7910)]
+)
+def test_generator_orbit_count_matches_the_full_sweep(request, name, k, nodes):
+    P = request.getfixturevalue(name)
+    result = enumerate_chromatic_colourings(P, k)
+    assert result.complete
+    if nodes is not None:
+        assert result.nodes == nodes
+    assert result.orbit_count == _orbit_count_by_full_sweep(P, result)
+
+
+def test_budgeted_orbit_count_matches_the_full_sweep(dodecahedron):
+    for nodes in (40, 400, 4000):
+        result = enumerate_chromatic_colourings(
+            dodecahedron, 5, SearchBudget(nodes=nodes, seconds=60)
+        )
+        assert result.orbit_count == _orbit_count_by_full_sweep(dodecahedron, result)
 
 
 def test_chromatic_budget_cuts_off(dodecahedron):
