@@ -64,16 +64,25 @@ class _Meter:
         self._t0 = time.monotonic()
         self._deadline = self._t0 + budget.seconds if budget else None
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self._limit is not None and self.nodes > self._limit:
-            raise BudgetError
-        # time checks are amortized; the node limit provides hard determinism
+    def tick(self, k: int = 1) -> None:
+        """Count k nodes at once; a budget stops the count exactly where k
+        single ticks would have stopped it."""
+        start = self.nodes
+        self.nodes = start + k
+        if self._limit is None:
+            return
+        # time checks are amortized: the clock is read when the count
+        # crosses a multiple of 4096; the node limit provides hard determinism
+        crossing = ((start >> 12) + 1) << 12
         if (
-            self._deadline is not None
-            and self.nodes % 4096 == 0
-            and time.monotonic() > self._deadline
+            crossing <= self.nodes
+            and crossing <= self._limit
+            and time.monotonic() > self._deadline  # type: ignore[operator]
         ):
+            self.nodes = crossing
+            raise BudgetError
+        if self.nodes > self._limit:
+            self.nodes = self._limit + 1
             raise BudgetError
 
     @property
@@ -304,85 +313,118 @@ def search_orientable_extension(
     Odd weight everywhere makes the coordinate-sum covector orient the
     cover, so any completion is orientable by construction.  The palette is
     the 2^(rank-1) odd-weight vectors; facets are chosen most-constrained
-    first (most coloured neighbours, ties to lowest index); properness is
-    enforced through per-vertex span bitmasks, so testing a candidate is
-    one bit probe per incident vertex.
+    first (most coloured neighbours, ties to lowest index), read off as the
+    lowest facet in the highest non-empty bucket of unassigned facets kept
+    by coloured-neighbour count.  Each vertex keeps the bitmask of the span
+    of its assigned colours; the chosen facet's vertex spans are OR-ed into
+    one forbidden mask, so testing a candidate is one bit probe.  A span
+    with a colour added is computed once per (span, colour) pair.
     """
     rank = seed.rank
     colours: List[Optional[int]] = list(seed.colours)
     for c in colours:
         if c is not None and not gf2.parity(c):
             raise ColouringError("seed contains an even-weight colour")
-    for v in Z.vertices:
-        vec = [colours[g] for g in v if colours[g] is not None]
-        if not gf2.independent(vec):  # type: ignore[arg-type]
-            raise ColouringError(f"seed already breaks properness at vertex {v}")
-
-    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
-    meter = _Meter(budget)
-    m = Z.facet_count
 
     # spans[vi] is the bitmask of the GF(2)-span of the colours already
     # assigned around vertex vi; a candidate v is admissible iff bit v is off
     spans = []
     for v in Z.vertices:
         vec = [colours[g] for g in v if colours[g] is not None]
+        span = gf2.span(vec)  # type: ignore[arg-type]
+        if len(span) != 1 << len(vec):
+            raise ColouringError(f"seed already breaks properness at vertex {v}")
         mask = 0
-        for x in gf2.span(vec):  # type: ignore[arg-type]
+        for x in span:
             mask |= 1 << x
         spans.append(mask)
 
-    unassigned = [f for f in range(m) if colours[f] is None]
-    coloured_nb = [
-        sum(1 for g in Z.neighbours[f] if colours[g] is not None) for f in range(m)
-    ]
+    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    meter = _Meter(budget)
+    todo = colours.count(None)
 
-    def assign(f: int, v: int) -> List[Tuple[int, int]]:
-        undo = []
+    # buckets[c] is the bitmask of the unassigned facets with c coloured
+    # neighbours
+    coloured_nb = [sum(colours[g] is not None for g in nb) for nb in Z.neighbours]
+    buckets = [0] * (max(map(len, Z.neighbours), default=0) + 1)
+    for f, c in enumerate(coloured_nb):
+        if colours[f] is None:
+            buckets[c] |= 1 << f
+    top = len(buckets) - 1
+
+    # grown[v][old] is the span bitmask old with colour v added
+    grown: Dict[int, Dict[int, int]] = {v: {} for v in palette}
+
+    def grow(old: int, v: int) -> int:
+        new = old
+        while old:
+            low = old & -old
+            new |= 1 << ((low.bit_length() - 1) ^ v)
+            old ^= low
+        return new
+
+    def assign(f: int, v: int) -> List[int]:
         colours[f] = v
+        buckets[coloured_nb[f]] ^= 1 << f
         for g in Z.neighbours[f]:
-            coloured_nb[g] += 1
-        for vi in Z.facet_vertices[f]:
-            old = spans[vi]
-            grown = old
-            probe = old
-            while probe:
-                low = probe & -probe
-                grown |= 1 << ((low.bit_length() - 1) ^ v)
-                probe ^= low
-            spans[vi] = grown
-            undo.append((vi, old))
+            c = coloured_nb[g]
+            coloured_nb[g] = c + 1
+            if colours[g] is None:
+                buckets[c] ^= 1 << g
+                buckets[c + 1] |= 1 << g
+        vertices = Z.facet_vertices[f]
+        undo = [spans[vi] for vi in vertices]
+        table = grown[v]
+        for vi, old in zip(vertices, undo):
+            new = table.get(old)
+            if new is None:
+                new = table[old] = grow(old, v)
+            spans[vi] = new
         return undo
 
-    def unassign(f: int, undo: List[Tuple[int, int]]) -> None:
+    def unassign(f: int, undo: List[int]) -> None:
         colours[f] = None
         for g in Z.neighbours[f]:
-            coloured_nb[g] -= 1
-        for vi, old in undo:
+            c = coloured_nb[g]
+            coloured_nb[g] = c - 1
+            if colours[g] is None:
+                buckets[c] ^= 1 << g
+                buckets[c - 1] |= 1 << g
+        buckets[coloured_nb[f]] |= 1 << f
+        for vi, old in zip(Z.facet_vertices[f], undo):
             spans[vi] = old
 
     result: List[Colouring] = []
 
     def rec(depth: int) -> bool:
-        if depth == len(unassigned):
+        if depth == todo:
             lam = Colouring(Z, rank, tuple(colours))  # type: ignore[arg-type]
             if not is_proper(Z, lam):
                 raise AssertionError("incremental properness bookkeeping failed")
             result.append(lam)
             return True
-        f = max(
-            (g for g in unassigned if colours[g] is None),
-            key=lambda g: (coloured_nb[g], -g),
-        )
-        vertices = Z.facet_vertices[f]
+        c = top
+        while not buckets[c]:
+            c -= 1
+        f = (buckets[c] & -buckets[c]).bit_length() - 1
+        forbidden = 0
+        for vi in Z.facet_vertices[f]:
+            forbidden |= spans[vi]
+        # one node per candidate tried; the inadmissible ones are counted
+        # in one batch before the next admissible one
+        skipped = 0
         for v in palette:
-            meter.tick()
-            if any(spans[vi] >> v & 1 for vi in vertices):
+            if forbidden >> v & 1:
+                skipped += 1
                 continue
+            meter.tick(skipped + 1)
+            skipped = 0
             undo = assign(f, v)
             if rec(depth + 1):
                 return True
             unassign(f, undo)
+        if skipped:
+            meter.tick(skipped)
         return False
 
     try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -212,6 +213,15 @@ def test_chromatic_budget_cuts_off(dodecahedron):
     assert result.count <= 10
 
 
+def _class_seed(z120, census, cls, facet=0, rank=5):
+    """The seed of census class `cls` on a 120-cell facet."""
+    lam = census.classes[cls].colouring
+    sub, _ = facet_subpolytope(z120, facet)
+    psi = find_isomorphism(sub, lam.polytope)
+    mu = Colouring(sub, 3, tuple(lam.colours[psi[j]] for j in range(12)))
+    return seed_from_facet(z120, facet, mu, rank=rank)
+
+
 def test_seed_from_facet_structure(z120, census):
     lam = census.classes[0].colouring
     sub, inc = facet_subpolytope(z120, 0)
@@ -240,11 +250,7 @@ def test_seed_from_facet_rejects_bad_input(z120, pentagon, census):
 
 
 def test_extension_search_finds_an_orientable_colouring(z120, census):
-    lam = census.classes[0].colouring
-    sub, _ = facet_subpolytope(z120, 0)
-    psi = find_isomorphism(sub, lam.polytope)
-    mu = Colouring(sub, 3, tuple(lam.colours[psi[j]] for j in range(12)))
-    outcome = search_orientable_extension(z120, seed_from_facet(z120, 0, mu))
+    outcome = search_orientable_extension(z120, _class_seed(z120, census, 0))
     assert outcome.status == "found"
     assert outcome.colouring is not None
     assert is_proper(z120, outcome.colouring)
@@ -253,12 +259,8 @@ def test_extension_search_finds_an_orientable_colouring(z120, census):
 
 
 def test_extension_search_budget_out(z120, census):
-    lam = census.classes[0].colouring
-    sub, _ = facet_subpolytope(z120, 0)
-    psi = find_isomorphism(sub, lam.polytope)
-    mu = Colouring(sub, 3, tuple(lam.colours[psi[j]] for j in range(12)))
     outcome = search_orientable_extension(
-        z120, seed_from_facet(z120, 0, mu), SearchBudget(nodes=50, seconds=60)
+        z120, _class_seed(z120, census, 0), SearchBudget(nodes=50, seconds=60)
     )
     assert outcome.status == "budget-out"
     assert outcome.colouring is None
@@ -271,9 +273,180 @@ def test_extension_search_exhausts_an_impossible_space(dodecahedron):
     outcome = search_orientable_extension(dodecahedron, seed)
     assert outcome.status == "exhausted"
     assert outcome.colouring is None
+    assert _reference_extension(dodecahedron, seed) == ("exhausted", outcome.nodes, None)
 
 
 def test_extension_search_rejects_even_weight_seed(dodecahedron):
     seed = PartialColouring(dodecahedron, 2, (3,) + (None,) * 11)
     with pytest.raises(ColouringError):
         search_orientable_extension(dodecahedron, seed)
+
+
+class _BudgetOut(Exception):
+    pass
+
+
+class _PerCandidateMeter:
+    """The budget meter as first written: one tick per candidate tried."""
+
+    def __init__(self, budget):
+        self.nodes = 0
+        self._limit = budget.nodes if budget else None
+        self._t0 = time.monotonic()
+        self._deadline = self._t0 + budget.seconds if budget else None
+
+    def tick(self):
+        self.nodes += 1
+        if self._limit is not None and self.nodes > self._limit:
+            raise _BudgetOut
+        if (
+            self._deadline is not None
+            and self.nodes % 4096 == 0
+            and time.monotonic() > self._deadline
+        ):
+            raise _BudgetOut
+
+
+def _reference_extension(Z, seed, budget=None):
+    """Reference extension search: the same search tree, with the facet
+    chosen by a max over all unassigned facets, candidates tested vertex
+    by vertex, spans grown bit by bit and one meter tick per candidate."""
+    rank = seed.rank
+    colours = list(seed.colours)
+    for v in Z.vertices:
+        if not gf2.independent([colours[g] for g in v if colours[g] is not None]):
+            raise ColouringError(f"seed already breaks properness at vertex {v}")
+    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    meter = _PerCandidateMeter(budget)
+    spans = []
+    for v in Z.vertices:
+        mask = 0
+        for x in gf2.span([colours[g] for g in v if colours[g] is not None]):
+            mask |= 1 << x
+        spans.append(mask)
+    unassigned = [f for f in range(Z.facet_count) if colours[f] is None]
+    coloured_nb = [
+        sum(1 for g in Z.neighbours[f] if colours[g] is not None)
+        for f in range(Z.facet_count)
+    ]
+
+    def assign(f, v):
+        undo = []
+        colours[f] = v
+        for g in Z.neighbours[f]:
+            coloured_nb[g] += 1
+        for vi in Z.facet_vertices[f]:
+            old = spans[vi]
+            grown = old
+            probe = old
+            while probe:
+                low = probe & -probe
+                grown |= 1 << ((low.bit_length() - 1) ^ v)
+                probe ^= low
+            spans[vi] = grown
+            undo.append((vi, old))
+        return undo
+
+    def unassign(f, undo):
+        colours[f] = None
+        for g in Z.neighbours[f]:
+            coloured_nb[g] -= 1
+        for vi, old in undo:
+            spans[vi] = old
+
+    def rec(depth):
+        if depth == len(unassigned):
+            return True
+        f = max(
+            (g for g in unassigned if colours[g] is None),
+            key=lambda g: (coloured_nb[g], -g),
+        )
+        for v in palette:
+            meter.tick()
+            if any(spans[vi] >> v & 1 for vi in Z.facet_vertices[f]):
+                continue
+            undo = assign(f, v)
+            if rec(depth + 1):
+                return True
+            unassign(f, undo)
+        return False
+
+    try:
+        hit = rec(0)
+    except _BudgetOut:
+        return "budget-out", meter.nodes, None
+    if hit:
+        return "found", meter.nodes, tuple(colours)
+    return "exhausted", meter.nodes, None
+
+
+def _run(Z, seed, budget=None):
+    outcome = search_orientable_extension(Z, seed, budget)
+    colours = outcome.colouring.colours if outcome.colouring else None
+    return outcome.status, outcome.nodes, colours
+
+
+NON_ORIENTABLE = [i for i in range(25) if i != 5]
+
+
+@pytest.mark.parametrize("facet", [0, 7])
+def test_rank5_extension_matches_the_reference(z120, census, facet):
+    assert not any(census.classes[i].orientable for i in NON_ORIENTABLE)
+    for cls in NON_ORIENTABLE:
+        seed = _class_seed(z120, census, cls, facet)
+        got = _run(z120, seed)
+        assert got == _reference_extension(z120, seed), cls
+        assert got[0] == "found"
+
+
+@pytest.mark.parametrize("nodes", [2_000, 20_000])
+@pytest.mark.parametrize("cls", [0, 2, 14])
+def test_rank4_extension_matches_the_reference(z120, census, cls, nodes):
+    seed = _class_seed(z120, census, cls, rank=4)
+    budget = SearchBudget(nodes=nodes, seconds=600)
+    assert _run(z120, seed, budget) == _reference_extension(z120, seed, budget)
+
+
+@pytest.mark.parametrize("nodes", [1, 7, 8, 9, 4_095, 4_096, 4_097])
+def test_batched_meter_stops_where_single_ticks_stop(z120, census, nodes):
+    seed = _class_seed(z120, census, 0, rank=4)
+    budget = SearchBudget(nodes=nodes, seconds=600)
+    got = _run(z120, seed, budget)
+    assert got == _reference_extension(z120, seed, budget)
+    assert got == ("budget-out", nodes + 1, None)
+
+
+def test_batched_meter_reads_the_clock_at_the_first_4096_crossing(
+    z120, census, monkeypatch
+):
+    seed = _class_seed(z120, census, 0, rank=4)
+    budget = SearchBudget(nodes=10 ** 8, seconds=1)
+    for search in (_run, _reference_extension):
+        # the start time, then every later reading is past the deadline
+        clock = itertools.chain([0.0], itertools.repeat(10.0))
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        assert search(z120, seed, budget) == ("budget-out", 4096, None)
+
+
+@pytest.mark.parametrize(
+    "cls,nodes", [(1, 79_256), (6, 4_328), (8, 132_664), (9, 45_496), (10, 45_496)]
+)
+def test_recorded_rank4_proofs(z120, census, cls, nodes):
+    # the classes criterion 9 decides at facet 0 within 150 000 nodes
+    seed = _class_seed(z120, census, cls, rank=4)
+    outcome = search_orientable_extension(
+        z120, seed, SearchBudget(nodes=150_000, seconds=600)
+    )
+    assert (outcome.status, outcome.nodes) == ("exhausted", nodes)
+
+
+def test_extension_search_rejects_a_dependent_seed(dodecahedron):
+    # a partly coloured vertex passes PartialColouring, but its two equal
+    # colours already span too little
+    cols = [None] * 12
+    for f in dodecahedron.vertices[0][:2]:
+        cols[f] = 1
+    seed = PartialColouring(dodecahedron, 2, tuple(cols))
+    for search in (search_orientable_extension, _reference_extension):
+        with pytest.raises(ColouringError, match="breaks properness at vertex"):
+            search(dodecahedron, seed)
