@@ -115,7 +115,10 @@ class PartialColouring:
 
 
 def _independent_at_vertices(P: Polytope, cols: Sequence[int]) -> bool:
-    return all(gf2.independent([cols[i] for i in v]) for v in P.vertices)
+    # a chain has thousands of vertices but a few hundred distinct colour
+    # tuples at them; each tuple is tested once per call
+    get = cols.__getitem__
+    return all(gf2.independent(key) for key in {tuple(map(get, v)) for v in P.vertices})
 
 
 def is_proper(P: Polytope, lam: Colouring) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -162,22 +163,25 @@ def _direct_euler_characteristic(C: CoverComplex) -> int:
 
     A face of P given by the facet subset S has |G| / |span of S's colours|
     distinct copies in the cover, because copies g and g + colour(F) agree
-    along every face inside F.  No properness assumption enters here, so
-    this genuinely cross-checks the orbifold formula.
+    along every face inside F.  Faces are tallied by their colour tuple, so
+    each distinct tuple is ranked once.  No properness assumption enters
+    here, so this genuinely cross-checks the orbifold formula.
     """
     P = C.polytope
     n = P.dimension
     cols = C.colouring.colours
-    subsets: List[set] = [set() for _ in range(n + 1)]
-    for v in P.vertices:
-        for k in range(1, n + 1):
-            subsets[k].update(itertools.combinations(v, k))
+    at_vertex = [(v, tuple(map(cols.__getitem__, v))) for v in P.vertices]
     copies = len(C.group)
     total = (-1) ** n * copies
     for k in range(1, n + 1):
+        # face -> its colour tuple; a face on several vertices is kept once
+        faces: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for v, c in at_vertex:
+            faces.update(zip(itertools.combinations(v, k), itertools.combinations(c, k)))
+        tally = Counter(faces.values())
         sign = (-1) ** (n - k)
-        for S in subsets[k]:
-            total += sign * (copies >> gf2.rank(cols[f] for f in S))
+        for key, count in tally.items():
+            total += sign * count * (copies >> gf2.rank(key))
     return total
 
 

@@ -70,6 +70,23 @@ def write_polytope(P: Polytope, path: Union[str, Path]) -> None:
     write_json(obj, path)
 
 
+def _index_rows(path: Union[str, Path], obj: dict, key: str, width: Optional[int]) -> list:
+    """obj[key] as a list of tuples of facet indices (ints, not bools), each
+    of `width` entries when given."""
+    rows = obj[key]
+    what = "facet indices" if width is None else f"{width} facet indices"
+    if type(rows) is not list:
+        raise FileFormatError(f"{path}: {key} must be a list of lists of {what}")
+    for k, row in enumerate(rows):
+        if (
+            type(row) is not list
+            or not set(map(type, row)) <= {int}
+            or width is not None and len(row) != width
+        ):
+            raise FileFormatError(f"{path}: {key} entry {k} ({json.dumps(row)}) is not a list of {what}")
+    return [tuple(r) for r in rows]
+
+
 def load_polytope(path: Union[str, Path]) -> Polytope:
     obj = _read_json(path)
     if obj.get("format") != "racover-polytope":
@@ -77,14 +94,19 @@ def load_polytope(path: Union[str, Path]) -> Polytope:
     extra = set(obj) - _POLYTOPE_KEYS
     if extra:
         raise FileFormatError(f"{path}: unknown keys {sorted(extra)}")
+    missing = _POLYTOPE_KEYS - set(obj)
+    if missing:
+        raise FileFormatError(f"{path}: missing keys {sorted(missing)}")
+    if type(obj["dimension"]) is not int:
+        raise FileFormatError(f"{path}: dimension must be an integer")
+    facets = obj["facets"]
+    if type(facets) is not list or not {type(x) for x in facets} <= {str}:
+        raise FileFormatError(f"{path}: facets must be a list of strings")
+    adjacency = _index_rows(path, obj, "adjacency", 2)
+    vertices = _index_rows(path, obj, "vertices", None)
     try:
-        return Polytope(
-            obj["dimension"],
-            obj["facets"],
-            [tuple(e) for e in obj["adjacency"]],
-            [tuple(v) for v in obj["vertices"]],
-        )
-    except (KeyError, TypeError, PolytopeError) as exc:
+        return Polytope(obj["dimension"], facets, adjacency, vertices)
+    except PolytopeError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

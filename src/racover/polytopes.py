@@ -23,9 +23,9 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "PolytopeError",
@@ -59,11 +59,23 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def _vertex_fault(t: Tuple[int, ...], dimension: int, m: int, pairs: Set[Tuple[int, int]]) -> str:
+    """What is wrong with the sorted vertex t, checked in this order: its
+    size, its index range, then its first non-adjacent pair."""
+    if len(t) != dimension or len(set(t)) != dimension:
+        return f"vertex {t} is not a set of {dimension} facets"
+    if t[0] < 0 or t[-1] >= m:
+        return f"vertex {t} has an invalid facet index"
+    a, b = next(p for p in itertools.combinations(t, 2) if p not in pairs)
+    return f"vertex {t} contains non-adjacent facets {a},{b}"
+
+
 class Polytope:
     """Immutable simple polytope, dimension 2 to 4, facet-first encoding.
 
-    Treat instances as frozen; derived structures (neighbour lists, bit
-    masks, the vertex-set lookup) are computed once at construction.
+    Treat instances as frozen.  Neighbour lists and facet-vertex incidence
+    are built at construction; the bit masks and the vertex-set lookup,
+    which only small polytopes need, are computed on first use.
     """
 
     def __init__(
@@ -87,61 +99,69 @@ class Polytope:
         for i, j in adjacency:
             if not (0 <= i < m and 0 <= j < m) or i == j:
                 raise PolytopeError(f"bad adjacency pair ({i}, {j})")
-            pairs.add((min(i, j), max(i, j)))
+            pairs.add((i, j) if i < j else (j, i))
         self.adjacency = tuple(sorted(pairs))
 
-        masks = [0] * m
+        # in sorted pair order, facet i meets its lower neighbours (as the
+        # second entry) before its higher ones, so each list comes out sorted
+        nb: List[List[int]] = [[] for _ in range(m)]
         for i, j in self.adjacency:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        self.adjacency_masks = tuple(masks)
-        self.neighbours = tuple(tuple(_bits(masks[i])) for i in range(m))
+            nb[i].append(j)
+            nb[j].append(i)
+        self.neighbours = tuple(map(tuple, nb))
 
         vs = set()
         for v in vertices:
             t = tuple(sorted(v))
-            if len(t) != dimension or len(set(t)) != dimension:
-                raise PolytopeError(f"vertex {t} is not a set of {dimension} facets")
-            if any(not 0 <= i < m for i in t):
-                raise PolytopeError(f"vertex {t} has an invalid facet index")
-            for a, b in itertools.combinations(t, 2):
-                if not masks[a] >> b & 1:
-                    raise PolytopeError(f"vertex {t} contains non-adjacent facets {a},{b}")
+            # every pair holds two distinct valid indices, so n entries whose
+            # pairs are all adjacent are n distinct valid facets
+            if len(t) != dimension or not pairs.issuperset(itertools.combinations(t, 2)):
+                raise PolytopeError(_vertex_fault(t, dimension, m, pairs))
             vs.add(t)
         self.vertices = tuple(sorted(vs))
-        self.vertex_sets = frozenset(frozenset(v) for v in self.vertices)
-
-        covered = set(itertools.chain.from_iterable(self.vertices))
-        if covered != set(range(m)):
-            raise PolytopeError("some facet lies on no vertex")
-
-        # facet adjacency graph must be connected
-        seen = 1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                fresh = masks[i] & ~seen
-                seen |= fresh
-                nxt.extend(_bits(fresh))
-            frontier = nxt
-        if seen != (1 << m) - 1:
-            raise PolytopeError("facet adjacency graph is disconnected")
 
         # one pass in ascending vertex order keeps each list sorted
         incidence: List[List[int]] = [[] for _ in range(m)]
         for k, v in enumerate(self.vertices):
             for i in v:
                 incidence[i].append(k)
+        if not all(incidence):
+            raise PolytopeError("some facet lies on no vertex")
+
+        # facet adjacency graph must be connected
+        seen = [False] * m
+        seen[0] = True
+        queue = [0]
+        for i in queue:
+            for j in nb[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        if len(queue) != m:
+            raise PolytopeError("facet adjacency graph is disconnected")
+
         self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incidence))
         self._digest: Optional[str] = None
+
+    @cached_property
+    def adjacency_masks(self) -> Tuple[int, ...]:
+        """Bit j of adjacency_masks[i] is set when facets i and j are adjacent."""
+        masks = [0] * self.facet_count
+        for i, j in self.adjacency:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
+
+    @cached_property
+    def vertex_sets(self) -> FrozenSet[FrozenSet[int]]:
+        return frozenset(map(frozenset, self.vertices))
 
     @property
     def facet_count(self) -> int:
         return len(self.facet_labels)
 
     def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adjacency_masks[i] >> j & 1)
+        return j in self.neighbours[i]
 
     @property
     def digest(self) -> str:
@@ -493,15 +513,18 @@ def chain_sum(
 # face counting
 
 def _face_counts(P: Polytope) -> Dict[int, int]:
-    """Number of codimension-k faces for k = 0..n, via subsets of vertices."""
+    """Number of codimension-k faces for k = 0..n, via subsets of vertices.
+
+    Every facet lies on a vertex and vertices are distinct (the
+    constructor checks both), so only 1 < k < n needs a set of subsets.
+    """
     n = P.dimension
-    subsets: List[set] = [set() for _ in range(n + 1)]
-    for v in P.vertices:
-        for k in range(1, n + 1):
-            subsets[k].update(itertools.combinations(v, k))
-    counts = {0: 1}
-    for k in range(1, n + 1):
-        counts[k] = len(subsets[k])
+    counts = {0: 1, 1: P.facet_count}
+    for k in range(2, n):
+        counts[k] = len(set(itertools.chain.from_iterable(
+            itertools.combinations(v, k) for v in P.vertices
+        )))
+    counts[n] = len(P.vertices)
     return counts
 
 
@@ -683,6 +706,9 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
     are tried in vertex order, and one is propagated only when it lies
     outside the orbit of the base flag under the generators found so
     far: then it either admits no automorphism or yields a new generator.
+    A flag that admits none rules out its whole orbit under the generators
+    found so far (were tau to send the base flag to g(flag), g^-1 tau
+    would send it to flag), so that orbit is skipped too.
     """
     gens = _generator_cache.get(P.digest)
     if gens is None:
@@ -690,12 +716,15 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
         base = P.vertices[0]
         found: List[_Perm] = []
         orbit = {base}
+        failed: Set[_Flag] = set()
         for k, v in enumerate(P.vertices):
             for flag in itertools.permutations(v):
-                if flag in orbit:
+                if flag in orbit or flag in failed:
                     continue
                 sigma = _propagate(P, P, flips, flips, k, flag)
-                if sigma is not None:
+                if sigma is None:
+                    failed |= _orbit(flag, found)
+                else:
                     found.append(sigma)
                     orbit = _orbit(base, found)
         gens = _generator_cache[P.digest] = tuple(found)

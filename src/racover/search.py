@@ -132,6 +132,17 @@ class SearchOutcome:
     seconds: float
 
 
+def _grow(span: int, v: int) -> int:
+    """The span bitmask `span` with colour v added: bit x ^ v joins every
+    set bit x.  Both searches memoise it per (span, colour) pair."""
+    new = span
+    while span:
+        low = span & -span
+        new |= 1 << ((low.bit_length() - 1) ^ v)
+        span ^= low
+    return new
+
+
 def enumerate_small_covers(
     P: Polytope, budget: Optional[SearchBudget] = None
 ) -> EnumerationResult:
@@ -140,29 +151,27 @@ def enumerate_small_covers(
     Depth-first over facets in index order.  The facets of the first vertex
     are pinned to e_1, ..., e_n, which loses no classes (any proper
     colouring can be moved there by a linear map) and removes the GL(n)
-    factor from the search.  Each new class stores its orbit keys, so a
+    factor from the search.  Each vertex keeps the bitmask of the span of
+    its assigned colours, so a candidate is one probe of the OR of the
+    facet's vertex spans.  Each new class stores its orbit keys, so a
     later leaf is recognised by one normal sequence and one set lookup.
     """
     n = P.dimension
     m = P.facet_count
     meter = _Meter(budget)
     colours: List[Optional[int]] = [None] * m
+    palette = range(1, 1 << n)
+    # grown[v][old] is the span bitmask old with colour v added
+    grown: Dict[int, Dict[int, int]] = {v: {} for v in palette}
+    spans = [1] * len(P.vertices)  # the span of no colours is {0}
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
+        for vi in P.facet_vertices[f]:
+            spans[vi] = _grow(spans[vi], 1 << k)
     rest = [f for f in range(m) if colours[f] is None]
 
     seen: Set[Tuple[int, ...]] = set()
     records: List[ClassRecord] = []
-
-    def feasible(f: int, v: int) -> bool:
-        for vi in P.facet_vertices[f]:
-            vec = [v]
-            for g in P.vertices[vi]:
-                if g != f and colours[g] is not None:
-                    vec.append(colours[g])  # type: ignore[arg-type]
-            if not gf2.independent(vec):
-                return False
-        return True
 
     def rec(idx: int) -> None:
         if idx == len(rest):
@@ -180,12 +189,33 @@ def enumerate_small_covers(
                 )
             return
         f = rest[idx]
-        for v in range(1, 1 << n):
-            meter.tick()
-            if feasible(f, v):
-                colours[f] = v
-                rec(idx + 1)
-                colours[f] = None
+        vertices = P.facet_vertices[f]
+        forbidden = 0
+        for vi in vertices:
+            forbidden |= spans[vi]
+        # inadmissible candidates are counted in one batch, as in
+        # search_orientable_extension
+        skipped = 0
+        for v in palette:
+            if forbidden >> v & 1:
+                skipped += 1
+                continue
+            meter.tick(skipped + 1)
+            skipped = 0
+            colours[f] = v
+            undo = [spans[vi] for vi in vertices]
+            table = grown[v]
+            for vi, old in zip(vertices, undo):
+                new = table.get(old)
+                if new is None:
+                    new = table[old] = _grow(old, v)
+                spans[vi] = new
+            rec(idx + 1)
+            for vi, old in zip(vertices, undo):
+                spans[vi] = old
+        colours[f] = None
+        if skipped:
+            meter.tick(skipped)
 
     complete = True
     try:
@@ -355,14 +385,6 @@ def search_orientable_extension(
     # grown[v][old] is the span bitmask old with colour v added
     grown: Dict[int, Dict[int, int]] = {v: {} for v in palette}
 
-    def grow(old: int, v: int) -> int:
-        new = old
-        while old:
-            low = old & -old
-            new |= 1 << ((low.bit_length() - 1) ^ v)
-            old ^= low
-        return new
-
     def assign(f: int, v: int) -> List[int]:
         colours[f] = v
         buckets[coloured_nb[f]] ^= 1 << f
@@ -378,7 +400,7 @@ def search_orientable_extension(
         for vi, old in zip(vertices, undo):
             new = table.get(old)
             if new is None:
-                new = table[old] = grow(old, v)
+                new = table[old] = _grow(old, v)
             spans[vi] = new
         return undo
 

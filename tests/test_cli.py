@@ -124,6 +124,50 @@ def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys,
     assert "does not lie on exactly two vertices (1 found)" in capsys.readouterr().err
 
 
+def _set_facets(obj, value):
+    obj["facets"] = value
+
+
+def _set_entry(key, k, value):
+    def edit(obj):
+        obj[key][k] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: _set_facets(obj, "abcde"),
+        lambda obj: _set_facets(obj, [0, 1, 2, 3, 4]),
+        _set_entry("adjacency", 0, [0, 1, 2]),
+        _set_entry("adjacency", 0, [0]),
+        _set_entry("adjacency", 0, [0, 1.0]),
+        _set_entry("adjacency", 0, [0, True]),
+        _set_entry("adjacency", 0, "01"),
+        _set_entry("vertices", 0, [0, 1.0]),
+        _set_entry("vertices", 0, [False, 1]),
+        lambda obj: obj.update(dimension=2.0),
+        lambda obj: obj.update(vertices={"0": [0, 1]}),
+        lambda obj: obj.pop("adjacency"),
+    ],
+    ids=[
+        "facets-string", "facets-ints", "adjacency-triple", "adjacency-single",
+        "adjacency-float", "adjacency-bool", "adjacency-string", "vertex-float",
+        "vertex-bool", "dimension-float", "vertices-object", "adjacency-missing",
+    ],
+)
+def test_enumerate_rejects_a_malformed_polytope_file(tmp_path, pentagon, capsys, edit):
+    path = tmp_path / "bad.json"
+    write_polytope(pentagon, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    edit(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["enumerate", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert str(path) in capsys.readouterr().err
+
+
 def test_enumerate_writes_class_files(tmp_path, pentagon, capsys):
     write_polytope(pentagon, tmp_path / "p.json")
     code = main(["enumerate", str(tmp_path / "p.json"), "--out", str(tmp_path)])

@@ -1,13 +1,18 @@
 """Covers, facet preimages, cuts and volumes on desk-sized examples."""
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from racover.colouring import Colouring, from_k_colouring
+from racover import gf2
+from racover.colouring import Colouring, from_k_colouring, is_proper
 from racover.covers import (
+    CoverComplex,
     CoverError,
+    _direct_euler_characteristic,
     build_cover,
     cover_connected,
     cover_euler_characteristic,
@@ -17,6 +22,7 @@ from racover.covers import (
     volume,
     volume_of_cells,
 )
+from racover.polytopes import antipodal_facet, chain_sum, make_dodecahedron
 
 DODECA_4COL = [1, 2, 3, 4, 2, 4, 3, 4, 1, 3, 1, 2]
 
@@ -175,3 +181,44 @@ def test_euler_characteristic_two_ways_on_every_cover(pentagon, dodecahedron, ce
         assert isinstance(chi, int)
         if C.polytope.dimension == 3:
             assert chi == 0
+
+
+def _per_face_euler_characteristic(C):
+    """Reference direct count: every face found as a vertex subset and
+    ranked on its own."""
+    P = C.polytope
+    n = P.dimension
+    cols = C.colouring.colours
+    subsets = [set() for _ in range(n + 1)]
+    for v in P.vertices:
+        for k in range(1, n + 1):
+            subsets[k].update(itertools.combinations(v, k))
+    copies = len(C.group)
+    total = (-1) ** n * copies
+    for k in range(1, n + 1):
+        for S in subsets[k]:
+            total += (-1) ** (n - k) * (copies >> gf2.rank(cols[f] for f in S))
+    return total
+
+
+@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain"])
+def test_direct_euler_characteristic_matches_the_per_face_count(request, name):
+    if name == "3-chain":
+        D = make_dodecahedron()
+        P, _ = chain_sum(D, [0, antipodal_facet(D, 0)])
+    else:
+        P = request.getfixturevalue(name)
+    rng = random.Random(5)
+    rank = P.dimension + 1
+    # repeated and zero colours included: the direct count assumes no
+    # properness, so it must agree on improper colourings too
+    repeated = [1] * P.facet_count
+    repeated[P.vertices[0][0]] = 2
+    colourings = [repeated] + [
+        [rng.randrange(1 << rank) for _ in range(P.facet_count)] for _ in range(3)
+    ]
+    for cols in colourings:
+        lam = Colouring(P, rank, tuple(cols))
+        assert not is_proper(P, lam)
+        C = CoverComplex(P, lam, tuple(gf2.span(cols)))
+        assert _direct_euler_characteristic(C) == _per_face_euler_characteristic(C)

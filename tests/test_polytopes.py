@@ -1,8 +1,10 @@
 """Combinatorial polytopes: generators, invariants, sums, isomorphisms."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Tuple
 
 import pytest
@@ -386,3 +388,172 @@ def test_digest_tracks_structure(pentagon):
     assert pentagon.digest != make_polygon(6).digest
     assert pentagon.same_structure(make_polygon(5))
     assert not pentagon.same_structure(relabel(pentagon, "x"))
+
+
+def _mask_polytope(dimension, facet_labels, adjacency, vertices):
+    """Reference constructor: the big-int adjacency masks first, then the
+    vertex checks, the coverage check and the connectivity BFS on them,
+    as `Polytope.__init__` was first written."""
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    if not 2 <= dimension <= 4:
+        raise PolytopeError(f"dimension {dimension} outside supported range 2..4")
+    labels = tuple(str(x) for x in facet_labels)
+    m = len(labels)
+    if len(set(labels)) != m:
+        raise PolytopeError("facet labels not unique")
+    if m < dimension + 1:
+        raise PolytopeError("too few facets")
+    pairs = set()
+    for i, j in adjacency:
+        if not (0 <= i < m and 0 <= j < m) or i == j:
+            raise PolytopeError(f"bad adjacency pair ({i}, {j})")
+        pairs.add((min(i, j), max(i, j)))
+    masks = [0] * m
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    vs = set()
+    for v in vertices:
+        t = tuple(sorted(v))
+        if len(t) != dimension or len(set(t)) != dimension:
+            raise PolytopeError(f"vertex {t} is not a set of {dimension} facets")
+        if any(not 0 <= i < m for i in t):
+            raise PolytopeError(f"vertex {t} has an invalid facet index")
+        for a, b in itertools.combinations(t, 2):
+            if not masks[a] >> b & 1:
+                raise PolytopeError(f"vertex {t} contains non-adjacent facets {a},{b}")
+        vs.add(t)
+    verts = tuple(sorted(vs))
+    if set(itertools.chain.from_iterable(verts)) != set(range(m)):
+        raise PolytopeError("some facet lies on no vertex")
+    seen = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            fresh = masks[i] & ~seen
+            seen |= fresh
+            nxt.extend(bits(fresh))
+        frontier = nxt
+    if seen != (1 << m) - 1:
+        raise PolytopeError("facet adjacency graph is disconnected")
+    return SimpleNamespace(
+        neighbours=tuple(tuple(bits(x)) for x in masks),
+        adjacency=tuple(sorted(pairs)),
+        vertices=verts,
+        facet_vertices=tuple(tuple(k for k, v in enumerate(verts) if i in v) for i in range(m)),
+        adjacency_masks=tuple(masks),
+        vertex_sets=frozenset(frozenset(v) for v in verts),
+    )
+
+
+_REFERENCE_FIELDS = (
+    "neighbours", "adjacency", "vertices", "facet_vertices", "adjacency_masks", "vertex_sets",
+)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain"])
+def test_constructor_matches_the_mask_reference(request, name):
+    if name == "3-chain":
+        D = make_dodecahedron()
+        P, _ = chain_sum(D, [0, antipodal_facet(D, 0)])
+    else:
+        P = request.getfixturevalue(name)
+    # shuffled, reversed and duplicated input must not matter
+    rng = random.Random(1)
+    adjacency = [(j, i) for i, j in P.adjacency] + list(P.adjacency[:3])
+    vertices = [list(reversed(v)) for v in P.vertices] + [P.vertices[0]]
+    rng.shuffle(adjacency)
+    rng.shuffle(vertices)
+    args = (P.dimension, P.facet_labels, adjacency, vertices)
+    got, ref = Polytope(*args), _mask_polytope(*args)
+    for field in _REFERENCE_FIELDS:
+        assert getattr(got, field) == getattr(ref, field), field
+    assert got.same_structure(P)
+
+
+_SQUARE = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (5, ["a"] * 6, [], []),
+        (2, ["a", "a", "b"], [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)]),
+        (3, ["a", "b", "c"], [(0, 1)], []),
+        (2, "abcd", _SQUARE + [(0, 4)], []),
+        (2, "abcd", _SQUARE + [(2, 2)], []),
+        (2, "abcd", _SQUARE + [(-1, 2)], []),
+        (2, "abcd", _SQUARE, [(0, 1), (1, 2), (2, 3), (0, 2)]),
+        (3, "abcd", _SQUARE + [(0, 2)], [(0, 1, 2), (0, 2, 3), (3, 2, 1)]),
+        (2, "abcd", _SQUARE, [(0, 1), (1, 2, 3)]),
+        (2, "abcd", _SQUARE, [(0, 1), (1, 1)]),
+        (2, "abcd", _SQUARE, [(0, 1), (3, 4)]),
+        (2, "abcd", _SQUARE, [(0, 1), (-1, 0)]),
+        (2, "abcd", _SQUARE, [(0, 1), (1, 2)]),
+        (3, "abcde", [(0, 1), (3, 4)], [(4, 3, 0)]),
+        (2, "abcdef", _SQUARE + [(4, 5)], [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),
+    ],
+)
+def test_constructor_errors_match_the_mask_reference(args):
+    with pytest.raises(PolytopeError) as ref:
+        _mask_polytope(*args)
+    with pytest.raises(PolytopeError) as got:
+        Polytope(*args)
+    assert str(got.value) == str(ref.value)
+
+
+def test_adjacency_checks_leave_the_masks_unbuilt(z120):
+    far = next(g for g in range(1, 120) if not z120.adjacency_masks[0] >> g & 1)
+    P = Polytope(z120.dimension, z120.facet_labels, z120.adjacency, z120.vertices)
+    assert P.adjacent(0, P.neighbours[0][0])
+    assert not P.adjacent(0, far)
+    assert "adjacency_masks" not in vars(P)
+    assert "vertex_sets" not in vars(P)
+
+
+def _generators_from_every_failed_flag(P):
+    """Reference generator search: a flag is skipped only when it lies in
+    the orbit of the base flag, so every flag that admits no automorphism
+    is propagated."""
+    flips = polytopes._edge_flips(P)
+    base = P.vertices[0]
+    found = []
+    orbit = {base}
+    for k, v in enumerate(P.vertices):
+        for flag in itertools.permutations(v):
+            if flag not in orbit:
+                sigma = polytopes._propagate(P, P, flips, flips, k, flag)
+                if sigma is not None:
+                    found.append(sigma)
+                    orbit = polytopes._orbit(base, found)
+    return tuple(found)
+
+
+def test_generators_skip_the_orbits_of_failed_flags(monkeypatch):
+    D = make_dodecahedron()
+    ends = (0, antipodal_facet(D, 0))
+    chain20, _ = chain_sum(D, [ends[t % 2] for t in range(19)])
+    calls = []
+    real = polytopes._propagate
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(polytopes, "_propagate", counting)
+    for P in (D, make_120cell(), chain20):
+        monkeypatch.setattr(polytopes, "_generator_cache", {})
+        calls.clear()
+        expected = _generators_from_every_failed_flag(P)
+        reference_calls = len(calls)
+        calls.clear()
+        assert symmetry_generators(P) == expected
+        if P is chain20:
+            assert len(calls) < reference_calls

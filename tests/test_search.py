@@ -17,6 +17,8 @@ from racover.colouring import (
     canonical_form,
     is_orientable,
     is_proper,
+    normal_sequence,
+    orbit_keys,
 )
 from racover.polytopes import facet_subpolytope, find_isomorphism, symmetry_group
 from racover.search import (
@@ -450,3 +452,61 @@ def test_extension_search_rejects_a_dependent_seed(dodecahedron):
     for search in (search_orientable_extension, _reference_extension):
         with pytest.raises(ColouringError, match="breaks properness at vertex"):
             search(dodecahedron, seed)
+
+
+def _reference_census(P, budget=None):
+    """Reference census: the same search tree, each candidate tested vertex
+    by vertex with `gf2.independent` and one meter tick per candidate."""
+    n, m = P.dimension, P.facet_count
+    meter = _PerCandidateMeter(budget)
+    colours = [None] * m
+    for k, f in enumerate(P.vertices[0]):
+        colours[f] = 1 << k
+    rest = [f for f in range(m) if colours[f] is None]
+    seen = set()
+    records = []
+
+    def feasible(f, v):
+        for vi in P.facet_vertices[f]:
+            vec = [v] + [colours[g] for g in P.vertices[vi] if g != f and colours[g] is not None]
+            if not gf2.independent(vec):
+                return False
+        return True
+
+    def rec(idx):
+        if idx == len(rest):
+            lam = Colouring(P, n, tuple(colours))
+            if normal_sequence(lam.colours) not in seen:
+                seen.update(orbit_keys(P, lam))
+                records.append(
+                    ClassRecord(lam, is_orientable(P, lam) is not None, automorphism_order(P, lam))
+                )
+            return
+        f = rest[idx]
+        for v in range(1, 1 << n):
+            meter.tick()
+            if feasible(f, v):
+                colours[f] = v
+                rec(idx + 1)
+                colours[f] = None
+
+    complete = True
+    try:
+        rec(0)
+    except _BudgetOut:
+        complete = False
+    return meter.nodes, tuple(records), complete
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("nodes", [None, 1, 4_096, 20_000])
+def test_span_mask_census_matches_the_reference(dodecahedron, seed, nodes):
+    P = dodecahedron if seed is None else renumbered(dodecahedron, random.Random(seed))
+    budget = None if nodes is None else SearchBudget(nodes=nodes, seconds=600)
+    result = enumerate_small_covers(P, budget)
+    assert (result.nodes, result.classes, result.complete) == _reference_census(P, budget)
+    if nodes is None:
+        assert len(result.classes) == 25
+        assert seed is not None or result.nodes == 55797
+    else:
+        assert (result.nodes, result.complete) == (nodes + 1, False)
