@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands wrap the library one-to-one: generate polytope files, check
-colouring files, enumerate classes, search extensions, build covers, and
-certify chains.  Every file-producing run also writes a run manifest with
-input digests, the tool version, and the wall time.
+colouring files, enumerate classes, search extensions, build covers,
+certify chains and re-verify certificates.  Every file-producing run also
+writes a run manifest with input digests, the tool version, and the wall
+time.
 
 Exit codes: 0 all checks passed, 1 a mathematical expectation failed (an
 improper colouring, an exhausted search, a failed certificate), 2 usage
@@ -17,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__, fileio, gf2
 from .colouring import (
@@ -31,7 +32,13 @@ from .colouring import (
 )
 from .covers import CoverError, build_cover
 from .fileio import FileFormatError
-from .pipeline import Finding, certify, extend_from_facet
+from .pipeline import (
+    CheckResult,
+    Finding,
+    certify,
+    extend_from_facet,
+    validate_certificate,
+)
 from .polytopes import PolytopeError, make_120cell, make_dodecahedron
 from .search import (
     BudgetError,
@@ -229,6 +236,17 @@ def cmd_cover(args: argparse.Namespace, t0: float) -> int:
     return EXIT_OK
 
 
+def _report_checks(checks: Sequence[CheckResult]) -> bool:
+    """Print one line per check and a summary; true if every check passed."""
+    for c in checks:
+        mark = "pass" if c.passed else "FAIL"
+        print(f"[{mark}] {c.name}: {c.detail}")
+    good = sum(1 for c in checks if c.passed)
+    passed = good == len(checks)
+    print(f"{'PASS' if passed else 'FAIL'} ({good}/{len(checks)} checks)")
+    return passed
+
+
 def cmd_certify(args: argparse.Namespace, t0: float) -> int:
     cert = certify(args.n, args.policy, _budget(args))
     outdir = _outdir(args)
@@ -238,13 +256,16 @@ def cmd_certify(args: argparse.Namespace, t0: float) -> int:
         f"class {cert.class_index} (automorphisms {cert.automorphisms}), "
         f"witness {cert.witness}, glue facet {cert.glue_facet}"
     )
-    for c in cert.checks:
-        mark = "pass" if c.passed else "FAIL"
-        print(f"[{mark}] {c.name}: {c.detail}")
-    good = sum(1 for c in cert.checks if c.passed)
-    print(f"{'PASS' if cert.passed else 'FAIL'} ({good}/{len(cert.checks)} checks)")
+    _report_checks(cert.checks)
     _write_run_manifest(args, {}, path, outdir, t0)
     return EXIT_OK if cert.passed else EXIT_FINDING
+
+
+def cmd_verify(args: argparse.Namespace, t0: float) -> int:
+    path = Path(args.dir) / "certificate.json"
+    checks = validate_certificate(fileio.load_certificate(path))
+    print(f"certificate: {path}")
+    return EXIT_OK if _report_checks(checks) else EXIT_FINDING
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,6 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_budget(f)
     add_out(f)
     f.set_defaults(func=cmd_certify)
+
+    r = sub.add_parser("verify", help="re-verify a certificate directory")
+    r.add_argument("dir", help="directory holding certificate.json")
+    r.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -565,23 +565,34 @@ def gauss_bonnet_pi2_multiple(P: Polytope) -> Fraction:
 
 def greedy_facet_order(P: Polytope, start: Sequence[int]) -> List[int]:
     """Static facet order: given ones first, then repeatedly the facet with
-    most already-ordered neighbours (ties to lowest index)."""
-    m = P.facet_count
-    placed = [False] * m
-    scores = [0] * m
+    most already-ordered neighbours (ties to lowest index).
+
+    Unplaced facets sit in bitmask buckets by that count, so each step
+    takes the lowest facet of the highest non-empty bucket."""
     order = list(start)
-    for f in order:
-        placed[f] = True
+    placed = set(order)
+    scores = [0] * P.facet_count
     for f in order:
         for g in P.neighbours[f]:
             scores[g] += 1
-    for _ in range(m - len(order)):
-        best = max(
-            (f for f in range(m) if not placed[f]), key=lambda f: (scores[f], -f)
-        )
+    buckets = [0] * (max(map(len, P.neighbours), default=0) + 1)
+    for f, s in enumerate(scores):
+        if f not in placed:
+            buckets[s] |= 1 << f
+    top = len(buckets) - 1
+    for _ in range(P.facet_count - len(order)):
+        while not buckets[top]:
+            top -= 1
+        best = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << best
         order.append(best)
-        placed[best] = True
+        placed.add(best)
         for g in P.neighbours[best]:
+            if g not in placed:
+                s = scores[g]
+                buckets[s] ^= 1 << g
+                buckets[s + 1] |= 1 << g
+                top = max(top, s + 1)
             scores[g] += 1
     return order
 

@@ -342,12 +342,13 @@ def search_orientable_extension(
 
     Odd weight everywhere makes the coordinate-sum covector orient the
     cover, so any completion is orientable by construction.  The palette is
-    the 2^(rank-1) odd-weight vectors; facets are chosen most-constrained
-    first (most coloured neighbours, ties to lowest index), read off as the
-    lowest facet in the highest non-empty bucket of unassigned facets kept
-    by coloured-neighbour count.  Each vertex keeps the bitmask of the span
-    of its assigned colours; the chosen facet's vertex spans are OR-ed into
-    one forbidden mask, so testing a candidate is one bit probe.  A span
+    the 2^(rank-1) odd-weight vectors.  Facets are coloured most-constrained
+    first (most coloured neighbours, ties to lowest index); that choice
+    depends only on which facets are coloured, so it is the static
+    `greedy_facet_order` from the seeded facets.  Each vertex keeps the
+    bitmask of the span of its assigned colours; the chosen facet's vertex
+    spans are OR-ed into one forbidden mask, so testing a candidate is one
+    bit probe.  Only spans that a later facet reads are grown, and a span
     with a colour added is computed once per (span, colour) pair.
     """
     rank = seed.rank
@@ -371,67 +372,35 @@ def search_orientable_extension(
 
     palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
     meter = _Meter(budget)
-    todo = colours.count(None)
-
-    # buckets[c] is the bitmask of the unassigned facets with c coloured
-    # neighbours
-    coloured_nb = [sum(colours[g] is not None for g in nb) for nb in Z.neighbours]
-    buckets = [0] * (max(map(len, Z.neighbours), default=0) + 1)
-    for f, c in enumerate(coloured_nb):
-        if colours[f] is None:
-            buckets[c] |= 1 << f
-    top = len(buckets) - 1
+    seeded = [f for f, c in enumerate(colours) if c is not None]
+    order = greedy_facet_order(Z, seeded)[len(seeded):]
+    # live[d] lists the vertices of order[d] that keep a facet uncoloured
+    # after depth d; no later forbidden mask reads any other span
+    last = [-1] * len(Z.vertices)
+    for d, f in enumerate(order):
+        for vi in Z.facet_vertices[f]:
+            last[vi] = d
+    live = [
+        [vi for vi in Z.facet_vertices[f] if last[vi] > d] for d, f in enumerate(order)
+    ]
 
     # grown[v][old] is the span bitmask old with colour v added
     grown: Dict[int, Dict[int, int]] = {v: {} for v in palette}
-
-    def assign(f: int, v: int) -> List[int]:
-        colours[f] = v
-        buckets[coloured_nb[f]] ^= 1 << f
-        for g in Z.neighbours[f]:
-            c = coloured_nb[g]
-            coloured_nb[g] = c + 1
-            if colours[g] is None:
-                buckets[c] ^= 1 << g
-                buckets[c + 1] |= 1 << g
-        vertices = Z.facet_vertices[f]
-        undo = [spans[vi] for vi in vertices]
-        table = grown[v]
-        for vi, old in zip(vertices, undo):
-            new = table.get(old)
-            if new is None:
-                new = table[old] = _grow(old, v)
-            spans[vi] = new
-        return undo
-
-    def unassign(f: int, undo: List[int]) -> None:
-        colours[f] = None
-        for g in Z.neighbours[f]:
-            c = coloured_nb[g]
-            coloured_nb[g] = c - 1
-            if colours[g] is None:
-                buckets[c] ^= 1 << g
-                buckets[c - 1] |= 1 << g
-        buckets[coloured_nb[f]] |= 1 << f
-        for vi, old in zip(Z.facet_vertices[f], undo):
-            spans[vi] = old
-
     result: List[Colouring] = []
 
     def rec(depth: int) -> bool:
-        if depth == todo:
+        if depth == len(order):
             lam = Colouring(Z, rank, tuple(colours))  # type: ignore[arg-type]
             if not is_proper(Z, lam):
                 raise AssertionError("incremental properness bookkeeping failed")
             result.append(lam)
             return True
-        c = top
-        while not buckets[c]:
-            c -= 1
-        f = (buckets[c] & -buckets[c]).bit_length() - 1
+        f = order[depth]
         forbidden = 0
         for vi in Z.facet_vertices[f]:
             forbidden |= spans[vi]
+        vertices = live[depth]
+        undo = [spans[vi] for vi in vertices]
         # one node per candidate tried; the inadmissible ones are counted
         # in one batch before the next admissible one
         skipped = 0
@@ -441,10 +410,18 @@ def search_orientable_extension(
                 continue
             meter.tick(skipped + 1)
             skipped = 0
-            undo = assign(f, v)
+            colours[f] = v
+            table = grown[v]
+            for vi, old in zip(vertices, undo):
+                new = table.get(old)
+                if new is None:
+                    new = table[old] = _grow(old, v)
+                spans[vi] = new
             if rec(depth + 1):
                 return True
-            unassign(f, undo)
+            for vi, old in zip(vertices, undo):
+                spans[vi] = old
+        colours[f] = None
         if skipped:
             meter.tick(skipped)
         return False

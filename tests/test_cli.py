@@ -1,11 +1,13 @@
 """End-to-end command-line behaviour, including exit-code contracts."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 
 import pytest
 
-from racover import __version__
+from racover import __version__, pipeline
 from racover.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from racover.colouring import Colouring
 from racover.fileio import load_colouring, write_colouring, write_polytope
@@ -268,6 +270,83 @@ def test_certify_writes_a_passing_certificate(tmp_path, capsys):
     m = _manifest(tmp_path)
     assert m["command"] == "certify"
     assert m["result_digest"]
+
+
+def test_readme_extend_example(tmp_path, monkeypatch, capsys):
+    # the README's own commands, so a change to the search tree shows here
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RACOVER_OUT", raising=False)
+    assert main(["generate", "dodecahedron"]) == EXIT_OK
+    assert main(["enumerate", "dodecahedron.json", "--out", "census"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["extend", "census/class-000.txt", "--out", "ext"]) == EXIT_OK
+    assert capsys.readouterr().out == "found: extension.txt (546 nodes)\n"
+
+
+@pytest.fixture(scope="module")
+def cert1_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cert1")
+    assert main(["certify", "--n", "1", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _cert_copy(cert1_dir, tmp_path):
+    target = tmp_path / "cert"
+    shutil.copytree(cert1_dir, target)
+    return target
+
+
+def _edit_checks(cert_dir, index):
+    """Flip the recorded outcome of one stored check."""
+    path = cert_dir / "certificate.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["checks"][index]["passed"] = not obj["checks"][index]["passed"]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def test_verify_accepts_a_written_certificate(cert1_dir, capsys):
+    assert main(["verify", str(cert1_dir)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"certificate: {cert1_dir / 'certificate.json'}\n")
+    assert out.endswith("PASS (18/18 checks)\n")
+
+
+def test_verify_flags_a_flipped_check(cert1_dir, tmp_path, capsys):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_checks(target, 7)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    assert "re-validation disagrees" in capsys.readouterr().err
+
+
+def test_verify_flags_a_recorded_failure(cert1_dir, tmp_path, capsys, monkeypatch):
+    # a certificate whose stored and re-run checks agree on one failure
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_checks(target, 7)
+    real = pipeline.run_checks
+
+    def failing_run_checks(*args):
+        checks, notes = real(*args)
+        failed = dataclasses.replace(checks[7], passed=False)
+        return checks[:7] + (failed,) + checks[8:], notes
+
+    monkeypatch.setattr(pipeline, "run_checks", failing_run_checks)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out = capsys.readouterr().out
+    assert "[FAIL] euler-characteristic" in out
+    assert out.endswith("FAIL (17/18 checks)\n")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_verify_rejects_a_broken_certificate_file(cert1_dir, tmp_path, capsys, damage):
+    target = _cert_copy(cert1_dir, tmp_path)
+    path = target / "certificate.json"
+    if damage == "truncated":
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+    else:
+        path.unlink()
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    assert "certificate.json" in capsys.readouterr().err
 
 
 def test_certify_rejects_a_malformed_policy(tmp_path, capsys):

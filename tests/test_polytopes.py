@@ -478,6 +478,44 @@ def test_constructor_matches_the_mask_reference(request, name):
     assert got.same_structure(P)
 
 
+def _max_greedy_facet_order(P: Polytope, start) -> List[int]:
+    """Reference facet order: a max over all unplaced facets at each step."""
+    m = P.facet_count
+    placed = [False] * m
+    scores = [0] * m
+    order = list(start)
+    for f in order:
+        placed[f] = True
+        for g in P.neighbours[f]:
+            scores[g] += 1
+    for _ in range(m - len(order)):
+        best = max(
+            (f for f in range(m) if not placed[f]), key=lambda f: (scores[f], -f)
+        )
+        order.append(best)
+        placed[best] = True
+        for g in P.neighbours[best]:
+            scores[g] += 1
+    return order
+
+
+@pytest.mark.parametrize("renumber", [False, True], ids=["as-built", "renumbered"])
+@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain"])
+def test_greedy_facet_order_matches_the_max_reference(request, name, renumber):
+    if name == "3-chain":
+        D = make_dodecahedron()
+        P, _ = chain_sum(D, [0, antipodal_facet(D, 0)])
+    else:
+        P = request.getfixturevalue(name)
+    if renumber:
+        P = renumbered(P, random.Random(name))
+    starts = [[], [0], [0, *P.neighbours[0]], list(P.vertices[0])]
+    for start in starts:
+        order = greedy_facet_order(P, start)
+        assert order == _max_greedy_facet_order(P, start), start
+        assert sorted(order) == list(range(P.facet_count))
+
+
 _SQUARE = [(0, 1), (1, 2), (2, 3), (3, 0)]
 
 

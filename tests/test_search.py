@@ -20,7 +20,12 @@ from racover.colouring import (
     normal_sequence,
     orbit_keys,
 )
-from racover.polytopes import facet_subpolytope, find_isomorphism, symmetry_group
+from racover.polytopes import (
+    facet_subpolytope,
+    find_isomorphism,
+    greedy_facet_order,
+    symmetry_group,
+)
 from racover.search import (
     ClassRecord,
     SearchBudget,
@@ -309,10 +314,12 @@ class _PerCandidateMeter:
             raise _BudgetOut
 
 
-def _reference_extension(Z, seed, budget=None):
+def _reference_extension(Z, seed, budget=None, picks=None):
     """Reference extension search: the same search tree, with the facet
     chosen by a max over all unassigned facets, candidates tested vertex
-    by vertex, spans grown bit by bit and one meter tick per candidate."""
+    by vertex, spans grown bit by bit and one meter tick per candidate.
+    If `picks` is a dict, picks[depth] collects every facet chosen at that
+    depth."""
     rank = seed.rank
     colours = list(seed.colours)
     for v in Z.vertices:
@@ -363,6 +370,8 @@ def _reference_extension(Z, seed, budget=None):
             (g for g in unassigned if colours[g] is None),
             key=lambda g: (coloured_nb[g], -g),
         )
+        if picks is not None:
+            picks.setdefault(depth, set()).add(f)
         for v in palette:
             meter.tick()
             if any(spans[vi] >> v & 1 for vi in Z.facet_vertices[f]):
@@ -399,6 +408,34 @@ def test_rank5_extension_matches_the_reference(z120, census, facet):
         got = _run(z120, seed)
         assert got == _reference_extension(z120, seed), cls
         assert got[0] == "found"
+
+
+def _static_order(Z, seed):
+    seeded = [f for f, c in enumerate(seed.colours) if c is not None]
+    return greedy_facet_order(Z, seeded)[len(seeded):]
+
+
+@pytest.mark.parametrize("facet", [0, 7])
+def test_reference_picks_follow_the_static_order(z120, census, facet):
+    # every path of the reference chooses the same facet at each depth,
+    # the one the static order puts there
+    for cls in NON_ORIENTABLE:
+        seed = _class_seed(z120, census, cls, facet)
+        picks = {}
+        ref = _reference_extension(z120, seed, picks=picks)
+        assert ref[0] == "found", cls
+        assert picks == {d: {f} for d, f in enumerate(_static_order(z120, seed))}, cls
+        assert _run(z120, seed) == ref, cls
+
+
+def test_reference_picks_follow_the_static_order_when_exhausted(dodecahedron):
+    seed = PartialColouring(dodecahedron, 2, (None,) * 12)
+    picks = {}
+    ref = _reference_extension(dodecahedron, seed, picks=picks)
+    order = _static_order(dodecahedron, seed)
+    assert len(picks) >= 3
+    assert picks == {d: {order[d]} for d in range(len(picks))}
+    assert _run(dodecahedron, seed) == ref
 
 
 @pytest.mark.parametrize("nodes", [2_000, 20_000])
