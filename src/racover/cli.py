@@ -30,14 +30,14 @@ from .colouring import (
     is_orientable,
     non_orientability_witness,
 )
-from .covers import CoverError, build_cover
+from .covers import CoverError, build_cover, cover_summary
 from .fileio import FileFormatError
 from .pipeline import (
     CheckResult,
     Finding,
     certify,
     extend_from_facet,
-    validate_certificate,
+    recheck_certificate,
 )
 from .polytopes import PolytopeError, make_120cell, make_dodecahedron
 from .search import (
@@ -218,7 +218,7 @@ def cmd_cover(args: argparse.Namespace, t0: float) -> int:
     P = fileio.load_polytope(args.polytope)
     lam = _load_total_colouring(P, args.colouring)
     C = build_cover(P, lam)
-    summary = fileio.cover_summary(C)
+    summary = cover_summary(C)
     outdir = _outdir(args)
     path = outdir / "cover-summary.json"
     fileio.write_json(summary, path)
@@ -263,9 +263,12 @@ def cmd_certify(args: argparse.Namespace, t0: float) -> int:
 
 def cmd_verify(args: argparse.Namespace, t0: float) -> int:
     path = Path(args.dir) / "certificate.json"
-    checks = validate_certificate(fileio.load_certificate(path))
+    checks, mismatch = recheck_certificate(fileio.load_certificate(path))
     print(f"certificate: {path}")
-    return EXIT_OK if _report_checks(checks) else EXIT_FINDING
+    passed = _report_checks(checks)
+    if mismatch is not None:
+        raise Finding(mismatch)
+    return EXIT_OK if passed else EXIT_FINDING
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -38,6 +38,9 @@ __all__ = [
     "cut_along",
     "volume_of_cells",
     "volume",
+    "volume_record",
+    "cover_summary",
+    "cut_summary",
     "V_DODECAHEDRON",
     "V_120CELL_PI2",
 ]
@@ -143,19 +146,19 @@ def build_cover(P: Polytope, lam: Colouring, cells_per_copy: int = 1) -> CoverCo
 
 def cover_connected(C: CoverComplex) -> bool:
     """Connectivity of the copy graph (copies joined by facet gluings)."""
-    idx = {g: i for i, g in enumerate(C.group)}
+    colours = set(C.colouring.colours)
     seen = {C.group[0]}
     frontier = [C.group[0]]
     while frontier:
         nxt = []
         for g in frontier:
-            for c in C.colouring.colours:
+            for c in colours:
                 h = g ^ c
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return len(seen) == len(idx)
+    return len(seen) == len(C.group)
 
 
 def _direct_euler_characteristic(C: CoverComplex) -> int:
@@ -209,8 +212,9 @@ def _checked_euler_characteristic(C: CoverComplex) -> int:
 
 
 def cover_orientable(C: CoverComplex) -> bool:
-    """Orientability via the all-ones covector criterion on the colours."""
-    return gf2.solve_all_ones(C.colouring.colours) is not None
+    """Orientability via the all-ones covector criterion on the colours;
+    a repeated colour adds no equation, so each is taken once."""
+    return gf2.solve_all_ones(set(C.colouring.colours)) is not None
 
 
 def facet_preimage(C: CoverComplex, F: int) -> List[HypersurfaceComponent]:
@@ -413,3 +417,53 @@ def volume(obj) -> Volume | Tuple[Volume, Volume]:
     if isinstance(obj, CutReport):
         return obj.ambient_volume, obj.boundary_volume
     raise CoverError(f"no volume defined for {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# summary records: JSON-ready views of covers, cuts and volumes
+
+def volume_record(vol: Volume) -> dict:
+    pi2 = vol.pi2_multiple
+    return {
+        "cells": vol.cells,
+        "cell_type": vol.cell_type,
+        "exact": vol.exact,
+        "pi2_multiple": None if pi2 is None else [pi2.numerator, pi2.denominator],
+        "numeric": vol.numeric,
+    }
+
+
+def cover_summary(C: CoverComplex, preimages: bool = True) -> dict:
+    rec = {
+        "copies": C.copies,
+        "cells": C.cells,
+        "connected": cover_connected(C),
+        "orientable": cover_orientable(C),
+        "euler_characteristic": cover_euler_characteristic(C),
+        "volume": volume_record(volume(C)),
+    }
+    # facets of a polygon cover are 1-dimensional, below what the complex
+    # machinery models, so their preimages are not summarized
+    if preimages and C.polytope.dimension >= 3:
+        rec["facet_preimage_pieces"] = {
+            label: sorted(len(c.pieces) for c in facet_preimage(C, f))
+            for f, label in enumerate(C.polytope.facet_labels)
+        }
+    return rec
+
+
+def cut_summary(cut: CutReport) -> dict:
+    return {
+        "facet": cut.facet,
+        "ambient_copies": cut.ambient_copies,
+        "ambient_cells": cut.ambient_cells,
+        "ambient_orientable": cut.ambient_orientable,
+        "boundary_components": cut.boundary_components,
+        "boundary_cell_counts": list(cut.boundary_cell_counts),
+        "boundary_orientable": list(cut.boundary_orientable),
+        "one_sided": cut.one_sided,
+        "ambient_volume": volume_record(cut.ambient_volume),
+        "boundary_volume": volume_record(cut.boundary_volume),
+        "ratio_exact": cut.ratio_exact,
+        "ratio_numeric": cut.ratio_numeric,
+    }

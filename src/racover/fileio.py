@@ -1,5 +1,5 @@
-"""File surface: polytope JSON, colouring text, summary records, the
-certificate directory layout, content digests, and the per-run manifest.
+"""File surface: polytope JSON, colouring text, the certificate directory
+layout, content digests, and the per-run manifest.
 
 Writers are deterministic: the same objects always produce byte-identical
 files, so digests can stand in for semantic comparison.
@@ -14,17 +14,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .colouring import Colouring, ColouringError, PartialColouring
-from .covers import (
-    CoverComplex,
-    CutReport,
-    Volume,
-    cover_connected,
-    cover_euler_characteristic,
-    cover_orientable,
-    facet_preimage,
-    volume,
+from .pipeline import (
+    Certificate,
+    ChainAssembly,
+    CheckResult,
+    GlueStep,
+    certificate_records,
+    cut_cover,
 )
-from .pipeline import Certificate, ChainAssembly, CheckResult, GlueStep, cut_cover
 from .polytopes import Polytope, PolytopeError, make_120cell
 
 
@@ -165,56 +162,6 @@ def load_colouring(
 
 
 # ---------------------------------------------------------------------------
-# summary records
-
-def volume_record(vol: Volume) -> dict:
-    pi2 = vol.pi2_multiple
-    return {
-        "cells": vol.cells,
-        "cell_type": vol.cell_type,
-        "exact": vol.exact,
-        "pi2_multiple": None if pi2 is None else [pi2.numerator, pi2.denominator],
-        "numeric": vol.numeric,
-    }
-
-
-def cover_summary(C: CoverComplex, preimages: bool = True) -> dict:
-    rec = {
-        "copies": C.copies,
-        "cells": C.cells,
-        "connected": cover_connected(C),
-        "orientable": cover_orientable(C),
-        "euler_characteristic": cover_euler_characteristic(C),
-        "volume": volume_record(volume(C)),
-    }
-    # facets of a polygon cover are 1-dimensional, below what the complex
-    # machinery models, so their preimages are not summarized
-    if preimages and C.polytope.dimension >= 3:
-        rec["facet_preimage_pieces"] = {
-            label: sorted(len(c.pieces) for c in facet_preimage(C, f))
-            for f, label in enumerate(C.polytope.facet_labels)
-        }
-    return rec
-
-
-def cut_summary(cut: CutReport) -> dict:
-    return {
-        "facet": cut.facet,
-        "ambient_copies": cut.ambient_copies,
-        "ambient_cells": cut.ambient_cells,
-        "ambient_orientable": cut.ambient_orientable,
-        "boundary_components": cut.boundary_components,
-        "boundary_cell_counts": list(cut.boundary_cell_counts),
-        "boundary_orientable": list(cut.boundary_orientable),
-        "one_sided": cut.one_sided,
-        "ambient_volume": volume_record(cut.ambient_volume),
-        "boundary_volume": volume_record(cut.boundary_volume),
-        "ratio_exact": cut.ratio_exact,
-        "ratio_numeric": cut.ratio_numeric,
-    }
-
-
-# ---------------------------------------------------------------------------
 # certificates
 
 _CERT_FILES = {
@@ -237,11 +184,12 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
         key: {"path": name, "sha256": sha256_file(out / name)}
         for key, name in _CERT_FILES.items()
     }
+    records = certificate_records(cert)
     obj = {
         "format": "racover-certificate",
         "n": cert.n,
         "policy": cert.policy,
-        "passed": cert.passed,
+        "passed": records["passed"],
         "class": {
             "index": cert.class_index,
             "id": cert.class_id,
@@ -258,22 +206,10 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
         "witness_facets": list(cert.assembly.witness_facets),
         "natural_map": list(cert.assembly.natural_map),
         "files": refs,
-        "cover": cover_summary(cert.cover, preimages=False),
-        "cut_locus": {
-            "facet": cert.assembly.d_facet,
-            "components": len(cert.components),
-            "piece_counts": sorted(len(c.pieces) for c in cert.components),
-        },
-        "cut": cut_summary(cert.cut),
-        "volumes": [
-            {"part": "ambient", **volume_record(cert.cut.ambient_volume)},
-            {"part": "boundary", **volume_record(cert.cut.boundary_volume)},
-            {
-                "part": "ratio",
-                "exact": cert.cut.ratio_exact,
-                "numeric": cert.cut.ratio_numeric,
-            },
-        ],
+        "cover": records["cover"],
+        "cut_locus": records["cut_locus"],
+        "cut": records["cut"],
+        "volumes": records["volumes"],
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in cert.checks
@@ -301,6 +237,8 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
     Referenced files must match their recorded digests; the cover, cut
     locus and cut report are rebuilt from the loaded chains so that
     `validate_certificate` exercises the stored data, not cached results.
+    The parsed file is kept as `stored`, so re-validation can read back
+    the summary records it states.
     """
     path = Path(path)
     obj = _read_json(path)
@@ -361,6 +299,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             cut,
             checks,
             tuple(obj["notes"]),
+            obj,
         )
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: malformed certificate ({exc})") from exc

@@ -10,9 +10,9 @@ components, and the volume ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import gf2
 from .colouring import (
@@ -37,8 +37,11 @@ from .covers import (
     cover_connected,
     cover_euler_characteristic,
     cover_orientable,
+    cover_summary,
     cut_along,
+    cut_summary,
     facet_preimage,
+    volume_record,
 )
 from .polytopes import (
     Polytope,
@@ -123,7 +126,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Everything the construction produced plus one pass/fail per check."""
+    """Everything the construction produced plus one pass/fail per check.
+
+    `stored` is the parsed certificate file a certificate was loaded from,
+    and None for one built in memory.
+    """
 
     n: int
     policy: str
@@ -139,6 +146,7 @@ class Certificate:
     cut: CutReport
     checks: Tuple[CheckResult, ...]
     notes: Tuple[str, ...]
+    stored: Optional[Mapping[str, Any]] = None
 
     @property
     def passed(self) -> bool:
@@ -567,15 +575,83 @@ def certify(
     )
 
 
-def validate_certificate(cert: Certificate) -> Tuple[CheckResult, ...]:
+def certificate_records(cert: Certificate) -> Dict[str, Any]:
+    """The summary records a certificate file states beside its checks:
+    the overall verdict, the cover, the cut locus, the cut and the volumes."""
+    return {
+        "passed": cert.passed,
+        "cover": cover_summary(cert.cover, preimages=False),
+        "cut_locus": {
+            "facet": cert.assembly.d_facet,
+            "components": len(cert.components),
+            "piece_counts": sorted(len(c.pieces) for c in cert.components),
+        },
+        "cut": cut_summary(cert.cut),
+        "volumes": [
+            {"part": "ambient", **volume_record(cert.cut.ambient_volume)},
+            {"part": "boundary", **volume_record(cert.cut.boundary_volume)},
+            {
+                "part": "ratio",
+                "exact": cert.cut.ratio_exact,
+                "numeric": cert.cut.ratio_numeric,
+            },
+        ],
+    }
+
+
+def _first_difference(stored: Any, fresh: Any, field: str) -> Optional[str]:
+    """The dotted name of the first field where a stored record differs
+    from the re-computed one, or None; leaves must agree in type too."""
+    if isinstance(fresh, dict) and isinstance(stored, dict) and stored.keys() == fresh.keys():
+        pairs = [(f"{field}.{key}", stored[key], fresh[key]) for key in fresh]
+    elif isinstance(fresh, list) and isinstance(stored, list) and len(stored) == len(fresh):
+        pairs = [(f"{field}[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, fresh))]
+    else:
+        same = type(stored) is type(fresh) and stored == fresh
+        return None if same else field
+    for name, a, b in pairs:
+        found = _first_difference(a, b, name)
+        if found is not None:
+            return found
+    return None
+
+
+def recheck_certificate(
+    cert: Certificate,
+) -> Tuple[Tuple[CheckResult, ...], Optional[str]]:
     """Re-run every check from the certificate's own data.
 
     The cover, preimage and cut are rebuilt from the stored chains and
-    colourings; the fresh pass/fail vector must reproduce the recorded
-    one, and for a certificate claiming success every check must hold.
+    colourings; each re-run check must reproduce the stored one, name,
+    result and detail, or a Finding names the first field that differs.
+    Returns the re-run checks and, for a certificate loaded from a file,
+    a message naming the first stored summary record (`certificate_records`)
+    that the rebuilt objects contradict, or None if all agree.
     """
     cover, components, cut = cut_cover(cert.assembly)
     checks, _ = run_checks(cert.assembly, cover, components, cut)
-    if [(c.name, c.passed) for c in checks] != [(c.name, c.passed) for c in cert.checks]:
-        raise Finding("re-validation disagrees with the stored checks")
+    field = _first_difference(
+        [asdict(c) for c in cert.checks], [asdict(c) for c in checks], "checks"
+    )
+    if field is not None:
+        raise Finding(f"re-validation disagrees with the certificate at {field}")
+    if cert.stored is None:
+        return checks, None
+    # built after run_checks, so chi is the cover's cached value
+    fresh = certificate_records(
+        replace(cert, cover=cover, components=components, cut=cut, checks=checks)
+    )
+    for key, record in fresh.items():
+        field = _first_difference(cert.stored.get(key), record, key)
+        if field is not None:
+            return checks, f"re-validation disagrees with the certificate at {field}"
+    return checks, None
+
+
+def validate_certificate(cert: Certificate) -> Tuple[CheckResult, ...]:
+    """`recheck_certificate`, with a contradicted summary record raised as
+    a Finding too."""
+    checks, msg = recheck_certificate(cert)
+    if msg is not None:
+        raise Finding(msg)
     return checks

@@ -8,6 +8,7 @@ count and coarsely by wall clock.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -132,15 +133,42 @@ class SearchOutcome:
     seconds: float
 
 
-def _grow(span: int, v: int) -> int:
-    """The span bitmask `span` with colour v added: bit x ^ v joins every
-    set bit x.  Both searches memoise it per (span, colour) pair."""
-    new = span
-    while span:
-        low = span & -span
-        new |= 1 << ((low.bit_length() - 1) ^ v)
-        span ^= low
-    return new
+def _forbidding_sets(
+    P: Polytope, order: Sequence[int], odd: bool
+) -> List[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]]:
+    """Per depth d, the distinct nonempty sets of facets that are coloured
+    before order[d] and meet it at one of its vertices, as (singletons,
+    larger sets).  Facets outside `order` count as coloured from the start.
+
+    A candidate colour is forbidden for order[d] exactly when it is the XOR
+    of the colours of one such set, since those XORs make up the nonzero
+    span at each vertex.  With `odd`, every colour has odd weight, so an
+    even-size set only ever XORs to an even-weight colour and is left out.
+    Built in one pass over the facet-vertex incidences of `order`.
+    """
+    # coloured[vi] lists the facets at vertex vi coloured so far, in the
+    # order they were coloured, so a set always comes out as the same tuple
+    coloured: List[List[int]] = [[] for _ in P.vertices]
+    rest = set(order)
+    for g in range(P.facet_count):
+        if g not in rest:
+            for vi in P.facet_vertices[g]:
+                coloured[vi].append(g)
+    sizes = range(3 if odd else 2, P.dimension, 2 if odd else 1)
+    sets = []
+    for f in order:
+        singles: Set[int] = set()
+        larger: Set[Tuple[int, ...]] = set()
+        for vi in P.facet_vertices[f]:
+            before = coloured[vi]
+            singles.update(before)
+            for k in sizes:
+                if k > len(before):
+                    break
+                larger.update(itertools.combinations(before, k))
+            before.append(f)
+        sets.append((tuple(singles), tuple(larger)))
+    return sets
 
 
 def enumerate_small_covers(
@@ -151,24 +179,22 @@ def enumerate_small_covers(
     Depth-first over facets in index order.  The facets of the first vertex
     are pinned to e_1, ..., e_n, which loses no classes (any proper
     colouring can be moved there by a linear map) and removes the GL(n)
-    factor from the search.  Each vertex keeps the bitmask of the span of
-    its assigned colours, so a candidate is one probe of the OR of the
-    facet's vertex spans.  Each new class stores its orbit keys, so a
-    later leaf is recognised by one normal sequence and one set lookup.
+    factor from the search.  The order is static, so the coloured facet
+    sets around each facet's vertices are fixed per depth
+    (`_forbidding_sets`); their XORs make one forbidden mask per node and a
+    candidate is one probe of it.  Each new class stores its orbit keys,
+    so a later leaf is recognised by one normal sequence and one set
+    lookup.
     """
     n = P.dimension
     m = P.facet_count
     meter = _Meter(budget)
     colours: List[Optional[int]] = [None] * m
     palette = range(1, 1 << n)
-    # grown[v][old] is the span bitmask old with colour v added
-    grown: Dict[int, Dict[int, int]] = {v: {} for v in palette}
-    spans = [1] * len(P.vertices)  # the span of no colours is {0}
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
-        for vi in P.facet_vertices[f]:
-            spans[vi] = _grow(spans[vi], 1 << k)
     rest = [f for f in range(m) if colours[f] is None]
+    sets = _forbidding_sets(P, rest, odd=False)
 
     seen: Set[Tuple[int, ...]] = set()
     records: List[ClassRecord] = []
@@ -189,12 +215,18 @@ def enumerate_small_covers(
                 )
             return
         f = rest[idx]
-        vertices = P.facet_vertices[f]
+        singles, larger = sets[idx]
         forbidden = 0
-        for vi in vertices:
-            forbidden |= spans[vi]
+        for g in singles:
+            forbidden |= 1 << colours[g]  # type: ignore[operator]
+        for s in larger:
+            x = 0
+            for g in s:
+                x ^= colours[g]  # type: ignore[operator]
+            forbidden |= 1 << x
         # inadmissible candidates are counted in one batch, as in
-        # search_orientable_extension
+        # search_orientable_extension; a facet's colour is only read at
+        # later depths, so nothing is undone on the way back
         skipped = 0
         for v in palette:
             if forbidden >> v & 1:
@@ -203,17 +235,7 @@ def enumerate_small_covers(
             meter.tick(skipped + 1)
             skipped = 0
             colours[f] = v
-            undo = [spans[vi] for vi in vertices]
-            table = grown[v]
-            for vi, old in zip(vertices, undo):
-                new = table.get(old)
-                if new is None:
-                    new = table[old] = _grow(old, v)
-                spans[vi] = new
             rec(idx + 1)
-            for vi, old in zip(vertices, undo):
-                spans[vi] = old
-        colours[f] = None
         if skipped:
             meter.tick(skipped)
 
@@ -345,47 +367,26 @@ def search_orientable_extension(
     the 2^(rank-1) odd-weight vectors.  Facets are coloured most-constrained
     first (most coloured neighbours, ties to lowest index); that choice
     depends only on which facets are coloured, so it is the static
-    `greedy_facet_order` from the seeded facets.  Each vertex keeps the
-    bitmask of the span of its assigned colours; the chosen facet's vertex
-    spans are OR-ed into one forbidden mask, so testing a candidate is one
-    bit probe.  Only spans that a later facet reads are grown, and a span
-    with a colour added is computed once per (span, colour) pair.
+    `greedy_facet_order` from the seeded facets.  With the order fixed, the
+    coloured facet sets around each facet's vertices are fixed per depth
+    (`_forbidding_sets`, odd-size sets only); the XORs of their colours
+    make one forbidden mask per node, so testing a candidate is one bit
+    probe and no vertex keeps a span.
     """
     rank = seed.rank
     colours: List[Optional[int]] = list(seed.colours)
     for c in colours:
         if c is not None and not gf2.parity(c):
             raise ColouringError("seed contains an even-weight colour")
-
-    # spans[vi] is the bitmask of the GF(2)-span of the colours already
-    # assigned around vertex vi; a candidate v is admissible iff bit v is off
-    spans = []
     for v in Z.vertices:
-        vec = [colours[g] for g in v if colours[g] is not None]
-        span = gf2.span(vec)  # type: ignore[arg-type]
-        if len(span) != 1 << len(vec):
+        if not gf2.independent([colours[g] for g in v if colours[g] is not None]):
             raise ColouringError(f"seed already breaks properness at vertex {v}")
-        mask = 0
-        for x in span:
-            mask |= 1 << x
-        spans.append(mask)
 
     palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
     meter = _Meter(budget)
     seeded = [f for f, c in enumerate(colours) if c is not None]
     order = greedy_facet_order(Z, seeded)[len(seeded):]
-    # live[d] lists the vertices of order[d] that keep a facet uncoloured
-    # after depth d; no later forbidden mask reads any other span
-    last = [-1] * len(Z.vertices)
-    for d, f in enumerate(order):
-        for vi in Z.facet_vertices[f]:
-            last[vi] = d
-    live = [
-        [vi for vi in Z.facet_vertices[f] if last[vi] > d] for d, f in enumerate(order)
-    ]
-
-    # grown[v][old] is the span bitmask old with colour v added
-    grown: Dict[int, Dict[int, int]] = {v: {} for v in palette}
+    sets = _forbidding_sets(Z, order, odd=True)
     result: List[Colouring] = []
 
     def rec(depth: int) -> bool:
@@ -396,11 +397,15 @@ def search_orientable_extension(
             result.append(lam)
             return True
         f = order[depth]
+        singles, larger = sets[depth]
         forbidden = 0
-        for vi in Z.facet_vertices[f]:
-            forbidden |= spans[vi]
-        vertices = live[depth]
-        undo = [spans[vi] for vi in vertices]
+        for g in singles:
+            forbidden |= 1 << colours[g]  # type: ignore[operator]
+        for s in larger:
+            x = 0
+            for g in s:
+                x ^= colours[g]  # type: ignore[operator]
+            forbidden |= 1 << x
         # one node per candidate tried; the inadmissible ones are counted
         # in one batch before the next admissible one
         skipped = 0
@@ -411,17 +416,8 @@ def search_orientable_extension(
             meter.tick(skipped + 1)
             skipped = 0
             colours[f] = v
-            table = grown[v]
-            for vi, old in zip(vertices, undo):
-                new = table.get(old)
-                if new is None:
-                    new = table[old] = _grow(old, v)
-                spans[vi] = new
             if rec(depth + 1):
                 return True
-            for vi, old in zip(vertices, undo):
-                spans[vi] = old
-        colours[f] = None
         if skipped:
             meter.tick(skipped)
         return False

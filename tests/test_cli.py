@@ -336,6 +336,76 @@ def test_verify_flags_a_recorded_failure(cert1_dir, tmp_path, capsys, monkeypatc
     assert out.endswith("FAIL (17/18 checks)\n")
 
 
+def _edit_certificate(cert_dir, edit):
+    path = cert_dir / "certificate.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    edit(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def test_verify_reads_back_the_stored_verdict_and_records(cert1_dir, tmp_path, capsys):
+    # the checks still agree, but the stored verdict and cut locus do not
+    target = _cert_copy(cert1_dir, tmp_path)
+
+    def edit(obj):
+        obj["passed"] = False
+        obj["cut_locus"]["components"] = 99
+
+    _edit_certificate(target, edit)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out, err = capsys.readouterr()
+    assert out.endswith("PASS (18/18 checks)\n")
+    assert err == "finding: re-validation disagrees with the certificate at passed\n"
+
+    _edit_certificate(target, lambda obj: obj.update(passed=True))
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    assert "at cut_locus.components\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, name",
+    [
+        (("cover", "euler_characteristic"), "cover.euler_characteristic"),
+        (("cut", "boundary_components"), "cut.boundary_components"),
+        (("volumes", 1, "cells"), "volumes[1].cells"),
+    ],
+)
+def test_verify_names_each_tampered_record(cert1_dir, tmp_path, capsys, keys, name):
+    target = _cert_copy(cert1_dir, tmp_path)
+
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] += 1
+
+    _edit_certificate(target, edit)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    assert capsys.readouterr().err.endswith(f"at {name}\n")
+
+
+def test_verify_flags_an_edited_check_detail(cert1_dir, tmp_path, capsys):
+    target = _cert_copy(cert1_dir, tmp_path)
+
+    def edit(obj):
+        obj["checks"][7]["detail"] = "chi = 0 by both computations"
+
+    _edit_certificate(target, edit)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "finding: re-validation disagrees with the certificate at checks[7].detail\n"
+
+
+def test_verify_accepts_an_untampered_copy(cert1_dir, tmp_path, capsys):
+    # a certificate round-tripped through the JSON parser reads back equal
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: None)
+    assert main(["verify", str(target)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.endswith("PASS (18/18 checks)\n")
+    assert err == ""
+
+
 @pytest.mark.parametrize("damage", ["truncated", "missing"])
 def test_verify_rejects_a_broken_certificate_file(cert1_dir, tmp_path, capsys, damage):
     target = _cert_copy(cert1_dir, tmp_path)

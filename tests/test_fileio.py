@@ -7,23 +7,27 @@ import pytest
 
 from racover import covers, fileio
 from racover.colouring import Colouring, PartialColouring, from_k_colouring
-from racover.covers import build_cover, cut_along, facet_preimage
+from racover.covers import (
+    build_cover,
+    cover_summary,
+    cut_along,
+    cut_summary,
+    facet_preimage,
+    volume_record,
+)
 from racover.fileio import (
     FileFormatError,
     RunManifest,
-    cover_summary,
-    cut_summary,
     load_certificate,
     load_colouring,
     load_polytope,
     sha256_file,
-    volume_record,
     write_certificate,
     write_colouring,
     write_manifest,
     write_polytope,
 )
-from racover.pipeline import validate_certificate
+from racover.pipeline import Finding, validate_certificate
 
 
 def test_polytope_round_trip_is_byte_identical(tmp_path, dodecahedron):
@@ -159,6 +163,25 @@ def test_writer_reuses_the_checked_euler_characteristic(monkeypatch, tmp_path, c
     path = write_certificate(cert1, tmp_path / "cert")
     chi = json.loads(path.read_text())["cover"]["euler_characteristic"]
     assert chi == 272
+
+
+def test_validation_reads_back_the_stored_records(monkeypatch, tmp_path, cert1):
+    path = write_certificate(cert1, tmp_path / "cert")
+    calls = []
+    real = covers._checked_euler_characteristic
+    monkeypatch.setattr(
+        covers, "_checked_euler_characteristic", lambda C: calls.append(C) or real(C)
+    )
+    validate_certificate(load_certificate(path))
+    # chi is computed once, for the rebuilt cover; the record read back
+    # takes that cover's cached value
+    assert len(calls) == 1
+
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["cover"]["copies"] = 33
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(Finding, match=r"at cover\.copies$"):
+        validate_certificate(load_certificate(path))
 
 
 def test_certificate_detects_tampered_files(tmp_path, cert1):

@@ -29,6 +29,7 @@ from racover.polytopes import (
 from racover.search import (
     ClassRecord,
     SearchBudget,
+    _forbidding_sets,
     enumerate_chromatic_colourings,
     enumerate_small_covers,
     search_orientable_extension,
@@ -400,7 +401,7 @@ def _run(Z, seed, budget=None):
 NON_ORIENTABLE = [i for i in range(25) if i != 5]
 
 
-@pytest.mark.parametrize("facet", [0, 7])
+@pytest.mark.parametrize("facet", [0, 7, 86])
 def test_rank5_extension_matches_the_reference(z120, census, facet):
     assert not any(census.classes[i].orientable for i in NON_ORIENTABLE)
     for cls in NON_ORIENTABLE:
@@ -444,6 +445,13 @@ def test_rank4_extension_matches_the_reference(z120, census, cls, nodes):
     seed = _class_seed(z120, census, cls, rank=4)
     budget = SearchBudget(nodes=nodes, seconds=600)
     assert _run(z120, seed, budget) == _reference_extension(z120, seed, budget)
+
+
+def test_rank4_extension_matches_the_reference_for_every_class(z120, census):
+    budget = SearchBudget(nodes=2_000, seconds=600)
+    for cls in NON_ORIENTABLE:
+        seed = _class_seed(z120, census, cls, rank=4)
+        assert _run(z120, seed, budget) == _reference_extension(z120, seed, budget), cls
 
 
 @pytest.mark.parametrize("nodes", [1, 7, 8, 9, 4_095, 4_096, 4_097])
@@ -547,3 +555,85 @@ def test_span_mask_census_matches_the_reference(dodecahedron, seed, nodes):
         assert seed is not None or result.nodes == 55797
     else:
         assert (result.nodes, result.complete) == (nodes + 1, False)
+
+
+def _mask_from_sets(sets, colours):
+    """The forbidden mask the searches build from one depth's sets."""
+    singles, larger = sets
+    mask = 0
+    for g in singles:
+        mask |= 1 << colours[g]
+    for s in larger:
+        x = 0
+        for g in s:
+            x ^= colours[g]
+        mask |= 1 << x
+    return mask
+
+
+def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
+    """Walk the static order, colouring order[d] with choose(d, free) from
+    the palette colours outside its vertex spans; at every depth reached,
+    the palette colours the sets forbid must be those the spans at
+    order[d]'s vertices hold.  Returns how many depths were checked and
+    how many of them had sets larger than singletons."""
+    colours = list(colours)
+    sets = _forbidding_sets(P, order, odd)
+    assert len(sets) == len(order)
+    larger = 0
+    for d, f in enumerate(order):
+        spanned = set()
+        for vi in P.facet_vertices[f]:
+            spanned.update(gf2.span([colours[g] for g in P.vertices[vi]
+                                     if colours[g] is not None]))
+        mask = _mask_from_sets(sets[d], colours)
+        assert {v for v in palette if mask >> v & 1} == spanned & set(palette), (d, f)
+        larger += bool(sets[d][1])
+        free = [v for v in palette if v not in spanned]
+        if not free:
+            return d + 1, larger
+        colours[f] = choose(d, free)
+    return len(order), larger
+
+
+def _random_choice(seed):
+    rng = random.Random(seed)
+    return lambda d, free: rng.choice(free)
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+@pytest.mark.parametrize("facet", [0, 7])
+def test_extension_sets_match_the_vertex_spans(z120, census, facet, rank):
+    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    for cls, walk in [(0, 0), (0, 1), (14, 2), (23, 3)]:
+        seed = _class_seed(z120, census, cls, facet, rank)
+        order = _static_order(z120, seed)
+        depths, larger = _check_sets_along_a_walk(
+            z120, seed.colours, order, palette, True, _random_choice(walk)
+        )
+        assert depths >= 5 and larger >= 1, (cls, depths, larger)
+        if rank == 5:
+            # the search's own path, down to a complete colouring
+            found = search_orientable_extension(z120, seed).colouring.colours
+            depths, larger = _check_sets_along_a_walk(
+                z120, seed.colours, order, palette, True,
+                lambda d, free: found[order[d]],
+            )
+            assert depths == len(order)
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "pentagon"])
+def test_census_sets_match_the_vertex_spans(request, name):
+    P = request.getfixturevalue(name)
+    colours = [None] * P.facet_count
+    for k, f in enumerate(P.vertices[0]):
+        colours[f] = 1 << k
+    order = [f for f in range(P.facet_count) if colours[f] is None]
+    palette = range(1, 1 << P.dimension)
+    for walk in range(4):
+        depths, larger = _check_sets_along_a_walk(
+            P, colours, order, palette, False, _random_choice(walk)
+        )
+        assert depths > len(order) // 2
+        # pairs in three dimensions, none on a polygon
+        assert (larger > 0) == (P.dimension == 3)
