@@ -235,8 +235,9 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
     """Rebuild a Certificate from certificate.json and its referenced files.
 
     Referenced files must match their recorded digests; the cover, cut
-    locus and cut report are rebuilt from the loaded chains so that
-    `validate_certificate` exercises the stored data, not cached results.
+    locus and cut report are rebuilt from the loaded chains, and
+    `validate_certificate` re-runs the checks on these, so it exercises the
+    stored data, not cached results.
     The parsed file is kept as `stored`, so re-validation can read back
     the summary records it states.
     """

@@ -129,7 +129,8 @@ class Certificate:
     """Everything the construction produced plus one pass/fail per check.
 
     `stored` is the parsed certificate file a certificate was loaded from,
-    and None for one built in memory.
+    and None for one built in memory.  A loaded certificate's cover,
+    components and cut were rebuilt from its stored chains on loading.
     """
 
     n: int
@@ -621,14 +622,19 @@ def recheck_certificate(
 ) -> Tuple[Tuple[CheckResult, ...], Optional[str]]:
     """Re-run every check from the certificate's own data.
 
-    The cover, preimage and cut are rebuilt from the stored chains and
-    colourings; each re-run check must reproduce the stored one, name,
-    result and detail, or a Finding names the first field that differs.
-    Returns the re-run checks and, for a certificate loaded from a file,
-    a message naming the first stored summary record (`certificate_records`)
-    that the rebuilt objects contradict, or None if all agree.
+    The cover, preimage and cut come from the certificate's chains and
+    colourings: `load_certificate` has just rebuilt them from the stored
+    files, and for a certificate built in memory they are rebuilt here.
+    Each re-run check must reproduce the stored one, name, result and
+    detail, or a Finding names the first field that differs.  Returns the
+    re-run checks and, for a certificate loaded from a file, a message
+    naming the first stored summary record (`certificate_records`) that
+    the rebuilt objects contradict, or None if all agree.
     """
-    cover, components, cut = cut_cover(cert.assembly)
+    if cert.stored is None:
+        cover, components, cut = cut_cover(cert.assembly)
+    else:
+        cover, components, cut = cert.cover, cert.components, cert.cut
     checks, _ = run_checks(cert.assembly, cover, components, cut)
     field = _first_difference(
         [asdict(c) for c in cert.checks], [asdict(c) for c in checks], "checks"

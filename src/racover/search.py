@@ -9,6 +9,7 @@ count and coarsely by wall clock.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -64,27 +65,34 @@ class _Meter:
         self._limit = budget.nodes if budget else None
         self._t0 = time.monotonic()
         self._deadline = self._t0 + budget.seconds if budget else None
+        # a count below _next needs no check: it is the lower of the next
+        # multiple of 4096 and limit + 1
+        self._next = min(4096, budget.nodes + 1) if budget else math.inf
 
     def tick(self, k: int = 1) -> None:
         """Count k nodes at once; a budget stops the count exactly where k
         single ticks would have stopped it."""
-        start = self.nodes
-        self.nodes = start + k
-        if self._limit is None:
-            return
+        self.nodes += k
+        if self.nodes >= self._next:
+            self._check(self.nodes - k)
+
+    def _check(self, start: int) -> None:
+        limit = self._limit
+        assert limit is not None
         # time checks are amortized: the clock is read when the count
         # crosses a multiple of 4096; the node limit provides hard determinism
         crossing = ((start >> 12) + 1) << 12
         if (
             crossing <= self.nodes
-            and crossing <= self._limit
+            and crossing <= limit
             and time.monotonic() > self._deadline  # type: ignore[operator]
         ):
             self.nodes = crossing
             raise BudgetError
-        if self.nodes > self._limit:
-            self.nodes = self._limit + 1
+        if self.nodes > limit:
+            self.nodes = limit + 1
             raise BudgetError
+        self._next = min(((self.nodes >> 12) + 1) << 12, limit + 1)
 
     @property
     def seconds(self) -> float:
@@ -133,18 +141,22 @@ class SearchOutcome:
     seconds: float
 
 
-def _forbidding_sets(
-    P: Polytope, order: Sequence[int], odd: bool
-) -> List[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]]:
+_Sets = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int, int], ...]]
+
+
+def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets]:
     """Per depth d, the distinct nonempty sets of facets that are coloured
     before order[d] and meet it at one of its vertices, as (singletons,
-    larger sets).  Facets outside `order` count as coloured from the start.
+    pairs, triples).  Facets outside `order` count as coloured from the
+    start.
 
     A candidate colour is forbidden for order[d] exactly when it is the XOR
     of the colours of one such set, since those XORs make up the nonzero
     span at each vertex.  With `odd`, every colour has odd weight, so an
     even-size set only ever XORs to an even-weight colour and is left out.
-    Built in one pass over the facet-vertex incidences of `order`.
+    Built in one pass over the facet-vertex incidences of `order`.  A set
+    leaves a facet of its vertex out, so it has at most dimension - 1 <= 3
+    facets, and the searches XOR pairs and triples by tuple unpacking.
     """
     # coloured[vi] lists the facets at vertex vi coloured so far, in the
     # order they were coloured, so a set always comes out as the same tuple
@@ -167,8 +179,12 @@ def _forbidding_sets(
                     break
                 larger.update(itertools.combinations(before, k))
             before.append(f)
-        sets.append((tuple(singles), tuple(larger)))
-    return sets
+        sets.append((
+            tuple(singles),
+            tuple(s for s in larger if len(s) == 2),
+            tuple(s for s in larger if len(s) == 3),
+        ))
+    return sets  # type: ignore[return-value]
 
 
 def enumerate_small_covers(
@@ -181,16 +197,18 @@ def enumerate_small_covers(
     colouring can be moved there by a linear map) and removes the GL(n)
     factor from the search.  The order is static, so the coloured facet
     sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`); their XORs make one forbidden mask per node and a
-    candidate is one probe of it.  Each new class stores its orbit keys,
-    so a later leaf is recognised by one normal sequence and one set
-    lookup.
+    (`_forbidding_sets`); their XORs make one forbidden mask per node, and
+    a node visits only the palette colours outside it.  Each new class
+    stores its orbit keys, so a later leaf is recognised by one normal
+    sequence and one set lookup.
     """
     n = P.dimension
     m = P.facet_count
     meter = _Meter(budget)
+    tick = meter.tick
     colours: List[Optional[int]] = [None] * m
-    palette = range(1, 1 << n)
+    top = (1 << n) - 1  # the palette is 1..top, so colour v is candidate v
+    palette_mask = (1 << (top + 1)) - 2
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
     rest = [f for f in range(m) if colours[f] is None]
@@ -215,29 +233,29 @@ def enumerate_small_covers(
                 )
             return
         f = rest[idx]
-        singles, larger = sets[idx]
+        singles, pairs, triples = sets[idx]
         forbidden = 0
         for g in singles:
             forbidden |= 1 << colours[g]  # type: ignore[operator]
-        for s in larger:
-            x = 0
-            for g in s:
-                x ^= colours[g]  # type: ignore[operator]
-            forbidden |= 1 << x
-        # inadmissible candidates are counted in one batch, as in
+        for a, b in pairs:
+            forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
+        for a, b, c in triples:
+            forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
+        # only admissible colours are visited, as in
         # search_orientable_extension; a facet's colour is only read at
         # later depths, so nothing is undone on the way back
-        skipped = 0
-        for v in palette:
-            if forbidden >> v & 1:
-                skipped += 1
-                continue
-            meter.tick(skipped + 1)
-            skipped = 0
+        allowed = palette_mask & ~forbidden
+        done = 0
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            tick(v - done)
+            done = v
             colours[f] = v
             rec(idx + 1)
-        if skipped:
-            meter.tick(skipped)
+        if done < top:
+            tick(top - done)
 
     complete = True
     try:
@@ -357,6 +375,22 @@ def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> Parti
     return PartialColouring(Z, rank, tuple(vals))
 
 
+_Plan = Tuple[Tuple[int, ...], Tuple[_Sets, ...]]
+_plan_cache: Dict[Tuple[str, Tuple[int, ...]], _Plan] = {}
+
+
+def _extension_plan(Z: Polytope, seeded: Tuple[int, ...]) -> _Plan:
+    """The static order of the unseeded facets and its odd-size forbidding
+    sets, cached by (Z.digest, seeded facets): they depend on nothing else,
+    so searches at either rank from one facet share them."""
+    key = (Z.digest, seeded)
+    plan = _plan_cache.get(key)
+    if plan is None:
+        order = tuple(greedy_facet_order(Z, seeded)[len(seeded):])
+        plan = _plan_cache[key] = (order, tuple(_forbidding_sets(Z, order, odd=True)))
+    return plan
+
+
 def search_orientable_extension(
     Z: Polytope, seed: PartialColouring, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
@@ -370,23 +404,33 @@ def search_orientable_extension(
     `greedy_facet_order` from the seeded facets.  With the order fixed, the
     coloured facet sets around each facet's vertices are fixed per depth
     (`_forbidding_sets`, odd-size sets only); the XORs of their colours
-    make one forbidden mask per node, so testing a candidate is one bit
-    probe and no vertex keeps a span.
+    make one forbidden mask per node, and a node visits only the palette
+    colours outside it.  Order and sets are planned once per seeded facet
+    set (`_extension_plan`).
     """
     rank = seed.rank
     colours: List[Optional[int]] = list(seed.colours)
     for c in colours:
         if c is not None and not gf2.parity(c):
             raise ColouringError("seed contains an even-weight colour")
-    for v in Z.vertices:
+    seeded = tuple(f for f, c in enumerate(colours) if c is not None)
+    # a vertex off the seeded facets has no colour yet to be dependent
+    for vi in sorted({vi for f in seeded for vi in Z.facet_vertices[f]}):
+        v = Z.vertices[vi]
         if not gf2.independent([colours[g] for g in v if colours[g] is not None]):
             raise ColouringError(f"seed already breaks properness at vertex {v}")
 
-    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    # position[v] is 1 + the index of v among the odd-weight colours
+    palette_mask = 0
+    position = [0] * (1 << rank)
+    for v in range(1, 1 << rank):
+        if gf2.parity(v):
+            palette_mask |= 1 << v
+            position[v] = palette_mask.bit_count()
+    size = palette_mask.bit_count()
     meter = _Meter(budget)
-    seeded = [f for f, c in enumerate(colours) if c is not None]
-    order = greedy_facet_order(Z, seeded)[len(seeded):]
-    sets = _forbidding_sets(Z, order, odd=True)
+    tick = meter.tick
+    order, sets = _extension_plan(Z, seeded)
     result: List[Colouring] = []
 
     def rec(depth: int) -> bool:
@@ -397,29 +441,30 @@ def search_orientable_extension(
             result.append(lam)
             return True
         f = order[depth]
-        singles, larger = sets[depth]
+        singles, pairs, triples = sets[depth]
         forbidden = 0
         for g in singles:
             forbidden |= 1 << colours[g]  # type: ignore[operator]
-        for s in larger:
-            x = 0
-            for g in s:
-                x ^= colours[g]  # type: ignore[operator]
-            forbidden |= 1 << x
-        # one node per candidate tried; the inadmissible ones are counted
-        # in one batch before the next admissible one
-        skipped = 0
-        for v in palette:
-            if forbidden >> v & 1:
-                skipped += 1
-                continue
-            meter.tick(skipped + 1)
-            skipped = 0
+        for a, b in pairs:
+            forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
+        for a, b, c in triples:
+            forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
+        # one node per candidate tried: only admissible colours are visited,
+        # and the inadmissible ones below each are counted in one batch with it
+        allowed = palette_mask & ~forbidden
+        done = 0
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            k = position[v]
+            tick(k - done)
+            done = k
             colours[f] = v
             if rec(depth + 1):
                 return True
-        if skipped:
-            meter.tick(skipped)
+        if done < size:
+            tick(size - done)
         return False
 
     try:

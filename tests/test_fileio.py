@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from racover import covers, fileio
+from racover import covers, fileio, pipeline
 from racover.colouring import Colouring, PartialColouring, from_k_colouring
 from racover.covers import (
     build_cover,
@@ -182,6 +182,24 @@ def test_validation_reads_back_the_stored_records(monkeypatch, tmp_path, cert1):
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(Finding, match=r"at cover\.copies$"):
         validate_certificate(load_certificate(path))
+
+
+def test_verify_builds_the_cover_once(monkeypatch, tmp_path, cert1):
+    path = write_certificate(cert1, tmp_path / "cert")
+    built = []
+    real = pipeline.cut_cover
+    counting = lambda a: built.append(a) or real(a)  # noqa: E731
+    monkeypatch.setattr(pipeline, "cut_cover", counting)
+    monkeypatch.setattr(fileio, "cut_cover", counting)
+    # loading rebuilds the cover from the stored chains, and validation
+    # re-runs the checks on that one
+    loaded = load_certificate(path)
+    assert built == [loaded.assembly]
+    validate_certificate(loaded)
+    assert built == [loaded.assembly]
+    # a certificate built in memory is re-derived, not trusted
+    validate_certificate(cert1)
+    assert built == [loaded.assembly, cert1.assembly]
 
 
 def test_certificate_detects_tampered_files(tmp_path, cert1):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import renumbered
-from racover import gf2
+from racover import gf2, search
 from racover.colouring import (
     Colouring,
     ColouringError,
@@ -21,6 +21,7 @@ from racover.colouring import (
     orbit_keys,
 )
 from racover.polytopes import (
+    Polytope,
     facet_subpolytope,
     find_isomorphism,
     greedy_facet_order,
@@ -454,7 +455,9 @@ def test_rank4_extension_matches_the_reference_for_every_class(z120, census):
         assert _run(z120, seed, budget) == _reference_extension(z120, seed, budget), cls
 
 
-@pytest.mark.parametrize("nodes", [1, 7, 8, 9, 4_095, 4_096, 4_097])
+@pytest.mark.parametrize(
+    "nodes", [1, 7, 8, 9, 4_095, 4_096, 4_097, 8_191, 8_192, 8_193]
+)
 def test_batched_meter_stops_where_single_ticks_stop(z120, census, nodes):
     seed = _class_seed(z120, census, 0, rank=4)
     budget = SearchBudget(nodes=nodes, seconds=600)
@@ -473,6 +476,17 @@ def test_batched_meter_reads_the_clock_at_the_first_4096_crossing(
         clock = itertools.chain([0.0], itertools.repeat(10.0))
         monkeypatch.setattr(time, "monotonic", lambda: next(clock))
         assert search(z120, seed, budget) == ("budget-out", 4096, None)
+
+
+def test_batched_meter_reads_the_clock_at_each_4096_crossing(z120, census, monkeypatch):
+    # the clock passes the deadline only at the third crossing, so the
+    # first two readings must leave the meter counting on
+    seed = _class_seed(z120, census, 0, rank=4)
+    budget = SearchBudget(nodes=10 ** 8, seconds=1)
+    for search_ in (_run, _reference_extension):
+        clock = itertools.chain([0.0] * 3, itertools.repeat(10.0))
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        assert search_(z120, seed, budget) == ("budget-out", 12_288, None)
 
 
 @pytest.mark.parametrize(
@@ -559,11 +573,11 @@ def test_span_mask_census_matches_the_reference(dodecahedron, seed, nodes):
 
 def _mask_from_sets(sets, colours):
     """The forbidden mask the searches build from one depth's sets."""
-    singles, larger = sets
+    singles, *groups = sets
     mask = 0
     for g in singles:
         mask |= 1 << colours[g]
-    for s in larger:
+    for s in itertools.chain(*groups):
         x = 0
         for g in s:
             x ^= colours[g]
@@ -576,7 +590,8 @@ def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
     the palette colours outside its vertex spans; at every depth reached,
     the palette colours the sets forbid must be those the spans at
     order[d]'s vertices hold.  Returns how many depths were checked and
-    how many of them had sets larger than singletons."""
+    how many of them had sets larger than singletons; every set sits in the
+    group of its own size."""
     colours = list(colours)
     sets = _forbidding_sets(P, order, odd)
     assert len(sets) == len(order)
@@ -588,7 +603,9 @@ def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
                                      if colours[g] is not None]))
         mask = _mask_from_sets(sets[d], colours)
         assert {v for v in palette if mask >> v & 1} == spanned & set(palette), (d, f)
-        larger += bool(sets[d][1])
+        _, pairs, triples = sets[d]
+        assert [len(s) for s in pairs + triples] == [2] * len(pairs) + [3] * len(triples)
+        larger += bool(pairs or triples)
         free = [v for v in palette if v not in spanned]
         if not free:
             return d + 1, larger
@@ -637,3 +654,115 @@ def test_census_sets_match_the_vertex_spans(request, name):
         assert depths > len(order) // 2
         # pairs in three dimensions, none on a polygon
         assert (larger > 0) == (P.dimension == 3)
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """An empty extension plan cache; the returned list collects the
+    polytope of every plan built."""
+    builds = []
+    real = search._forbidding_sets
+    monkeypatch.setattr(search, "_plan_cache", {})
+    monkeypatch.setattr(
+        search, "_forbidding_sets",
+        lambda P, *args, **kwargs: builds.append(P) or real(P, *args, **kwargs),
+    )
+    return builds
+
+
+def test_both_ranks_at_one_facet_share_one_plan(z120, census, plan_builds):
+    budget = SearchBudget(nodes=2_000, seconds=600)
+    for cls in (0, 14):
+        for rank in (4, 5):
+            seed = _class_seed(z120, census, cls, 0, rank)
+            assert _run(z120, seed, budget) == _reference_extension(z120, seed, budget)
+    assert plan_builds == [z120]
+    seed = _class_seed(z120, census, 0, 7)
+    assert _run(z120, seed, budget) == _reference_extension(z120, seed, budget)
+    assert plan_builds == [z120, z120]
+
+
+class _ShuffleOutside:
+    """Stands in for the rng of `renumbered`: shuffles only the facets
+    outside `keep`, which keep their numbers."""
+
+    def __init__(self, keep, seed):
+        self.keep = set(keep)
+        self.rng = random.Random(seed)
+
+    def shuffle(self, p):
+        moved = [f for f in p if f not in self.keep]
+        self.rng.shuffle(moved)
+        it = iter(moved)
+        p[:] = [f if f in self.keep else next(it) for f in p]
+
+
+def test_a_renumbered_polytope_gets_its_own_plan(z120, census, plan_builds):
+    # the same seeded facets with the same colours on a renumbered 120-cell:
+    # only the polytope differs, and with it the static order
+    seed = _class_seed(z120, census, 0)
+    seeded = [f for f, c in enumerate(seed.colours) if c is not None]
+    Z2 = renumbered(z120, _ShuffleOutside(seeded, 5))
+    seed2 = PartialColouring(Z2, seed.rank, seed.colours)
+    assert _static_order(Z2, seed2) != _static_order(z120, seed)
+    assert _run(z120, seed) == _reference_extension(z120, seed)
+    got = _run(Z2, seed2)
+    assert plan_builds == [z120, Z2]
+    assert got == _reference_extension(Z2, seed2)
+    assert got[0] == "found"
+
+
+def _cube(n):
+    """The n-cube: facet 2i + s is x_i = s, and a vertex picks one of each pair."""
+    return Polytope(
+        n,
+        [f"x{i}={s}" for i in range(n) for s in (0, 1)],
+        [(2 * i + s, 2 * j + t) for i, j in itertools.combinations(range(n), 2)
+         for s in (0, 1) for t in (0, 1)],
+        [[2 * i + b for i, b in enumerate(bits)] for bits in itertools.product((0, 1), repeat=n)],
+    )
+
+
+def test_tesseract_census_matches_the_reference():
+    C = _cube(4)
+    result = enumerate_small_covers(C)
+    assert (result.nodes, result.classes, result.complete) == _reference_census(C)
+    assert (result.nodes, len(result.classes)) == (3_855, 19)
+    rest = [f for f in range(C.facet_count) if f not in C.vertices[0]]
+    sizes = {len(s) for _, pairs, triples in _forbidding_sets(C, rest, False)
+             for s in pairs + triples}
+    assert sizes == {2, 3}
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_tesseract_extension_matches_the_reference(rank):
+    C = _cube(4)
+    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    bases = [b for b in itertools.permutations(palette, 4) if gf2.independent(b)]
+    statuses = set()
+    for base in random.Random(rank).sample(bases, 20):
+        cols = [None] * C.facet_count
+        for f, v in zip(C.vertices[0], base):
+            cols[f] = v
+        seed = PartialColouring(C, rank, tuple(cols))
+        got = _run(C, seed)
+        assert got == _reference_extension(C, seed), base
+        statuses.add(got[0])
+    assert "found" in statuses
+
+
+def test_tesseract_dependent_seed_names_the_first_bad_vertex():
+    # facets 1 and 3 share a colour; their first common vertex is not the
+    # first vertex, and the vertices of facet 0 before it are fine
+    C = _cube(4)
+    cols = [None] * C.facet_count
+    cols[0], cols[1], cols[3] = 2, 1, 1
+    seed = PartialColouring(C, 2, tuple(cols))
+    messages = []
+    for search_ in (search_orientable_extension, _reference_extension):
+        with pytest.raises(ColouringError) as err:
+            search_(C, seed)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"vertex {(1, 3, 4, 6)}")
+    assert C.vertices[0] == (0, 2, 4, 6)
