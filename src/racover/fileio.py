@@ -248,6 +248,8 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
     base = path.parent
     try:
         refs = obj["files"]
+        if not isinstance(refs, dict) or not all(isinstance(r, dict) for r in refs.values()):
+            raise FileFormatError(f"{path}: files is not an object of file records")
         for ref in refs.values():
             actual = sha256_file(base / ref["path"])
             if actual != ref["sha256"]:

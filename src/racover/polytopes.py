@@ -471,10 +471,10 @@ def chain_sum(
     """
     m = base.facet_count
     for t, a in enumerate(attach):
+        if not 0 <= a < m:
+            raise PolytopeError(f"no facet {a}")
         if t and (a == attach[t - 1] or base.adjacent(a, attach[t - 1])):
             raise PolytopeError(f"facet {a} of summand {t + 1} is not pure")
-    for a in set(attach):
-        identity_matching(base, a, base, a).validate(base, base)
 
     prov: List[List[Optional[int]]] = []
     pieces: List[List[str]] = []

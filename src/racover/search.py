@@ -1,10 +1,12 @@
 """Depth-first search engines over facet colourings.
 
-Three searches share the same skeleton: enumerate all small-cover
-colourings of a polytope, count chromatic colourings up to symmetry, and
-complete a seeded partial colouring of the 120-cell to a fully odd-weight
-one.  All are deterministic; budgets cut them off reproducibly by node
-count and coarsely by wall clock.
+Three searches: enumerate all small-cover colourings of a polytope, count
+chromatic colourings up to symmetry, and complete a seeded partial
+colouring of the 120-cell to a fully odd-weight one.  Each sets up a
+static facet order, its forbidding sets and a palette, and hands them to
+one shared node (`_depth_first`) with a leaf callback.  All are
+deterministic; budgets cut them off reproducibly by node count and
+coarsely by wall clock.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .colouring import (
@@ -69,7 +71,7 @@ class _Meter:
         # multiple of 4096 and limit + 1
         self._next = min(4096, budget.nodes + 1) if budget else math.inf
 
-    def tick(self, k: int = 1) -> None:
+    def tick(self, k: int) -> None:
         """Count k nodes at once; a budget stops the count exactly where k
         single ticks would have stopped it."""
         self.nodes += k
@@ -187,6 +189,78 @@ def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets
     return sets  # type: ignore[return-value]
 
 
+def _depth_first(
+    colours: List[Optional[int]],
+    order: Sequence[int],
+    sets: Sequence[_Sets],
+    palette_mask: int,
+    position: Sequence[int],
+    budget: Optional[SearchBudget],
+    leaf: Callable[[], bool],
+) -> Tuple[str, int, float]:
+    """The search node all three searches share.
+
+    Colours order[d] at depth d, in place in `colours`, with each palette
+    colour outside the forbidden mask of sets[d] in ascending order, and
+    calls `leaf` once every facet of `order` is coloured; a true return
+    stops the search.  Colour v is candidate position[v] of the palette,
+    and one node is counted per candidate: the inadmissible ones below an
+    admissible colour are ticked in one batch with it, and the rest of the
+    palette at the end, so a budget stops where one tick per candidate
+    would.  A facet's colour is only read at later depths, so nothing is
+    undone on the way back.  Returns the status ("found" when `leaf`
+    stopped the search, "exhausted" or "budget-out"), the node count and
+    the seconds taken.
+    """
+    meter = _Meter(budget)
+    tick = meter.tick
+    end = len(order)
+    size = position[palette_mask.bit_length() - 1]
+
+    def rec(depth: int) -> bool:
+        if depth == end:
+            return leaf()
+        f = order[depth]
+        singles, pairs, triples = sets[depth]
+        forbidden = 0
+        for g in singles:
+            forbidden |= 1 << colours[g]  # type: ignore[operator]
+        for a, b in pairs:
+            forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
+        for a, b, c in triples:
+            forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
+        allowed = palette_mask & ~forbidden
+        done = 0
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            k = position[v]
+            tick(k - done)
+            done = k
+            colours[f] = v
+            if rec(depth + 1):
+                return True
+        if done < size:
+            tick(size - done)
+        return False
+
+    try:
+        status = "found" if rec(0) else "exhausted"
+    except BudgetError:
+        status = "budget-out"
+    return status, meter.nodes, meter.seconds
+
+
+def _proper_leaf(P: Polytope, rank: int, colours: Sequence[Optional[int]]) -> Colouring:
+    """The colouring a search completed, asserted proper: the forbidden
+    masks that built it should have kept every vertex independent."""
+    lam = Colouring(P, rank, tuple(colours))  # type: ignore[arg-type]
+    if not is_proper(P, lam):
+        raise AssertionError("incremental properness bookkeeping failed")
+    return lam
+
+
 def enumerate_small_covers(
     P: Polytope, budget: Optional[SearchBudget] = None
 ) -> EnumerationResult:
@@ -197,72 +271,34 @@ def enumerate_small_covers(
     colouring can be moved there by a linear map) and removes the GL(n)
     factor from the search.  The order is static, so the coloured facet
     sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`); their XORs make one forbidden mask per node, and
-    a node visits only the palette colours outside it.  Each new class
-    stores its orbit keys, so a later leaf is recognised by one normal
-    sequence and one set lookup.
+    (`_forbidding_sets`) for `_depth_first`.  Each new class stores its
+    orbit keys, so a later leaf is recognised by one normal sequence and
+    one set lookup.
     """
     n = P.dimension
     m = P.facet_count
-    meter = _Meter(budget)
-    tick = meter.tick
     colours: List[Optional[int]] = [None] * m
     top = (1 << n) - 1  # the palette is 1..top, so colour v is candidate v
-    palette_mask = (1 << (top + 1)) - 2
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
     rest = [f for f in range(m) if colours[f] is None]
-    sets = _forbidding_sets(P, rest, odd=False)
-
     seen: Set[Tuple[int, ...]] = set()
     records: List[ClassRecord] = []
 
-    def rec(idx: int) -> None:
-        if idx == len(rest):
-            lam = Colouring(P, n, tuple(colours))  # type: ignore[arg-type]
-            if not is_proper(P, lam):
-                raise AssertionError("incremental properness bookkeeping failed")
-            if normal_sequence(lam.colours) not in seen:
-                seen.update(orbit_keys(P, lam))
-                records.append(
-                    ClassRecord(
-                        lam,
-                        is_orientable(P, lam) is not None,
-                        automorphism_order(P, lam),
-                    )
-                )
-            return
-        f = rest[idx]
-        singles, pairs, triples = sets[idx]
-        forbidden = 0
-        for g in singles:
-            forbidden |= 1 << colours[g]  # type: ignore[operator]
-        for a, b in pairs:
-            forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
-        for a, b, c in triples:
-            forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
-        # only admissible colours are visited, as in
-        # search_orientable_extension; a facet's colour is only read at
-        # later depths, so nothing is undone on the way back
-        allowed = palette_mask & ~forbidden
-        done = 0
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            v = low.bit_length() - 1
-            tick(v - done)
-            done = v
-            colours[f] = v
-            rec(idx + 1)
-        if done < top:
-            tick(top - done)
+    def leaf() -> bool:
+        lam = _proper_leaf(P, n, colours)
+        if normal_sequence(lam.colours) not in seen:
+            seen.update(orbit_keys(P, lam))
+            records.append(
+                ClassRecord(lam, is_orientable(P, lam) is not None, automorphism_order(P, lam))
+            )
+        return False
 
-    complete = True
-    try:
-        rec(0)
-    except BudgetError:
-        complete = False
-    return EnumerationResult(tuple(records), complete, meter.nodes, meter.seconds)
+    status, nodes, seconds = _depth_first(
+        colours, rest, _forbidding_sets(P, rest, odd=False),
+        (1 << (top + 1)) - 2, range(top + 1), budget, leaf,
+    )
+    return EnumerationResult(tuple(records), status != "budget-out", nodes, seconds)
 
 
 def enumerate_chromatic_colourings(
@@ -284,13 +320,20 @@ def enumerate_chromatic_colourings(
         raise ValueError(f"{k} colours cannot colour an {n}-polytope (clique bound)")
     m = P.facet_count
     gens = symmetry_generators(P)
-    meter = _Meter(budget)
 
-    assign = [0] * m
+    colours = [0] * m
     v0 = P.vertices[0]
     for i, f in enumerate(v0):
-        assign[f] = i + 1
+        colours[f] = i + 1
     order = greedy_facet_order(P, v0)[n:]
+    # two adjacent facets differ, so only the neighbours pinned or earlier
+    # in the order forbid a colour; P.neighbours also holds adjacencies that
+    # no vertex shows, which _forbidding_sets would miss
+    sets: List[_Sets] = []
+    coloured = set(v0)
+    for f in order:
+        sets.append((tuple(g for g in P.neighbours[f] if g in coloured), (), ()))
+        coloured.add(f)
 
     classes: Dict[bytes, Tuple[int, ...]] = {}
 
@@ -304,26 +347,15 @@ def enumerate_chromatic_colourings(
             out.append(r)
         return bytes(out)
 
-    def rec(idx: int) -> None:
-        if idx == len(order):
-            classes.setdefault(norm(assign), tuple(assign))
-            return
-        f = order[idx]
-        used = 0
-        for g in P.neighbours[f]:
-            used |= 1 << assign[g]
-        for c in range(1, k + 1):
-            meter.tick()
-            if not used >> c & 1:
-                assign[f] = c
-                rec(idx + 1)
-                assign[f] = 0
+    def leaf() -> bool:
+        classes.setdefault(norm(colours), tuple(colours))
+        return False
 
-    complete = True
-    try:
-        rec(0)
-    except BudgetError:
-        complete = False
+    # the palette is 1..k, so colour v is candidate v
+    status, nodes, seconds = _depth_first(
+        colours, order, sets,  # type: ignore[arg-type]
+        (1 << (k + 1)) - 2, range(k + 1), budget, leaf,
+    )
 
     # Symmetry orbits of classes, walked breadth-first under the group's
     # generators.  A key is itself a colouring of its class, so the walk
@@ -345,7 +377,7 @@ def enumerate_chromatic_colourings(
                     frontier.append(image)
     reps = tuple(classes[key] for key in sorted(classes))
     return ChromaticResult(
-        len(classes), orbit_count, complete, meter.nodes, meter.seconds, reps
+        len(classes), orbit_count, status != "budget-out", nodes, seconds, reps
     )
 
 
@@ -353,9 +385,10 @@ def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> Parti
     """Seed a rank-5 (or rank-4) search from a colouring of one facet.
 
     The facet itself is coloured by the top basis vector; each neighbour
-    takes its trace colour v padded with a top coordinate that forces odd
-    weight (1 exactly when v has even weight).  The spare fourth coordinate
-    stays zero on all 13 seeded facets.
+    takes its trace colour v, which lives in the first three coordinates,
+    padded with a top coordinate that forces odd weight (1 exactly when v
+    has even weight).  At rank 5 the fourth coordinate stays zero on all 13
+    seeded facets; at rank 4 it is the top coordinate.
     """
     sub, inc = facet_subpolytope(Z, F0)
     if not mu.polytope.same_structure(sub):
@@ -403,10 +436,8 @@ def search_orientable_extension(
     depends only on which facets are coloured, so it is the static
     `greedy_facet_order` from the seeded facets.  With the order fixed, the
     coloured facet sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`, odd-size sets only); the XORs of their colours
-    make one forbidden mask per node, and a node visits only the palette
-    colours outside it.  Order and sets are planned once per seeded facet
-    set (`_extension_plan`).
+    (`_forbidding_sets`, odd-size sets only) for `_depth_first`.  Order and
+    sets are planned once per seeded facet set (`_extension_plan`).
     """
     rank = seed.rank
     colours: List[Optional[int]] = list(seed.colours)
@@ -427,52 +458,16 @@ def search_orientable_extension(
         if gf2.parity(v):
             palette_mask |= 1 << v
             position[v] = palette_mask.bit_count()
-    size = palette_mask.bit_count()
-    meter = _Meter(budget)
-    tick = meter.tick
     order, sets = _extension_plan(Z, seeded)
     result: List[Colouring] = []
 
-    def rec(depth: int) -> bool:
-        if depth == len(order):
-            lam = Colouring(Z, rank, tuple(colours))  # type: ignore[arg-type]
-            if not is_proper(Z, lam):
-                raise AssertionError("incremental properness bookkeeping failed")
-            result.append(lam)
-            return True
-        f = order[depth]
-        singles, pairs, triples = sets[depth]
-        forbidden = 0
-        for g in singles:
-            forbidden |= 1 << colours[g]  # type: ignore[operator]
-        for a, b in pairs:
-            forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
-        for a, b, c in triples:
-            forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
-        # one node per candidate tried: only admissible colours are visited,
-        # and the inadmissible ones below each are counted in one batch with it
-        allowed = palette_mask & ~forbidden
-        done = 0
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            v = low.bit_length() - 1
-            k = position[v]
-            tick(k - done)
-            done = k
-            colours[f] = v
-            if rec(depth + 1):
-                return True
-        if done < size:
-            tick(size - done)
-        return False
+    def leaf() -> bool:
+        result.append(_proper_leaf(Z, rank, colours))
+        return True
 
-    try:
-        hit = rec(0)
-    except BudgetError:
-        return SearchOutcome("budget-out", None, meter.nodes, meter.seconds)
-    if hit:
-        lam = result[0]
-        assert is_orientable(Z, lam) is not None
-        return SearchOutcome("found", lam, meter.nodes, meter.seconds)
-    return SearchOutcome("exhausted", None, meter.nodes, meter.seconds)
+    status, nodes, seconds = _depth_first(
+        colours, order, sets, palette_mask, position, budget, leaf
+    )
+    lam = result[0] if result else None
+    assert lam is None or is_orientable(Z, lam) is not None
+    return SearchOutcome(status, lam, nodes, seconds)

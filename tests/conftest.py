@@ -58,6 +58,16 @@ def renumbered(P: Polytope, rng: random.Random) -> Polytope:
     )
 
 
+def octagons() -> List[Polytope]:
+    """Two octagons with two adjacencies each that no vertex shows,
+    diameters and short chords: same vertices, same degrees, not
+    isomorphic."""
+    ring = [(i, (i + 1) % 8) for i in range(8)]
+    labels = [f"e{i}" for i in range(8)]
+    return [Polytope(2, labels, ring + extra, ring)
+            for extra in ([(0, 4), (2, 6)], [(0, 6), (2, 4)])]
+
+
 def random_proper_colouring(P: Polytope, rank: int, rng: random.Random) -> Colouring:
     """A uniformly seeded (not uniformly distributed) proper colouring.
 

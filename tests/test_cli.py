@@ -419,6 +419,13 @@ def test_verify_rejects_a_broken_certificate_file(cert1_dir, tmp_path, capsys, d
     assert "certificate.json" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_files_record_that_is_not_an_object(cert1_dir, tmp_path, capsys):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: obj.update(files=[]))
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    assert "files is not an object" in capsys.readouterr().err
+
+
 def test_certify_rejects_a_malformed_policy(tmp_path, capsys):
     code = main(["certify", "--n", "1", "--policy", "loudest", "--out", str(tmp_path)])
     assert code == EXIT_USAGE

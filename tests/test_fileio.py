@@ -223,7 +223,11 @@ def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("n", 0), ("n", -1), ("n", "1"), ("base_facet", 10**6), ("base_facet", -1)]
+    "key, value",
+    [
+        ("n", 0), ("n", -1), ("n", "1"), ("base_facet", 10**6), ("base_facet", -1),
+        ("files", []), ("files", "x"), ("files", {"chain": "x"}),
+    ],
 )
 def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
     path = write_certificate(cert1, tmp_path / "cert")

@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 import pytest
 
-from conftest import renumbered
+from conftest import octagons, renumbered
 from racover import polytopes
 from racover.polytopes import (
     FacetMatching,
@@ -266,12 +266,7 @@ def test_find_isomorphism_matches_the_reference_on_random_simple_polytopes(dodec
 
 
 def test_find_isomorphism_checks_adjacency_no_vertex_shows(dodecahedron):
-    # two octagons with two extra adjacencies each, diameters against
-    # short chords: same vertices, same degrees, not isomorphic
-    ring = [(i, (i + 1) % 8) for i in range(8)]
-    labels = [f"e{i}" for i in range(8)]
-    diameters = Polytope(2, labels, ring + [(0, 4), (2, 6)], ring)
-    chords = Polytope(2, labels, ring + [(0, 6), (2, 4)], ring)
+    diameters, chords = octagons()
     assert find_isomorphism(diameters, chords) is None
     assert _reference_isomorphism(diameters, chords) is None
     assert find_isomorphism(diameters, renumbered(diameters, random.Random(2))) is not None
@@ -342,6 +337,12 @@ def test_chain_sum_rejects_a_consumed_glue_facet(dodecahedron):
     for attach in ([0, 1], [0, 0]):
         with pytest.raises(PolytopeError, match="not pure"):
             chain_sum(dodecahedron, attach)
+
+
+@pytest.mark.parametrize("attach, bad", [([12], 12), ([-1], -1), ([0, -12], -12)])
+def test_chain_sum_rejects_a_glue_facet_out_of_range(dodecahedron, attach, bad):
+    with pytest.raises(PolytopeError, match=f"^no facet {bad}$"):
+        chain_sum(dodecahedron, attach)
 
 
 @pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain"])

@@ -4,10 +4,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import renumbered
+from conftest import octagons, renumbered
 from racover import gf2, search
 from racover.colouring import (
     Colouring,
@@ -175,22 +176,23 @@ def test_dodecahedron_chromatic_counts(dodecahedron):
             assert rep[i] != rep[j]
 
 
+def _norm(seq):
+    """Colours renamed in order of first occurrence."""
+    ren = {}
+    return bytes(ren.setdefault(c, len(ren) + 1) for c in seq)
+
+
 def _orbit_count_by_full_sweep(P, result):
     """Reference orbit count: one sweep over the whole symmetry group per
     unvisited class, as the count was first computed."""
-
-    def norm(seq):
-        ren = {}
-        return bytes(ren.setdefault(c, len(ren) + 1) for c in seq)
-
-    rem = {norm(rep) for rep in result.representatives}
+    rem = {_norm(rep) for rep in result.representatives}
     count = 0
     for rep in result.representatives:
-        if norm(rep) not in rem:
+        if _norm(rep) not in rem:
             continue
         count += 1
         for sigma in symmetry_group(P):
-            rem.discard(norm([rep[sigma[j]] for j in range(P.facet_count)]))
+            rem.discard(_norm([rep[sigma[j]] for j in range(P.facet_count)]))
     return count
 
 
@@ -766,3 +768,95 @@ def test_tesseract_dependent_seed_names_the_first_bad_vertex():
     assert messages[0] == messages[1]
     assert messages[0].endswith(f"vertex {(1, 3, 4, 6)}")
     assert C.vertices[0] == (0, 2, 4, 6)
+
+
+def _reference_chromatic(P, k, budget=None):
+    """Reference chromatic search, the recursion as first written: the same
+    search tree, every neighbour read at every node, the colour reset on
+    the way back and one meter tick per candidate.  Returns (count,
+    orbit_count, complete, nodes, representatives), the orbits counted by
+    a sweep over the whole group."""
+    n, m = P.dimension, P.facet_count
+    meter = _PerCandidateMeter(budget)
+    assign = [0] * m
+    v0 = P.vertices[0]
+    for i, f in enumerate(v0):
+        assign[f] = i + 1
+    order = greedy_facet_order(P, v0)[n:]
+    classes = {}
+
+    def rec(idx):
+        if idx == len(order):
+            classes.setdefault(_norm(assign), tuple(assign))
+            return
+        f = order[idx]
+        used = 0
+        for g in P.neighbours[f]:
+            used |= 1 << assign[g]
+        for c in range(1, k + 1):
+            meter.tick()
+            if not used >> c & 1:
+                assign[f] = c
+                rec(idx + 1)
+                assign[f] = 0
+
+    complete = True
+    try:
+        rec(0)
+    except _BudgetOut:
+        complete = False
+    reps = tuple(classes[key] for key in sorted(classes))
+    orbits = _orbit_count_by_full_sweep(P, SimpleNamespace(representatives=reps))
+    return len(reps), orbits, complete, meter.nodes, reps
+
+
+def _chromatic(P, k, budget=None):
+    r = enumerate_chromatic_colourings(P, k, budget)
+    return r.count, r.orbit_count, r.complete, r.nodes, r.representatives
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [("pentagon", 3), ("dodecahedron", 4), ("dodecahedron", 5), ("renumbered", 4),
+     ("renumbered", 5), ("z120", 5), ("tesseract", 4)],
+)
+def test_chromatic_search_matches_the_reference(request, dodecahedron, name, k):
+    if name == "renumbered":
+        P = renumbered(dodecahedron, random.Random(k))
+    elif name == "tesseract":
+        P = _cube(4)
+    else:
+        P = request.getfixturevalue(name)
+    got = _chromatic(P, k)
+    assert got == _reference_chromatic(P, k)
+    assert got[2]
+
+
+def test_chromatic_search_reads_adjacencies_no_vertex_shows():
+    for P in octagons():
+        for k in (3, 4, 5):
+            got = _chromatic(P, k)
+            assert got == _reference_chromatic(P, k), k
+            for rep in got[4]:
+                assert all(rep[i] != rep[j] for i, j in P.adjacency)
+
+
+@pytest.mark.parametrize("nodes", [1, 40, 4_095, 4_096, 4_097])
+def test_budgeted_chromatic_search_stops_where_the_reference_stops(dodecahedron, nodes):
+    budget = SearchBudget(nodes=nodes, seconds=600)
+    got = _chromatic(dodecahedron, 5, budget)
+    assert got == _reference_chromatic(dodecahedron, 5, budget)
+    assert got[2:4] == (False, nodes + 1)
+
+
+def test_chromatic_search_reads_the_clock_at_the_first_4096_crossing(
+    dodecahedron, monkeypatch
+):
+    budget = SearchBudget(nodes=10 ** 8, seconds=1)
+    results = []
+    for search_ in (_chromatic, _reference_chromatic):
+        clock = itertools.chain([0.0], itertools.repeat(10.0))
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        results.append(search_(dodecahedron, 5, budget))
+    assert results[0] == results[1]
+    assert results[0][2:4] == (False, 4096)
