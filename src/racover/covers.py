@@ -173,15 +173,19 @@ def _direct_euler_characteristic(C: CoverComplex) -> int:
     P = C.polytope
     n = P.dimension
     cols = C.colouring.colours
-    at_vertex = [(v, tuple(map(cols.__getitem__, v))) for v in P.vertices]
     copies = len(C.group)
     total = (-1) ** n * copies
     for k in range(1, n + 1):
-        # face -> its colour tuple; a face on several vertices is kept once
-        faces: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for v, c in at_vertex:
-            faces.update(zip(itertools.combinations(v, k), itertools.combinations(c, k)))
-        tally = Counter(faces.values())
+        if k == 1:
+            # every facet lies on a vertex (the constructor checks it)
+            tally = Counter(zip(cols))
+        else:
+            # vertices are distinct sorted tuples, so their k-subsets
+            # name each face once after deduplication
+            faces = P.vertices if k == n else set(itertools.chain.from_iterable(
+                map(itertools.combinations, P.vertices, itertools.repeat(k))
+            ))
+            tally = Counter(zip(*[map(cols.__getitem__, col) for col in zip(*faces)]))
         sign = (-1) ** (n - k)
         for key, count in tally.items():
             total += sign * count * (copies >> gf2.rank(key))

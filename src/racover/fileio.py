@@ -8,10 +8,12 @@ files, so digests can stand in for semantic comparison.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .colouring import Colouring, ColouringError, PartialColouring
 from .pipeline import (
@@ -22,7 +24,7 @@ from .pipeline import (
     certificate_records,
     cut_cover,
 )
-from .polytopes import Polytope, PolytopeError, make_120cell
+from .polytopes import Polytope, PolytopeError, make_120cell, make_dodecahedron
 
 
 class FileFormatError(ValueError):
@@ -56,32 +58,58 @@ def sha256_file(path: Union[str, Path]) -> str:
 _POLYTOPE_KEYS = {"format", "dimension", "facets", "adjacency", "vertices"}
 
 
+def _json_list(items: Iterable[str]) -> str:
+    """A non-empty list value at depth 1 of `json.dumps(indent=2)`, from its
+    item lines."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]"
+
+
+def _json_rows(rows: Iterable[Sequence[int]], width: int) -> Iterator[str]:
+    """The item lines of a list of integer rows of one width, laid out as
+    `json.dumps(indent=2)` lays them out at depth 2."""
+    template = "    [\n" + ",\n".join(["      {}"] * width) + "\n    ]"
+    return itertools.starmap(template.format, rows)
+
+
 def write_polytope(P: Polytope, path: Union[str, Path]) -> None:
-    obj = {
-        "format": "racover-polytope",
-        "dimension": P.dimension,
-        "facets": list(P.facet_labels),
-        "adjacency": [list(e) for e in P.adjacency],
-        "vertices": [list(v) for v in P.vertices],
-    }
-    write_json(obj, path)
+    """The bytes of `write_json` on the polytope's object, rendered directly:
+    `json.dumps(indent=2)` runs CPython's pure-Python encoder, which costs
+    most of a certificate write.  Every adjacency row has 2 entries and
+    every vertex row `dimension` (the constructor checks both)."""
+    labels = map("    {}".format, map(encode_basestring_ascii, P.facet_labels))
+    text = (
+        '{\n  "format": "racover-polytope",\n'
+        f'  "dimension": {P.dimension},\n'
+        f'  "facets": {_json_list(labels)},\n'
+        f'  "adjacency": {_json_list(_json_rows(P.adjacency, 2))},\n'
+        f'  "vertices": {_json_list(_json_rows(P.vertices, P.dimension))}\n'
+        "}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _index_rows(path: Union[str, Path], obj: dict, key: str, width: Optional[int]) -> list:
     """obj[key] as a list of tuples of facet indices (ints, not bools), each
-    of `width` entries when given."""
+    of `width` entries when given.  The whole list is accepted in one pass;
+    only a failing list is walked row by row, to name its first bad entry."""
     rows = obj[key]
     what = "facet indices" if width is None else f"{width} facet indices"
     if type(rows) is not list:
         raise FileFormatError(f"{path}: {key} must be a list of lists of {what}")
-    for k, row in enumerate(rows):
-        if (
-            type(row) is not list
-            or not set(map(type, row)) <= {int}
-            or width is not None and len(row) != width
-        ):
-            raise FileFormatError(f"{path}: {key} entry {k} ({json.dumps(row)}) is not a list of {what}")
-    return [tuple(r) for r in rows]
+    if not (
+        set(map(type, rows)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+        and (width is None or set(map(len, rows)) <= {width})
+    ):
+        for k, row in enumerate(rows):
+            if (
+                type(row) is not list
+                or not set(map(type, row)) <= {int}
+                or width is not None and len(row) != width
+            ):
+                raise FileFormatError(f"{path}: {key} entry {k} ({json.dumps(row)}) is not a list of {what}")
+    return list(map(tuple, rows))
 
 
 def load_polytope(path: Union[str, Path]) -> Polytope:
@@ -222,13 +250,34 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
 
 
 def _int_field(
-    path: Path, obj: dict, key: str, lo: int, hi: Optional[int], what: str
+    path: Path, value: object, name: str, lo: int, hi: Optional[int], what: str
 ) -> int:
-    """The integer obj[key], required to lie in [lo, hi)."""
-    value = obj[key]
+    """The integer field `name`, required to lie in [lo, hi)."""
     if type(value) is not int or value < lo or (hi is not None and value >= hi):
-        raise FileFormatError(f"{path}: {key} {value!r} is not {what}")
+        raise FileFormatError(f"{path}: {name} {value!r} is not {what}")
     return value
+
+
+def _check_class_record(path: Path, cls: dict) -> None:
+    """Check the kind and range of each field of the `class` record; whether
+    they match the census is not checked here."""
+    facets = make_dodecahedron().facet_count
+    for key, hi, what in (
+        ("index", None, "a non-negative integer"),
+        ("automorphisms", None, "a non-negative integer"),
+        ("glue_facet", facets, "a facet of the dodecahedron"),
+    ):
+        _int_field(path, cls[key], f"class.{key}", 0, hi, what)
+    witness = cls["witness"]
+    if (
+        type(witness) is not list
+        or len(witness) != 3
+        or not all(type(f) is int and 0 <= f < facets for f in witness)
+        or len(set(witness)) != 3
+    ):
+        raise FileFormatError(
+            f"{path}: class.witness {witness!r} is not three distinct facets of the dodecahedron"
+        )
 
 
 def load_certificate(path: Union[str, Path]) -> Certificate:
@@ -262,14 +311,16 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
         lam = load_colouring(Q, base / refs["ambient_colouring"]["path"])
         if isinstance(mu, PartialColouring) or isinstance(lam, PartialColouring):
             raise FileFormatError(f"{path}: certificate colourings must be total")
-        n = _int_field(path, obj, "n", 1, None, "a chain length of at least 1")
+        n = _int_field(path, obj["n"], "n", 1, None, "a chain length of at least 1")
         d_facet = _int_field(
-            path, obj, "d_facet", 0, Q.facet_count, "a facet of the ambient polytope"
+            path, obj["d_facet"], "d_facet", 0, Q.facet_count, "a facet of the ambient polytope"
         )
         base_facet = _int_field(
-            path, obj, "base_facet", 0, make_120cell().facet_count,
+            path, obj["base_facet"], "base_facet", 0, make_120cell().facet_count,
             "a facet of the 120-cell",
         )
+        cls = obj["class"]
+        _check_class_record(path, cls)
         assembly = ChainAssembly(
             n,
             P,
@@ -283,7 +334,6 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             base_facet,
         )
         cover, components, cut = cut_cover(assembly)
-        cls = obj["class"]
         checks = tuple(
             CheckResult(c["name"], c["passed"], c["detail"]) for c in obj["checks"]
         )

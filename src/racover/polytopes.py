@@ -522,7 +522,7 @@ def _face_counts(P: Polytope) -> Dict[int, int]:
     counts = {0: 1, 1: P.facet_count}
     for k in range(2, n):
         counts[k] = len(set(itertools.chain.from_iterable(
-            itertools.combinations(v, k) for v in P.vertices
+            map(itertools.combinations, P.vertices, itertools.repeat(k))
         )))
     counts[n] = len(P.vertices)
     return counts

@@ -14,7 +14,14 @@ import pytest
 from racover import gf2
 from racover.colouring import Colouring
 from racover.pipeline import Certificate, _dodecahedron_census, certify
-from racover.polytopes import Polytope, make_120cell, make_dodecahedron, make_polygon
+from racover.polytopes import (
+    Polytope,
+    antipodal_facet,
+    chain_sum,
+    make_120cell,
+    make_dodecahedron,
+    make_polygon,
+)
 from racover.search import EnumerationResult
 
 
@@ -56,6 +63,13 @@ def renumbered(P: Polytope, rng: random.Random) -> Polytope:
         [(p[i], p[j]) for i, j in P.adjacency],
         [[p[g] for g in v] for v in P.vertices],
     )
+
+
+def dodecahedral_chain(n: int) -> Polytope:
+    """n dodecahedra glued end to end at facet 0 and its antipode in turn."""
+    D = make_dodecahedron()
+    ends = (0, antipodal_facet(D, 0))
+    return chain_sum(D, [ends[s % 2] for s in range(n - 1)])[0]
 
 
 def octagons() -> List[Polytope]:

@@ -426,6 +426,23 @@ def test_verify_rejects_a_files_record_that_is_not_an_object(cert1_dir, tmp_path
     assert "files is not an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("index", -1), ("index", 1.0), ("index", True),
+        ("automorphisms", "2"), ("automorphisms", -1),
+        ("glue_facet", 12), ("glue_facet", -1), ("glue_facet", "x"),
+        ("witness", [0, 0, 1]), ("witness", [99, 100, 101]), ("witness", [0, 1]),
+        ("witness", [0, 1, True]), ("witness", "012"),
+    ],
+)
+def test_verify_rejects_a_malformed_class_record(cert1_dir, tmp_path, capsys, field, value):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: obj["class"].update({field: value}))
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    assert f"class.{field} {value!r} is not" in capsys.readouterr().err
+
+
 def test_certify_rejects_a_malformed_policy(tmp_path, capsys):
     code = main(["certify", "--n", "1", "--policy", "loudest", "--out", str(tmp_path)])
     assert code == EXIT_USAGE

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dodecahedral_chain
 from racover import gf2
 from racover.colouring import Colouring, from_k_colouring, is_proper
 from racover.covers import (
@@ -22,7 +23,7 @@ from racover.covers import (
     volume,
     volume_of_cells,
 )
-from racover.polytopes import antipodal_facet, chain_sum, make_dodecahedron
+from racover.polytopes import _face_counts, f_vector
 
 DODECA_4COL = [1, 2, 3, 4, 2, 4, 3, 4, 1, 3, 1, 2]
 
@@ -201,13 +202,18 @@ def _per_face_euler_characteristic(C):
     return total
 
 
-@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain"])
+POLYTOPE_NAMES = ["pentagon", "dodecahedron", "z120", "3-chain", "10-chain"]
+
+
+def _named_polytope(request, name):
+    if name.endswith("-chain"):
+        return dodecahedral_chain(int(name[: -len("-chain")]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", POLYTOPE_NAMES)
 def test_direct_euler_characteristic_matches_the_per_face_count(request, name):
-    if name == "3-chain":
-        D = make_dodecahedron()
-        P, _ = chain_sum(D, [0, antipodal_facet(D, 0)])
-    else:
-        P = request.getfixturevalue(name)
+    P = _named_polytope(request, name)
     rng = random.Random(5)
     rank = P.dimension + 1
     # repeated and zero colours included: the direct count assumes no
@@ -217,8 +223,28 @@ def test_direct_euler_characteristic_matches_the_per_face_count(request, name):
     colourings = [repeated] + [
         [rng.randrange(1 << rank) for _ in range(P.facet_count)] for _ in range(3)
     ]
+    # a zero colour on one facet, met by both the facet tally (k = 1) and
+    # the vertex tally (k = n)
+    zeroed = [rng.randrange(1, 1 << rank) for _ in range(P.facet_count)]
+    zeroed[P.vertices[-1][-1]] = 0
+    colourings.append(zeroed)
     for cols in colourings:
         lam = Colouring(P, rank, tuple(cols))
         assert not is_proper(P, lam)
         C = CoverComplex(P, lam, tuple(gf2.span(cols)))
         assert _direct_euler_characteristic(C) == _per_face_euler_characteristic(C)
+
+
+@pytest.mark.parametrize("name", POLYTOPE_NAMES)
+def test_face_counts_match_vertex_subsets(request, name):
+    # reference: every codimension-k face as a k-subset of some vertex,
+    # k = 1 and k = n included
+    P = _named_polytope(request, name)
+    n = P.dimension
+    reference = {0: 1}
+    for k in range(1, n + 1):
+        reference[k] = len(set(itertools.chain.from_iterable(
+            itertools.combinations(v, k) for v in P.vertices
+        )))
+    assert _face_counts(P) == reference
+    assert f_vector(P) == tuple(reference[n - d] for d in range(n))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import dodecahedral_chain
 from racover import covers, fileio, pipeline
 from racover.colouring import Colouring, PartialColouring, from_k_colouring
 from racover.covers import (
@@ -28,6 +29,7 @@ from racover.fileio import (
     write_polytope,
 )
 from racover.pipeline import Finding, validate_certificate
+from racover.polytopes import Polytope, make_polygon
 
 
 def test_polytope_round_trip_is_byte_identical(tmp_path, dodecahedron):
@@ -38,6 +40,54 @@ def test_polytope_round_trip_is_byte_identical(tmp_path, dodecahedron):
     assert loaded.same_structure(dodecahedron)
     write_polytope(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _odd_labels_polygon():
+    """A pentagon whose labels need JSON escapes and non-ASCII escapes."""
+    P = make_polygon(5)
+    labels = ['a"b', "back\\slash", "caf\u00e9", "\u2202\U0001d49c", "tab\there"]
+    return Polytope(2, labels, P.adjacency, P.vertices)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "z120", "3-chain", "odd-labels"])
+def test_polytope_writer_matches_json_dumps(request, tmp_path, name):
+    if name == "3-chain":
+        P = dodecahedral_chain(3)
+    elif name == "odd-labels":
+        P = _odd_labels_polygon()
+    else:
+        P = request.getfixturevalue(name)
+    obj = {
+        "format": "racover-polytope",
+        "dimension": P.dimension,
+        "facets": list(P.facet_labels),
+        "adjacency": [list(e) for e in P.adjacency],
+        "vertices": [list(v) for v in P.vertices],
+    }
+    path = tmp_path / "p.json"
+    write_polytope(P, path)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    assert load_polytope(path).facet_labels == P.facet_labels
+
+
+@pytest.mark.parametrize(
+    "key, bad, entry",
+    [
+        ("adjacency", [[0, 1.0], [0, True]], 2),
+        ("adjacency", ["01", [0]], 1),
+        ("vertices", [[0, True], [1]], 1),
+        ("vertices", [{"0": 1}, [0, 1.0]], 0),
+    ],
+)
+def test_malformed_rows_name_the_first_bad_entry(tmp_path, pentagon, key, bad, entry):
+    path = tmp_path / "p.json"
+    write_polytope(pentagon, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    for k, row in enumerate(bad):
+        obj[key][entry + 2 * k] = row
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"{key} entry {entry} "):
+        load_polytope(path)
 
 
 def test_polytope_file_errors(tmp_path, pentagon):

@@ -16,6 +16,8 @@ from racover.colouring import (
     PartialColouring,
     automorphism_order,
     canonical_form,
+    equivalent,
+    induced_colouring,
     is_orientable,
     is_proper,
     normal_sequence,
@@ -224,13 +226,17 @@ def test_chromatic_budget_cuts_off(dodecahedron):
     assert result.count <= 10
 
 
-def _class_seed(z120, census, cls, facet=0, rank=5):
-    """The seed of census class `cls` on a 120-cell facet."""
+def _class_on_facet(z120, census, cls, facet):
+    """Census class `cls` carried onto the facet subpolytope of a 120-cell facet."""
     lam = census.classes[cls].colouring
     sub, _ = facet_subpolytope(z120, facet)
     psi = find_isomorphism(sub, lam.polytope)
-    mu = Colouring(sub, 3, tuple(lam.colours[psi[j]] for j in range(12)))
-    return seed_from_facet(z120, facet, mu, rank=rank)
+    return Colouring(sub, 3, tuple(lam.colours[psi[j]] for j in range(12)))
+
+
+def _class_seed(z120, census, cls, facet=0, rank=5):
+    """The seed of census class `cls` on a 120-cell facet."""
+    return seed_from_facet(z120, facet, _class_on_facet(z120, census, cls, facet), rank=rank)
 
 
 def test_seed_from_facet_structure(z120, census):
@@ -501,6 +507,35 @@ def test_recorded_rank4_proofs(z120, census, cls, nodes):
         z120, seed, SearchBudget(nodes=150_000, seconds=600)
     )
     assert (outcome.status, outcome.nodes) == ("exhausted", nodes)
+
+
+@pytest.mark.parametrize(
+    "facet, cls, nodes", [(0, 22, 2_105_415), (0, 2, 3_891_765), (7, 22, 421_335)]
+)
+def test_decided_rank4_extensions(z120, census, facet, cls, nodes):
+    # with no node limit the search finds a rank-4 orientable extension;
+    # each one is checked independently of the search's own leaf test
+    mu = _class_on_facet(z120, census, cls, facet)
+    outcome = search_orientable_extension(z120, seed_from_facet(z120, facet, mu, rank=4))
+    assert (outcome.status, outcome.nodes) == ("found", nodes)
+    lam = outcome.colouring
+    assert is_proper(z120, lam)
+    assert is_orientable(z120, lam) is not None
+    assert all(gf2.rank(lam.colours[f] for f in v) == 4 for v in z120.vertices)
+    assert equivalent(mu.polytope, induced_colouring(z120, facet, lam), mu)
+
+
+@pytest.mark.parametrize(
+    "facet, cls, nodes",
+    [
+        (0, 1, 79_256), (0, 6, 4_328), (0, 8, 132_664), (0, 9, 45_496), (0, 10, 45_496),
+        (7, 1, 137_840), (7, 6, 15_656), (7, 8, 507_808), (7, 9, 425_368), (7, 10, 425_368),
+    ],
+)
+def test_decided_rank4_proofs(z120, census, facet, cls, nodes):
+    # with no node limit the search proves that no rank-4 extension exists
+    outcome = search_orientable_extension(z120, _class_seed(z120, census, cls, facet, rank=4))
+    assert (outcome.status, outcome.nodes, outcome.colouring) == ("exhausted", nodes, None)
 
 
 def test_extension_search_rejects_a_dependent_seed(dodecahedron):
