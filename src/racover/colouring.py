@@ -294,28 +294,11 @@ def automorphism_order(P: Polytope, lam: Colouring) -> int:
     """Order of the group of symmetries fixing the colouring up to a linear map.
 
     A symmetry sigma qualifies when lam_F -> lam_{sigma F} extends to a
-    well-defined (hence invertible) linear map of the image.
+    well-defined (hence invertible) linear map of the image.  The
+    symmetries sending lam to one orbit key form a coset of that group, so
+    by orbit-stabiliser its order is |symmetries| / |orbit keys|.
     """
-    _require_proper(P, lam)
-    cols = lam.colours
-    count = 0
-    for sigma in symmetry_group(P):
-        pairs: List[Tuple[int, int]] = []
-        ok = True
-        for f in range(len(cols)):
-            v, w = cols[f], cols[sigma[f]]
-            for a, b in pairs:
-                if v & (a & -a):
-                    v ^= a
-                    w ^= b
-            if v:
-                pairs.append((v, w))
-            elif w:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return len(symmetry_group(P)) // len(orbit_keys(P, lam))
 
 
 def transport(lam: Colouring, perm: Sequence[int], Q: Polytope) -> Colouring:

@@ -14,15 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import gf2
 from .colouring import Colouring, induced_colouring, is_orientable, is_proper
-from .polytopes import (
-    Polytope,
-    facet_subpolytope,
-    orbifold_euler_characteristic,
-)
+from .polytopes import Polytope, orbifold_euler_characteristic
 
 __all__ = [
     "CoverError",
@@ -144,21 +140,33 @@ def build_cover(P: Polytope, lam: Colouring, cells_per_copy: int = 1) -> CoverCo
     return CoverComplex(P, lam, group, cells_per_copy)
 
 
+def _components(
+    nodes: Iterable[int], moves: Callable[[int], Iterable[int]]
+) -> List[List[int]]:
+    """Components of a node set under the neighbour function `moves`, each
+    sorted, listed in order of their least node; neighbours outside the
+    set are ignored."""
+    remaining = set(nodes)
+    out = []
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        remaining.remove(start)
+        comp = [start]
+        # comp doubles as the queue: nodes appended here are visited in turn
+        for g in comp:
+            for h in moves(g):
+                if h in remaining:
+                    remaining.remove(h)
+                    comp.append(h)
+        out.append(sorted(comp))
+    return out
+
+
 def cover_connected(C: CoverComplex) -> bool:
     """Connectivity of the copy graph (copies joined by facet gluings)."""
     colours = set(C.colouring.colours)
-    seen = {C.group[0]}
-    frontier = [C.group[0]]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for c in colours:
-                h = g ^ c
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen) == len(C.group)
+    return len(_components(C.group, lambda g: (g ^ c for c in colours))) == 1
 
 
 def _direct_euler_characteristic(C: CoverComplex) -> int:
@@ -221,63 +229,51 @@ def cover_orientable(C: CoverComplex) -> bool:
     return gf2.solve_all_ones(set(C.colouring.colours)) is not None
 
 
-def facet_preimage(C: CoverComplex, F: int) -> List[HypersurfaceComponent]:
-    """Decompose the preimage of facet F into hypersurface components.
+def _preimage_pieces(C: CoverComplex, F: int) -> List[List[int]]:
+    """The components of the preimage of facet F as piece lists.
 
-    Pieces {g, g+colour(F)} are joined when they share a ridge of F, i.e.
-    one copy of the first pair is a colour(G)-translate of the second pair
-    for some facet G adjacent to F.  Every component is then certified
-    isomorphic to the cover of the facet subpolytope under the induced
-    colouring, via the explicit copy map g -> projection(g - basepoint).
+    A piece {g, g + colour(F)} is named by its smaller copy.  Two pieces
+    are joined when they share a ridge of F, i.e. one copy of the first
+    pair is a colour(G)-translate of the second pair for some facet G
+    adjacent to F.
     """
-    P = C.polytope
-    if P.dimension < 3:
+    if C.polytope.dimension < 3:
         raise CoverError("facet preimages need a base of dimension at least 3")
     lam = C.colouring
     lf = lam.colours[F]
+    nb_cols = [lam.colours[G] for G in C.polytope.neighbours[F]]
+    # translating either copy of a pair by colour(G) lands in one pair
+    return _components(
+        {min(g, g ^ lf) for g in C.group},
+        lambda g: (min(g ^ c, g ^ c ^ lf) for c in nb_cols),
+    )
 
-    def rep(g: int) -> int:
-        return min(g, g ^ lf)
 
-    pieces = sorted({rep(g) for g in C.group})
-    nb_cols = [lam.colours[G] for G in P.neighbours[F]]
+def facet_preimage(C: CoverComplex, F: int) -> List[HypersurfaceComponent]:
+    """Decompose the preimage of facet F into hypersurface components.
 
-    remaining = set(pieces)
-    components: List[List[int]] = []
-    while remaining:
-        start = min(remaining)
-        comp = [start]
-        remaining.remove(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for c in nb_cols:
-                    for h in (rep(g ^ c), rep(g ^ lf ^ c)):
-                        if h in remaining:
-                            remaining.remove(h)
-                            comp.append(h)
-                            nxt.append(h)
-            frontier = nxt
-        components.append(sorted(comp))
-
-    sub, inc = facet_subpolytope(P, F)
+    The pieces are grouped by `_preimage_pieces`.  Every component is then
+    certified isomorphic to the cover of the facet subpolytope under the
+    induced colouring, via the explicit copy map
+    g -> projection(g - basepoint).
+    """
+    P = C.polytope
+    components = _preimage_pieces(C, F)
+    lam = C.colouring
+    lf = lam.colours[F]
     mu = induced_colouring(P, F, lam)
     q = gf2.quotient_map(lf)
 
     out = []
     for comp in components:
-        subcover = build_cover(sub, mu, C.cells_per_copy)
-        base = comp[0]
-        phi: Dict[int, int] = {}
-        for g in comp:
-            phi[g] = q(g ^ base)
+        subcover = build_cover(mu.polytope, mu, C.cells_per_copy)
+        phi = {g: q(g ^ comp[0]) for g in comp}
         if sorted(phi.values()) != list(subcover.group):
             raise CoverError("facet preimage component does not match induced cover")
         for g in comp:
             for j, G in enumerate(P.neighbours[F]):
-                partner = rep(g ^ lam.colours[G])
-                if phi[partner] != phi[g] ^ mu.colours[j]:
+                h = g ^ lam.colours[G]
+                if phi[min(h, h ^ lf)] != phi[g] ^ mu.colours[j]:
                     raise CoverError(
                         "facet preimage gluing disagrees with induced cover"
                     )
@@ -300,47 +296,25 @@ def cut_along(C: CoverComplex, S: HypersurfaceComponent) -> CutReport:
     F = S.facet
     if not cover_orientable(C):
         raise CoverError("cut requires an orientable ambient cover")
-    expected = facet_preimage(C, F)
-    if not any(comp.pieces == S.pieces for comp in expected):
+    if list(S.pieces) not in _preimage_pieces(C, F):
         raise CoverError("hypersurface is not a component of the facet preimage")
 
     lf = lam.colours[F]
-    cells = sorted({g for p in S.pieces for g in (p, p ^ lf)})
-    if len(cells) != 2 * len(S.pieces):
-        raise CoverError("piece list is not reduced")
+    cells = {g for p in S.pieces for g in (p, p ^ lf)}
     nb_cols = [lam.colours[G] for G in P.neighbours[F]]
-
-    cell_set = set(cells)
-    remaining = set(cells)
-    comp_sizes = []
-    while remaining:
-        start = min(remaining)
-        remaining.remove(start)
-        size = 1
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for c in nb_cols:
-                    h = g ^ c
-                    if h in remaining:
-                        remaining.remove(h)
-                        size += 1
-                        nxt.append(h)
-                    elif h not in cell_set:
-                        raise CoverError("boundary gluing left the cut locus")
-            frontier = nxt
-        comp_sizes.append(size)
+    if any(g ^ c not in cells for g in cells for c in nb_cols):
+        raise CoverError("boundary gluing left the cut locus")
+    comp_sizes = list(map(len, _components(cells, lambda g: (g ^ c for c in nb_cols))))
 
     one_sided = len(comp_sizes) == 1
-    sub, inc = facet_subpolytope(P, F)
     mu = induced_colouring(P, F, lam)
+    sub = mu.polytope
     if one_sided != (is_orientable(sub, mu) is None):
         raise CoverError("sidedness disagrees with induced-colouring orientability")
 
     # the boundary is the cover of the facet subpolytope under the
     # restriction colouring (full ambient colours of the neighbours)
-    restriction = Colouring(sub, lam.rank, tuple(lam.colours[g] for g in inc))
+    restriction = Colouring(sub, lam.rank, tuple(lam.colours[g] for g in P.neighbours[F]))
     boundary_orientable = cover_orientable(build_cover(sub, restriction))
 
     sizes = tuple(s * C.cells_per_copy for s in comp_sizes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .colouring import (
@@ -21,7 +21,6 @@ from .colouring import (
     canonical_form,
     equivalent,
     image_dimension,
-    induced_colouring,
     is_orientable,
     is_proper,
     transport,
@@ -99,8 +98,6 @@ class ChainAssembly:
     `d_facet` is the facet of Q into which the summands' dodecahedral
     facets merged; `natural_map` sends facet j of its subpolytope to the
     facet of P it corresponds to under the per-summand trace maps.
-    `chosen` and `extension` are provenance and may be absent on
-    assemblies reloaded from files.
     """
 
     n: int
@@ -113,8 +110,6 @@ class ChainAssembly:
     glue_steps: Tuple[GlueStep, ...]
     natural_map: Tuple[int, ...]
     base_facet: int
-    chosen: Optional[ChosenClass] = None
-    extension: Optional[SearchOutcome] = None
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ def assemble_chain(
     if any(w is None for w in witness_facets):
         raise Finding("a witness facet was consumed by the gluings")
     sub, incQ = facet_subpolytope(Q, d_facet)
-    nat = _natural_map(Q, incQ, d_of_z, p_prov)
+    nat = _natural_map(Q, incQ, d_of_z, q_prov, p_prov)
     _verify_facet_map(sub, P, nat)
     return ChainAssembly(
         n,
@@ -323,8 +318,6 @@ def assemble_chain(
         glue_steps,
         nat,
         base_facet,
-        chosen,
-        outcome,
     )
 
 
@@ -332,30 +325,30 @@ def _natural_map(
     Q: Polytope,
     incQ: Sequence[int],
     d_of_z: Dict[int, int],
+    q_prov: Sequence[Sequence[Optional[int]]],
     p_prov: Sequence[Sequence[Optional[int]]],
 ) -> Tuple[int, ...]:
     """Facet map from the subpolytope of the merged facet, whose facets sit
-    on the chain facets `incQ`, onto P, read off the chain provenance:
-    every piece of a chain facet adjacent to the merged facet traces a
-    dodecahedral facet in its own summand, and all pieces must point at the
-    same facet of P."""
-    z_index = {lab: f for f, lab in enumerate(make_120cell().facet_labels)}
+    on the chain facets `incQ`, onto P, read off the chain provenance.
+
+    In every summand, a 120-cell facet z next to the base facet traces the
+    dodecahedral facet d_of_z[z].  A chain facet joins pieces of one base
+    facet, so each piece of a chain facet next to the merged one is such a
+    z, and all of them must point at the same facet of P.
+    """
+    targets: Dict[int, Set[Optional[int]]] = {}
+    for q_row, p_row in zip(q_prov, p_prov):
+        for z, d in d_of_z.items():
+            if q_row[z] is not None:
+                targets.setdefault(q_row[z], set()).add(p_row[d])
     nat = []
     for qf in incQ:
-        targets = set()
-        for piece in Q.facet_labels[qf].split("|"):
-            tag, zlab = piece.split(".", 1)
-            zf = z_index.get(zlab)
-            if zf is None or zf not in d_of_z:
-                raise PolytopeError(
-                    f"chain facet {Q.facet_labels[qf]} has a piece off the merged facet"
-                )
-            targets.add(p_prov[int(tag) - 1][d_of_z[zf]])
-        if len(targets) != 1 or None in targets:
+        found = targets.get(qf, set())
+        if len(found) != 1 or None in found:
             raise PolytopeError(
                 f"chain facet {Q.facet_labels[qf]} does not align across summands"
             )
-        nat.append(targets.pop())
+        nat.append(found.pop())
     return tuple(nat)  # type: ignore[arg-type]
 
 
@@ -486,13 +479,16 @@ def run_checks(
         expect(cut.ratio_numeric < 53, f"ratio {cut.ratio_numeric} is not below 53")
         return f"{cut.ratio_exact} = {cut.ratio_numeric:.4f} < 53"
 
+    # the preimage components carry the cover of the merged facet's
+    # subpolytope under the colouring lam_Q induces on it
+    merged = components[0].subcover
+
     def long_facet() -> str:
-        subQ, _ = facet_subpolytope(a.Q, a.d_facet)
-        _verify_facet_map(subQ, a.P, a.natural_map)
+        _verify_facet_map(merged.polytope, a.P, a.natural_map)
         return "merged-facet subpolytope is the chain, via the provenance map"
 
     def induced() -> str:
-        mu = induced_colouring(a.Q, a.d_facet, a.lam_Q)
+        mu = merged.colouring
         expect(
             equivalent(a.P, transport(mu, a.natural_map, a.P), a.mu_P),
             "induced colouring is not the chain colouring",

@@ -21,13 +21,18 @@ from .colouring import (
     Colouring,
     ColouringError,
     PartialColouring,
-    automorphism_order,
     is_orientable,
     is_proper,
     normal_sequence,
     orbit_keys,
 )
-from .polytopes import Polytope, facet_subpolytope, greedy_facet_order, symmetry_generators
+from .polytopes import (
+    Polytope,
+    facet_subpolytope,
+    greedy_facet_order,
+    symmetry_generators,
+    symmetry_group,
+)
 
 __all__ = [
     "SearchBudget",
@@ -288,10 +293,11 @@ def enumerate_small_covers(
     def leaf() -> bool:
         lam = _proper_leaf(P, n, colours)
         if normal_sequence(lam.colours) not in seen:
-            seen.update(orbit_keys(P, lam))
-            records.append(
-                ClassRecord(lam, is_orientable(P, lam) is not None, automorphism_order(P, lam))
-            )
+            keys = orbit_keys(P, lam)
+            seen.update(keys)
+            # orbit-stabiliser, as in `automorphism_order`
+            order = len(symmetry_group(P)) // len(keys)
+            records.append(ClassRecord(lam, is_orientable(P, lam) is not None, order))
         return False
 
     status, nodes, seconds = _depth_first(

@@ -228,6 +228,42 @@ def test_automorphism_order_counts_colour_preserving_symmetries(pentagon, census
     assert automorphism_order(rec.colouring.polytope, rec.colouring) == rec.automorphisms
 
 
+def _automorphism_order_by_elimination(P, lam):
+    """Reference count: the symmetries sigma for which lam_F -> lam_{sigma F}
+    extends to a well-defined linear map, each tested by elimination."""
+    cols = lam.colours
+    count = 0
+    for sigma in symmetry_group(P):
+        pairs = []
+        ok = True
+        for f in range(len(cols)):
+            v, w = cols[f], cols[sigma[f]]
+            for a, b in pairs:
+                if v & (a & -a):
+                    v ^= a
+                    w ^= b
+            if v:
+                pairs.append((v, w))
+            elif w:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def test_automorphism_order_matches_the_elimination_count(dodecahedron, census):
+    lams = [r.colouring for r in census.classes]
+    lams.append(from_k_colouring(dodecahedron, DODECA_4COL))
+    orders = []
+    for lam in lams:
+        order = automorphism_order(dodecahedron, lam)
+        assert order == _automorphism_order_by_elimination(dodecahedron, lam)
+        orders.append(order)
+    assert [r.automorphisms for r in census.classes] == orders[:-1]
+    assert sorted(orders[:-1]) == [1] * 14 + [2] * 7 + [4, 6, 12, 24]
+
+
 def test_transport_round_trip(pentagon):
     lam = Colouring(pentagon, 2, (1, 2, 1, 2, 3))
     sigma = symmetry_group(pentagon)[3]

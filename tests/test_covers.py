@@ -13,6 +13,7 @@ from racover.colouring import Colouring, from_k_colouring, is_proper
 from racover.covers import (
     CoverComplex,
     CoverError,
+    HypersurfaceComponent,
     _direct_euler_characteristic,
     build_cover,
     cover_connected,
@@ -118,6 +119,14 @@ def test_cut_two_sided_case(dodecahedron):
     assert cut.boundary_orientable == (True, True)
     assert cut.ambient_cells == 16
     assert cut.ratio_exact == "16:16"
+
+
+def test_cut_rejects_part_of_a_component(dodecahedron):
+    C = build_cover(dodecahedron, from_k_colouring(dodecahedron, DODECA_4COL))
+    (comp,) = facet_preimage(C, 0)
+    part = HypersurfaceComponent(0, comp.pieces[:-1], comp.subcover)
+    with pytest.raises(CoverError, match="not a component"):
+        cut_along(C, part)
 
 
 def test_cut_one_sided_case(dodecahedron, census):

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
 from racover import gf2, polytopes
 from racover.colouring import equivalent, induced_colouring, is_orientable, is_proper, transport
+from racover.fileio import load_certificate, write_certificate
 from racover.pipeline import (
     Finding,
     GlueStep,
@@ -270,6 +272,28 @@ def test_assembly_builds_a_constant_number_of_polytopes(census, z120, monkeypatc
         assemble_chain(chosen, n)
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_certificate_round_trip_builds_few_facet_subpolytopes(census, tmp_path, monkeypatch):
+    # every module that imported facet_subpolytope calls through the counter
+    calls = []
+    original = polytopes.facet_subpolytope
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("racover") and getattr(module, "facet_subpolytope", None) is original:
+            monkeypatch.setattr(module, "facet_subpolytope", counting)
+    for n in (1, 3):
+        calls.clear()
+        cert = certify(n)
+        assert len(calls) <= 5, n
+        path = write_certificate(cert, tmp_path / str(n))
+        calls.clear()
+        validate_certificate(load_certificate(path))
+        assert len(calls) <= 2, n
 
 
 def test_verify_facet_map_rejects_two_swapped_facets(dodecahedron):
