@@ -20,14 +20,16 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from . import __version__, fileio, gf2
+from . import __version__, fileio
 from .colouring import (
     Colouring,
     ColouringError,
     PartialColouring,
+    dependent_vertex,
     from_k_colouring,
     image_dimension,
     is_orientable,
+    is_proper,
     non_orientability_witness,
 )
 from .covers import CoverError, build_cover, cover_summary
@@ -107,10 +109,9 @@ def cmd_check(args: argparse.Namespace, t0: float) -> int:
         print("proper so far at every fully assigned vertex")
         return EXIT_OK
     print(f"facets: {P.facet_count}, rank: {lam.rank}")
-    for v in P.vertices:
-        if not gf2.independent([lam.colours[i] for i in v]):
-            print(f"proper: no; vertex {v} carries dependent colours")
-            return EXIT_FINDING
+    if not is_proper(P, lam):
+        print(f"proper: no; vertex {dependent_vertex(P, lam.colours)} carries dependent colours")
+        return EXIT_FINDING
     dim = image_dimension(lam)
     print(f"proper: yes")
     print(f"image dimension: {dim} (cover degree {2 ** dim})")

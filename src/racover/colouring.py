@@ -9,6 +9,7 @@ equivalent to a covector hitting 1 on every colour.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -26,6 +27,7 @@ __all__ = [
     "Colouring",
     "PartialColouring",
     "is_proper",
+    "dependent_vertex",
     "image_dimension",
     "is_orientable",
     "zero_sum_triples",
@@ -99,10 +101,9 @@ class PartialColouring:
         for c in self.colours:
             if c is not None and not 0 <= c < 1 << self.rank:
                 raise ColouringError(f"colour {c} outside GF(2)^{self.rank}")
-        for v in self.polytope.vertices:
-            vals = [self.colours[i] for i in v]
-            if None not in vals and not gf2.independent(vals):  # type: ignore[arg-type]
-                raise ColouringError(f"dependent colours at vertex {v}")
+        v = dependent_vertex(self.polytope, self.colours)
+        if v is not None:
+            raise ColouringError(f"dependent colours at vertex {v}")
 
     @property
     def assigned(self) -> int:
@@ -114,11 +115,51 @@ class PartialColouring:
         return Colouring(self.polytope, self.rank, tuple(self.colours))  # type: ignore[arg-type]
 
 
-def _independent_at_vertices(P: Polytope, cols: Sequence[int]) -> bool:
-    # a chain has thousands of vertices but a few hundred distinct colour
-    # tuples at them; each tuple is tested once per call
+# Whether the colours at a vertex pass the properness test, by colour
+# tuple: a chain has thousands of vertices but a few hundred distinct
+# tuples, and a census meets the same tuples at every leaf.  A tuple with
+# an unassigned facet (None) passes.  Process-wide, and cleared before it
+# would pass _INDEPENDENCE_LIMIT entries.
+_independence: Dict[Tuple[Optional[int], ...], bool] = {}
+_INDEPENDENCE_LIMIT = 1 << 14
+# _COLUMN[j] reads the j-th facet of a vertex (dimension is at most 4)
+_COLUMN = tuple(map(operator.itemgetter, range(4)))
+
+
+def _vertex_colours(P: Polytope, cols: Sequence[Optional[int]]) -> Iterator[tuple]:
+    # the colour tuple at each vertex in vertex order, built column by
+    # column in C from streamed columns: stored ones would cost memory on
+    # chains, and transposed 20-tuples (the dodecahedron's) pile up in
+    # CPython's tuple free list
     get = cols.__getitem__
-    return all(gf2.independent(key) for key in {tuple(map(get, v)) for v in P.vertices})
+    return zip(*[map(get, map(column, P.vertices)) for column in _COLUMN[:P.dimension]])
+
+
+def _independent_at_vertices(P: Polytope, cols: Sequence[Optional[int]]) -> bool:
+    memo = _independence
+    try:
+        return all(map(memo.__getitem__, _vertex_colours(P, cols)))
+    except KeyError:
+        keys = set(_vertex_colours(P, cols))
+    if len(memo) + len(keys) > _INDEPENDENCE_LIMIT:
+        memo.clear()
+    for key in keys - memo.keys():
+        memo[key] = None in key or gf2.independent(key)
+    return all(map(memo.__getitem__, _vertex_colours(P, cols)))
+
+
+def dependent_vertex(
+    P: Polytope, cols: Sequence[Optional[int]]
+) -> Optional[Tuple[int, ...]]:
+    """The first vertex of P whose colours are all assigned (not None) and
+    linearly dependent, or None when there is none."""
+    if _independent_at_vertices(P, cols):
+        return None
+    # the lookup above stopped at the first failing vertex, so every tuple
+    # up to it is in the memo
+    return next(
+        v for v, key in zip(P.vertices, _vertex_colours(P, cols)) if not _independence[key]
+    )
 
 
 def is_proper(P: Polytope, lam: Colouring) -> bool:

@@ -72,34 +72,34 @@ class _Meter:
         self._limit = budget.nodes if budget else None
         self._t0 = time.monotonic()
         self._deadline = self._t0 + budget.seconds if budget else None
-        # a count below _next needs no check: it is the lower of the next
-        # multiple of 4096 and limit + 1
+        # time checks are amortized: the clock is read when the count
+        # crosses _mark, the next multiple of 4096; the node limit provides
+        # hard determinism.  A count below _next, the lower of _mark and
+        # limit + 1, needs no check.
+        self._mark = 4096
         self._next = min(4096, budget.nodes + 1) if budget else math.inf
 
-    def tick(self, k: int) -> None:
-        """Count k nodes at once; a budget stops the count exactly where k
-        single ticks would have stopped it."""
-        self.nodes += k
-        if self.nodes >= self._next:
-            self._check(self.nodes - k)
-
-    def _check(self, start: int) -> None:
+    def _check(self, nodes: int) -> int:
+        """Take a count that reached _next: raise BudgetError where the
+        budget stops it, else return the next _next.  The count rose from
+        below _next, so _mark is the first multiple of 4096 it may have
+        crossed."""
+        self.nodes = nodes
         limit = self._limit
         assert limit is not None
-        # time checks are amortized: the clock is read when the count
-        # crosses a multiple of 4096; the node limit provides hard determinism
-        crossing = ((start >> 12) + 1) << 12
+        crossing = self._mark
         if (
-            crossing <= self.nodes
+            crossing <= nodes
             and crossing <= limit
             and time.monotonic() > self._deadline  # type: ignore[operator]
         ):
             self.nodes = crossing
             raise BudgetError
-        if self.nodes > limit:
+        if nodes > limit:
             self.nodes = limit + 1
             raise BudgetError
-        self._next = min(((self.nodes >> 12) + 1) << 12, limit + 1)
+        self._mark = ((nodes >> 12) + 1) << 12
+        return min(self._mark, limit + 1)
 
     @property
     def seconds(self) -> float:
@@ -213,45 +213,64 @@ def _depth_first(
     admissible colour are ticked in one batch with it, and the rest of the
     palette at the end, so a budget stops where one tick per candidate
     would.  A facet's colour is only read at later depths, so nothing is
-    undone on the way back.  Returns the status ("found" when `leaf`
-    stopped the search, "exhausted" or "budget-out"), the node count and
-    the seconds taken.
+    undone on the way back.  One loop over an explicit stack (the colours
+    left and the last position ticked per depth), so the depth is not
+    bounded by the interpreter's recursion limit.  Returns the status
+    ("found" when `leaf` stopped the search, "exhausted" or "budget-out"),
+    the node count and the seconds taken.
     """
     meter = _Meter(budget)
-    tick = meter.tick
+    count = 0
+    nxt = meter._next
     end = len(order)
     size = position[palette_mask.bit_length() - 1]
-
-    def rec(depth: int) -> bool:
-        if depth == end:
-            return leaf()
-        f = order[depth]
-        singles, pairs, triples = sets[depth]
-        forbidden = 0
-        for g in singles:
-            forbidden |= 1 << colours[g]  # type: ignore[operator]
-        for a, b in pairs:
-            forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
-        for a, b, c in triples:
-            forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
-        allowed = palette_mask & ~forbidden
-        done = 0
-        while allowed:
+    # bit[f] = 1 << colours[f] for every coloured facet
+    bit = [0 if c is None else 1 << c for c in colours]
+    left = [0] * end
+    ticked = [0] * end
+    depth = 0
+    status = "exhausted"
+    try:
+        while True:
+            if depth < end:
+                singles, pairs, triples = sets[depth]
+                forbidden = 0
+                for g in singles:
+                    forbidden |= bit[g]
+                for a, b in pairs:
+                    forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
+                for a, b, c in triples:
+                    forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
+                left[depth] = palette_mask & ~forbidden
+                ticked[depth] = 0
+            elif leaf():
+                status = "found"
+                break
+            else:
+                depth -= 1
+            # back up to the deepest depth with a colour left, ticking the
+            # rest of the palette at each spent one
+            while depth >= 0 and not left[depth]:
+                count += size - ticked[depth]
+                if count >= nxt:
+                    nxt = meter._check(count)
+                depth -= 1
+            if depth < 0:
+                break
+            allowed = left[depth]
             low = allowed & -allowed
-            allowed ^= low
+            left[depth] = allowed ^ low
             v = low.bit_length() - 1
             k = position[v]
-            tick(k - done)
-            done = k
+            count += k - ticked[depth]
+            if count >= nxt:
+                nxt = meter._check(count)
+            ticked[depth] = k
+            f = order[depth]
             colours[f] = v
-            if rec(depth + 1):
-                return True
-        if done < size:
-            tick(size - done)
-        return False
-
-    try:
-        status = "found" if rec(0) else "exhausted"
+            bit[f] = low
+            depth += 1
+        meter.nodes = count
     except BudgetError:
         status = "budget-out"
     return status, meter.nodes, meter.seconds

@@ -89,6 +89,24 @@ def test_check_flags_an_improper_colouring(tmp_path, pentagon, capsys):
     assert "dependent colours" in out
 
 
+def test_check_names_the_first_dependent_vertex(tmp_path, pentagon, capsys):
+    # the vertices are (0, 1), (0, 4), (1, 2), (2, 3), (3, 4); both colourings
+    # are dependent at (0, 4) and (3, 4), and the total one also at (1, 2)
+    write_polytope(pentagon, tmp_path / "p.json")
+    (tmp_path / "c.txt").write_text("rank 2\n1\n2\n2\n1\n1\n", encoding="utf-8")
+    code = main(["check", str(tmp_path / "p.json"), str(tmp_path / "c.txt")])
+    assert code == EXIT_FINDING
+    assert capsys.readouterr().out == (
+        "facets: 5, rank: 2\nproper: no; vertex (0, 4) carries dependent colours\n"
+    )
+    (tmp_path / "q.txt").write_text("rank 2\n1\n-\n2\n1\n1\n", encoding="utf-8")
+    code = main(["check", str(tmp_path / "p.json"), str(tmp_path / "q.txt")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'q.txt'}: dependent colours at vertex (0, 4)\n"
+    )
+
+
 def test_check_accepts_a_partial_colouring(tmp_path, pentagon, capsys):
     write_polytope(pentagon, tmp_path / "p.json")
     (tmp_path / "c.txt").write_text("rank 2\n1\n-\n1\n2\n-\n", encoding="utf-8")
@@ -197,6 +215,20 @@ def test_enumerate_chromatic_summary(tmp_path, pentagon, capsys):
     assert len(summary["representatives"]) == 5
     for name in summary["representatives"]:
         assert (tmp_path / name).exists()
+
+
+def test_enumerate_chromatic_on_a_ten_summand_chain(tmp_path, capsys):
+    # the ambient chain has 1 074 facets, one search depth each
+    assert main(["certify", "--n", "10", "--out", str(tmp_path / "cert")]) == EXIT_OK
+    capsys.readouterr()
+    code = main([
+        "enumerate", str(tmp_path / "cert" / "ambient.json"), "--chromatic", "5",
+        "--budget-nodes", "100000", "--out", str(tmp_path / "chromatic"),
+    ])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.endswith(
+        "10 colouring(s) up to renaming, 1 up to symmetry; complete\n"
+    )
 
 
 def test_extend_finds_an_extension(tmp_path, z120, census, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_proper_colouring
+from conftest import dodecahedral_chain, random_proper_colouring
 from racover import colouring, gf2
 from racover.colouring import (
     Colouring,
@@ -13,6 +13,7 @@ from racover.colouring import (
     PartialColouring,
     automorphism_order,
     canonical_form,
+    dependent_vertex,
     equivalent,
     extend_colouring_generic,
     from_k_colouring,
@@ -27,6 +28,7 @@ from racover.colouring import (
 )
 from racover.covers import CoverError, build_cover
 from racover.polytopes import facet_subpolytope, symmetry_group
+from racover.search import enumerate_chromatic_colourings
 
 # a proper 4-colouring of the dodecahedron in the canonical face numbering
 DODECA_4COL = [1, 2, 3, 4, 2, 4, 3, 4, 1, 3, 1, 2]
@@ -155,6 +157,91 @@ def test_properness_is_checked_once_per_colouring(monkeypatch, dodecahedron):
     for _ in range(2):
         assert is_proper(copy, mu)
     assert seen.count((copy, mu.colours)) == 2
+
+
+def _first_dependent_by_rank(P, cols):
+    """The per-vertex loop the properness memo replaced: the first vertex
+    whose colours have rank below the dimension, or None."""
+    for v in P.vertices:
+        if gf2.rank([cols[i] for i in v]) != P.dimension:
+            return v
+    return None
+
+
+def _colourings_to_check(P, rank, rng, count=3):
+    """Proper colourings, each followed by improper variants: one colour
+    zeroed, one colour repeated from a neighbour, at rank 4 one vertex's
+    fourth colour replaced by the XOR of its other three, and a uniformly
+    random assignment.  The 120-cell's proper rank-4 colourings send the
+    five colours of a chromatic colouring to four basis vectors and their
+    sum, any four of which are independent."""
+    if P.dimension == 4:
+        reps = enumerate_chromatic_colourings(P, 5).representatives
+        basis = [1, 2, 4, 8, 15]
+        propers = []
+        for _ in range(count):
+            rng.shuffle(basis)
+            propers.append([basis[c - 1] for c in rng.choice(reps)])
+    else:
+        propers = [list(random_proper_colouring(P, rank, rng).colours) for _ in range(count)]
+    out = []
+    for cols in propers:
+        f = rng.randrange(P.facet_count)
+        zero, repeat = cols[:], cols[:]
+        zero[f] = 0
+        repeat[f] = cols[rng.choice(P.neighbours[f])]
+        out += [tuple(cols), tuple(zero), tuple(repeat)]
+        if rank == 4:
+            a, b, c, d = P.vertices[rng.randrange(len(P.vertices))]
+            xor = cols[:]
+            xor[d] = cols[a] ^ cols[b] ^ cols[c]
+            out.append(tuple(xor))
+        out.append(tuple(rng.randrange(1 << rank) for _ in cols))
+    return out
+
+
+def _agrees_with_the_rank_loop(P, rank, cols):
+    first = _first_dependent_by_rank(P, cols)
+    assert is_proper(P, Colouring(P, rank, cols)) == (first is None)
+    assert dependent_vertex(P, cols) == first
+    return first is None
+
+
+@pytest.mark.parametrize(
+    "name,rank", [("pentagon", 2), ("dodecahedron", 3), ("z120", 4), ("chain", 3)]
+)
+def test_memoised_properness_matches_a_per_vertex_rank_loop(request, name, rank):
+    P = dodecahedral_chain(3) if name == "chain" else request.getfixturevalue(name)
+    verdicts = {
+        _agrees_with_the_rank_loop(P, rank, cols)
+        for cols in _colourings_to_check(P, rank, random.Random(rank))
+    }
+    assert verdicts == {True, False}
+
+
+def test_properness_memo_is_shared_across_polytopes_and_survives_clearing(
+    monkeypatch, dodecahedron
+):
+    chain = dodecahedral_chain(3)
+    rng = random.Random(7)
+    first = [(dodecahedron, cols) for cols in _colourings_to_check(dodecahedron, 3, rng)]
+    then = [(chain, cols) for cols in _colourings_to_check(chain, 3, rng)]
+    colouring._independence.clear()
+    for P, cols in first:
+        _agrees_with_the_rank_loop(P, 3, cols)
+    # tuples the dodecahedron left in the memo, both verdicts, are met on the chain
+    on_chain = {tuple(cols[i] for i in v) for _, cols in then for v in chain.vertices}
+    met = on_chain & colouring._independence.keys()
+    assert {colouring._independence[key] for key in met} == {True, False}
+    for P, cols in then:
+        _agrees_with_the_rank_loop(P, 3, cols)
+    # after a clear, and with a limit a single call can exceed
+    colouring._independence.clear()
+    monkeypatch.setattr(colouring, "_INDEPENDENCE_LIMIT", 16)
+    for P, cols in first + then:
+        _agrees_with_the_rank_loop(P, 3, cols)
+        distinct = {tuple(cols[i] for i in v) for v in P.vertices}
+        assert len(colouring._independence) <= max(16, len(distinct))
 
 
 def test_induced_colouring_on_a_dodecahedron_facet(dodecahedron):

@@ -23,6 +23,7 @@ from racover.colouring import (
     normal_sequence,
     orbit_keys,
 )
+from racover.pipeline import assemble_chain, select_class
 from racover.polytopes import (
     Polytope,
     facet_subpolytope,
@@ -876,12 +877,25 @@ def test_chromatic_search_reads_adjacencies_no_vertex_shows():
                 assert all(rep[i] != rep[j] for i, j in P.adjacency)
 
 
-@pytest.mark.parametrize("nodes", [1, 40, 4_095, 4_096, 4_097])
+# the search has 11 795 nodes and ends with end-of-palette ticks, so
+# 11 794 stops in one of them and nowhere else
+@pytest.mark.parametrize("nodes", [1, 40, 4_095, 4_096, 4_097, 11_794])
 def test_budgeted_chromatic_search_stops_where_the_reference_stops(dodecahedron, nodes):
     budget = SearchBudget(nodes=nodes, seconds=600)
     got = _chromatic(dodecahedron, 5, budget)
     assert got == _reference_chromatic(dodecahedron, 5, budget)
     assert got[2:4] == (False, nodes + 1)
+
+
+def test_chromatic_search_on_a_ten_summand_chain(census):
+    # one search depth per facet: 1 074 of them, more than the interpreter's
+    # default recursion limit
+    Q = assemble_chain(select_class(census, "max-symmetry"), 10).Q
+    assert Q.facet_count == 1074
+    got = _chromatic(Q, 5, SearchBudget(nodes=100_000))
+    assert got[:4] == (10, 1, True, 76_320)
+    for rep in got[4]:
+        assert all(rep[i] != rep[j] for i, j in Q.adjacency)
 
 
 def test_chromatic_search_reads_the_clock_at_the_first_4096_crossing(
