@@ -387,14 +387,10 @@ def _ratio_string(ambient_cells: int, boundary_cells: int, dimension: int) -> st
     return f"{num}/{den}"
 
 
-def volume(obj) -> Volume | Tuple[Volume, Volume]:
-    """Volume of a cover, or the (ambient, boundary) pair of a cut."""
-    if isinstance(obj, CoverComplex):
-        edges = obj.polytope.facet_count if obj.polytope.dimension == 2 else None
-        return volume_of_cells(obj.cells, obj.polytope.dimension, edges)
-    if isinstance(obj, CutReport):
-        return obj.ambient_volume, obj.boundary_volume
-    raise CoverError(f"no volume defined for {type(obj).__name__}")
+def volume(C: CoverComplex) -> Volume:
+    """Volume of a cover."""
+    edges = C.polytope.facet_count if C.polytope.dimension == 2 else None
+    return volume_of_cells(C.cells, C.polytope.dimension, edges)
 
 
 # ---------------------------------------------------------------------------

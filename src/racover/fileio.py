@@ -338,14 +338,12 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             CheckResult(c["name"], c["passed"], c["detail"]) for c in obj["checks"]
         )
         return Certificate(
-            n,
             obj["policy"],
             cls["index"],
             cls["id"],
             cls["automorphisms"],
             tuple(cls["witness"]),
             cls["glue_facet"],
-            assembly.glue_steps,
             assembly,
             cover,
             components,

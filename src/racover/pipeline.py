@@ -126,16 +126,15 @@ class Certificate:
     `stored` is the parsed certificate file a certificate was loaded from,
     and None for one built in memory.  A loaded certificate's cover,
     components and cut were rebuilt from its stored chains on loading.
+    The chain length and glue steps are the assembly's.
     """
 
-    n: int
     policy: str
     class_index: int
     class_id: str
     automorphisms: int
     witness: Tuple[int, int, int]
     glue_facet: int
-    glue_steps: Tuple[GlueStep, ...]
     assembly: ChainAssembly
     cover: CoverComplex
     components: Tuple[HypersurfaceComponent, ...]
@@ -143,6 +142,14 @@ class Certificate:
     checks: Tuple[CheckResult, ...]
     notes: Tuple[str, ...]
     stored: Optional[Mapping[str, Any]] = None
+
+    @property
+    def n(self) -> int:
+        return self.assembly.n
+
+    @property
+    def glue_steps(self) -> Tuple[GlueStep, ...]:
+        return self.assembly.glue_steps
 
     @property
     def passed(self) -> bool:
@@ -273,7 +280,9 @@ def assemble_chain(
     antipode for even t, so each summand's two glue facets are disjoint
     and each chain is built in one pass.  The witness triple of the first
     summand is never touched by any gluing, so the chain colouring stays
-    non-orientable for every n.
+    non-orientable for every n.  The natural map is read off the chain
+    provenance here and verified once, by the `long-facet-subpolytope`
+    check.
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
@@ -304,9 +313,7 @@ def assemble_chain(
     witness_facets = tuple(p_prov[0][w] for w in chosen.witness)
     if any(w is None for w in witness_facets):
         raise Finding("a witness facet was consumed by the gluings")
-    sub, incQ = facet_subpolytope(Q, d_facet)
-    nat = _natural_map(Q, incQ, d_of_z, q_prov, p_prov)
-    _verify_facet_map(sub, P, nat)
+    nat = _natural_map(Q, Q.neighbours[d_facet], d_of_z, q_prov, p_prov)
     return ChainAssembly(
         n,
         P,
@@ -555,14 +562,12 @@ def certify(
     checks, notes = run_checks(a, cover, components, cut)
     class_id = canonical_form(chosen.colouring.polytope, chosen.colouring).decode()
     return Certificate(
-        n,
         policy,
         chosen.index,
         class_id,
         chosen.automorphisms,
         chosen.witness,
         chosen.glue_facet,
-        a.glue_steps,
         a,
         cover,
         components,

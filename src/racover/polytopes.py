@@ -391,6 +391,64 @@ def identity_matching(P1: Polytope, F1: int, P2: Polytope, F2: int) -> FacetMatc
     return FacetMatching(F1, F2, tuple((g, g) for g in P1.neighbours[F1]))
 
 
+def _glue(
+    parts: Sequence[Tuple[Polytope, str]],
+    joins: Sequence[Tuple[int, int, Dict[int, int]]],
+) -> Tuple[Polytope, Tuple[Tuple[Optional[int], ...], ...]]:
+    """Glue parts[s] = (polytope, label prefix) end to end in one pass.
+
+    joins[s] = (F, F2, sigma) glues facet F of part s to facet F2 of part
+    s + 1; both disappear, and sigma maps each neighbour of F to its
+    partner at F2, with which it merges.  Facets are laid out part by part
+    in index order: a merged facet sits at the position of its first piece
+    and its label joins the pieces' prefixed labels with '|'.  Vertices on
+    a glued facet become interior and are dropped.  Returns the sum plus
+    one provenance map per part from its facets to the sum's (None for the
+    glued facets).
+    """
+    prov: List[List[Optional[int]]] = []
+    pieces: List[List[str]] = []
+    for s, (P, prefix) in enumerate(parts):
+        glued = set()
+        partner: Dict[int, Optional[int]] = {}
+        if s:
+            _, F2, sigma = joins[s - 1]
+            glued.add(F2)
+            partner = {b: prov[-1][a] for a, b in sigma.items()}
+        if s < len(joins):
+            glued.add(joins[s][0])
+        row: List[Optional[int]] = [None] * P.facet_count
+        for g, label in enumerate(P.facet_labels):
+            if g in glued:
+                continue
+            if g in partner:
+                row[g] = partner[g]
+            else:
+                row[g] = len(pieces)
+                pieces.append([])
+            pieces[row[g]].append(prefix + label)  # type: ignore[index]
+        prov.append(row)
+
+    adj = set()
+    verts = []
+    for (P, _), row in zip(parts, prov):
+        for i, j in P.adjacency:
+            a, b = row[i], row[j]
+            if a is not None and b is not None:
+                adj.add((a, b) if a < b else (b, a))
+        for v in P.vertices:
+            mapped = [row[g] for g in v]
+            if None not in mapped:
+                verts.append(mapped)
+    # joined and checked last: a label set taken before the mapping left
+    # certification's peak memory higher
+    labels = ["|".join(p) for p in pieces]
+    if len(set(labels)) != len(labels):
+        raise PolytopeError("facet label collision; relabel the summands first")
+    out = Polytope(parts[0][0].dimension, labels, adj, verts)
+    return out, tuple(map(tuple, prov))
+
+
 def connected_sum(
     P1: Polytope, P2: Polytope, m: FacetMatching
 ) -> Tuple[Polytope, Tuple[Optional[int], ...], Tuple[Optional[int], ...]]:
@@ -403,56 +461,8 @@ def connected_sum(
     facets).
     """
     m.validate(P1, P2)
-    F1, F2 = m.facet1, m.facet2
-    sigma = dict(m.pairing)
-    sigma_inv = {b: a for a, b in m.pairing}
-
-    map1: List[Optional[int]] = [None] * P1.facet_count
-    map2: List[Optional[int]] = [None] * P2.facet_count
-    labels: List[str] = []
-    for g in range(P1.facet_count):
-        if g == F1:
-            continue
-        map1[g] = len(labels)
-        if g in sigma:
-            labels.append(f"{P1.facet_labels[g]}|{P2.facet_labels[sigma[g]]}")
-        else:
-            labels.append(P1.facet_labels[g])
-    for h in range(P2.facet_count):
-        if h == F2:
-            continue
-        if h in sigma_inv:
-            map2[h] = map1[sigma_inv[h]]
-        else:
-            map2[h] = len(labels)
-            labels.append(P2.facet_labels[h])
-    if len(set(labels)) != len(labels):
-        raise PolytopeError("facet label collision; relabel the summands first")
-
-    adj = set()
-    for i, j in P1.adjacency:
-        if F1 in (i, j):
-            continue
-        a, b = map1[i], map1[j]
-        adj.add((min(a, b), max(a, b)))  # type: ignore[type-var]
-    for i, j in P2.adjacency:
-        if F2 in (i, j):
-            continue
-        a, b = map2[i], map2[j]
-        adj.add((min(a, b), max(a, b)))  # type: ignore[type-var]
-
-    verts = []
-    for v in P1.vertices:
-        if F1 in v:
-            continue
-        verts.append(tuple(map1[g] for g in v))
-    for v in P2.vertices:
-        if F2 in v:
-            continue
-        verts.append(tuple(map2[g] for g in v))
-
-    out = Polytope(P1.dimension, labels, adj, verts)
-    return out, tuple(map1), tuple(map2)
+    out, (map1, map2) = _glue([(P1, ""), (P2, "")], [(m.facet1, m.facet2, dict(m.pairing))])
+    return out, map1, map2
 
 
 def chain_sum(
@@ -461,52 +471,19 @@ def chain_sum(
     """Glue len(attach) + 1 copies of `base` end to end in one pass.
 
     Copy s (labels '<s+1>.<old>') is glued to copy s + 1 at facet
-    attach[s] of both by the label-identity matching.  The result equals
-    folding `connected_sum` over relabelled copies: a merged facet is the
-    run of pieces (s, g), (s + 1, g), ... of one base facet g, it sits at
-    the position of its first piece in (summand, base index) order, and
-    its label joins the pieces in summand order.  Returns the chain plus
-    one provenance map per copy from base facets to chain facets (None
-    for the glued facets).
+    attach[s] of both by the label-identity matching, so a merged facet is
+    the run of pieces (s, g), (s + 1, g), ... of one base facet g.
+    Returns the chain plus one provenance map per copy from base facets to
+    chain facets (None for the glued facets).
     """
-    m = base.facet_count
     for t, a in enumerate(attach):
-        if not 0 <= a < m:
+        if not 0 <= a < base.facet_count:
             raise PolytopeError(f"no facet {a}")
         if t and (a == attach[t - 1] or base.adjacent(a, attach[t - 1])):
             raise PolytopeError(f"facet {a} of summand {t + 1} is not pure")
-
-    prov: List[List[Optional[int]]] = []
-    pieces: List[List[str]] = []
-    for s in range(len(attach) + 1):
-        # copy s loses the facets it is glued at to copies s - 1 and s + 1
-        glued = set(attach[max(s - 1, 0) : s + 1])
-        merged = base.adjacency_masks[attach[s - 1]] if s else 0
-        row: List[Optional[int]] = [None] * m
-        for g in range(m):
-            if g in glued:
-                continue
-            if merged >> g & 1:
-                row[g] = prov[s - 1][g]
-            else:
-                row[g] = len(pieces)
-                pieces.append([])
-            pieces[row[g]].append(f"{s + 1}.{base.facet_labels[g]}")  # type: ignore[index]
-        prov.append(row)
-
-    adj = set()
-    verts = []
-    for row in prov:
-        for i, j in base.adjacency:
-            a, b = row[i], row[j]
-            if a is not None and b is not None:
-                adj.add((min(a, b), max(a, b)))
-        for v in base.vertices:
-            mapped = [row[g] for g in v]
-            if None not in mapped:
-                verts.append(mapped)
-    out = Polytope(base.dimension, ["|".join(p) for p in pieces], adj, verts)
-    return out, tuple(tuple(row) for row in prov)
+    parts = [(base, f"{s + 1}.") for s in range(len(attach) + 1)]
+    joins = [(a, a, {g: g for g in base.neighbours[a]}) for a in attach]
+    return _glue(parts, joins)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,27 @@ def test_certify_writes_a_passing_certificate(tmp_path, capsys):
     assert m["result_digest"]
 
 
+def test_certify_reports_a_broken_natural_map_as_a_finding(tmp_path, capsys, monkeypatch):
+    # a wrong merged-facet map is a failed check in a written certificate
+    # (exit 1), not an error before anything is written (exit 2)
+    real = pipeline._natural_map
+
+    def swapped(*args):
+        nat = list(real(*args))
+        nat[0], nat[1] = nat[1], nat[0]
+        return tuple(nat)
+
+    monkeypatch.setattr(pipeline, "_natural_map", swapped)
+    assert main(["certify", "--n", "1", "--out", str(tmp_path)]) == EXIT_FINDING
+    out = capsys.readouterr().out
+    assert "[FAIL] long-facet-subpolytope: PolytopeError: facet map breaks adjacency" in out
+    assert "[FAIL] induced-colouring" in out
+    assert out.endswith("FAIL (16/18 checks)\n")
+    stored = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
+    failed = [c["name"] for c in stored["checks"] if not c["passed"]]
+    assert failed == ["long-facet-subpolytope", "induced-colouring"]
+
+
 def test_readme_extend_example(tmp_path, monkeypatch, capsys):
     # the README's own commands, so a change to the search tree shows here
     monkeypatch.chdir(tmp_path)
