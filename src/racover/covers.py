@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from . import gf2
 from .colouring import Colouring, induced_colouring, is_orientable, is_proper
@@ -34,9 +34,8 @@ __all__ = [
     "cut_along",
     "volume_of_cells",
     "volume",
-    "volume_record",
+    "json_record",
     "cover_summary",
-    "cut_summary",
     "V_DODECAHEDRON",
     "V_120CELL_PI2",
 ]
@@ -92,7 +91,8 @@ class HypersurfaceComponent:
     A piece is an unordered pair {g, g + colour(F)} of copies sharing the
     facet; it is named by the smaller element.  `subcover` is the cover of
     the facet subpolytope under the induced colouring that this component
-    has been verified isomorphic to.
+    has been verified isomorphic to; `cut_along` takes that subpolytope
+    and colouring from it.  The components of one preimage share it.
     """
 
     facet: int
@@ -262,11 +262,11 @@ def facet_preimage(C: CoverComplex, F: int) -> List[HypersurfaceComponent]:
     lam = C.colouring
     lf = lam.colours[F]
     mu = induced_colouring(P, F, lam)
+    subcover = build_cover(mu.polytope, mu, C.cells_per_copy)
     q = gf2.quotient_map(lf)
 
     out = []
     for comp in components:
-        subcover = build_cover(mu.polytope, mu, C.cells_per_copy)
         phi = {g: q(g ^ comp[0]) for g in comp}
         if sorted(phi.values()) != list(subcover.group):
             raise CoverError("facet preimage component does not match induced cover")
@@ -287,9 +287,9 @@ def cut_along(C: CoverComplex, S: HypersurfaceComponent) -> CutReport:
     Each piece of S is doubled into two boundary cells, one per side; the
     boundary cells (g, F) are then glued by g -> g + colour(G) across the
     ridges of F.  Sidedness is read off from the resulting component
-    count and cross-checked against the induced colouring's orientability
-    (one-sided exactly when the induced colouring is non-orientable inside
-    an orientable ambient cover).
+    count and cross-checked against the orientability of the induced
+    colouring that `S.subcover` carries (one-sided exactly when it is
+    non-orientable inside an orientable ambient cover).
     """
     P = C.polytope
     lam = C.colouring
@@ -307,8 +307,7 @@ def cut_along(C: CoverComplex, S: HypersurfaceComponent) -> CutReport:
     comp_sizes = list(map(len, _components(cells, lambda g: (g ^ c for c in nb_cols))))
 
     one_sided = len(comp_sizes) == 1
-    mu = induced_colouring(P, F, lam)
-    sub = mu.polytope
+    sub, mu = S.subcover.polytope, S.subcover.colouring
     if one_sided != (is_orientable(sub, mu) is None):
         raise CoverError("sidedness disagrees with induced-colouring orientability")
 
@@ -396,15 +395,22 @@ def volume(C: CoverComplex) -> Volume:
 # ---------------------------------------------------------------------------
 # summary records: JSON-ready views of covers, cuts and volumes
 
-def volume_record(vol: Volume) -> dict:
-    pi2 = vol.pi2_multiple
-    return {
-        "cells": vol.cells,
-        "cell_type": vol.cell_type,
-        "exact": vol.exact,
-        "pi2_multiple": None if pi2 is None else [pi2.numerator, pi2.denominator],
-        "numeric": vol.numeric,
-    }
+def _json_fields(pairs: List[Tuple[str, Any]]) -> dict:
+    """The dict factory of `json_record`."""
+    out = {}
+    for key, value in pairs:
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Fraction):
+            value = [value.numerator, value.denominator]
+        out[key] = value
+    return out
+
+
+def json_record(record: Any) -> dict:
+    """A dataclass record as a JSON object, fields in declaration order:
+    tuples become lists and a Fraction its [numerator, denominator]."""
+    return asdict(record, dict_factory=_json_fields)
 
 
 def cover_summary(C: CoverComplex, preimages: bool = True) -> dict:
@@ -414,7 +420,7 @@ def cover_summary(C: CoverComplex, preimages: bool = True) -> dict:
         "connected": cover_connected(C),
         "orientable": cover_orientable(C),
         "euler_characteristic": cover_euler_characteristic(C),
-        "volume": volume_record(volume(C)),
+        "volume": json_record(volume(C)),
     }
     # facets of a polygon cover are 1-dimensional, below what the complex
     # machinery models, so their preimages are not summarized
@@ -425,19 +431,3 @@ def cover_summary(C: CoverComplex, preimages: bool = True) -> dict:
         }
     return rec
 
-
-def cut_summary(cut: CutReport) -> dict:
-    return {
-        "facet": cut.facet,
-        "ambient_copies": cut.ambient_copies,
-        "ambient_cells": cut.ambient_cells,
-        "ambient_orientable": cut.ambient_orientable,
-        "boundary_components": cut.boundary_components,
-        "boundary_cell_counts": list(cut.boundary_cell_counts),
-        "boundary_orientable": list(cut.boundary_orientable),
-        "one_sided": cut.one_sided,
-        "ambient_volume": volume_record(cut.ambient_volume),
-        "boundary_volume": volume_record(cut.boundary_volume),
-        "ratio_exact": cut.ratio_exact,
-        "ratio_numeric": cut.ratio_numeric,
-    }

@@ -21,7 +21,7 @@ from .pipeline import (
     ChainAssembly,
     CheckResult,
     GlueStep,
-    certificate_records,
+    certificate_object,
     cut_cover,
 )
 from .polytopes import Polytope, PolytopeError, make_120cell, make_dodecahedron
@@ -212,40 +212,8 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
         key: {"path": name, "sha256": sha256_file(out / name)}
         for key, name in _CERT_FILES.items()
     }
-    records = certificate_records(cert)
-    obj = {
-        "format": "racover-certificate",
-        "n": cert.n,
-        "policy": cert.policy,
-        "passed": records["passed"],
-        "class": {
-            "index": cert.class_index,
-            "id": cert.class_id,
-            "automorphisms": cert.automorphisms,
-            "witness": list(cert.witness),
-            "glue_facet": cert.glue_facet,
-        },
-        "glue_steps": [
-            {"step": s.step, "dodeca_facet": s.dodeca_facet, "z_facet": s.z_facet}
-            for s in cert.glue_steps
-        ],
-        "base_facet": cert.assembly.base_facet,
-        "d_facet": cert.assembly.d_facet,
-        "witness_facets": list(cert.assembly.witness_facets),
-        "natural_map": list(cert.assembly.natural_map),
-        "files": refs,
-        "cover": records["cover"],
-        "cut_locus": records["cut_locus"],
-        "cut": records["cut"],
-        "volumes": records["volumes"],
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in cert.checks
-        ],
-        "notes": list(cert.notes),
-    }
     path = out / "certificate.json"
-    write_json(obj, path)
+    write_json(certificate_object(cert, refs), path)
     return path
 
 
@@ -288,7 +256,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
     `validate_certificate` re-runs the checks on these, so it exercises the
     stored data, not cached results.
     The parsed file is kept as `stored`, so re-validation can read back
-    the summary records it states.
+    every field it states.
     """
     path = Path(path)
     obj = _read_json(path)
@@ -334,9 +302,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             base_facet,
         )
         cover, components, cut = cut_cover(assembly)
-        checks = tuple(
-            CheckResult(c["name"], c["passed"], c["detail"]) for c in obj["checks"]
-        )
+        checks = tuple(CheckResult(**c) for c in obj["checks"])
         return Certificate(
             obj["policy"],
             cls["index"],

@@ -10,7 +10,7 @@ components, and the volume ledger.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -38,9 +38,8 @@ from .covers import (
     cover_orientable,
     cover_summary,
     cut_along,
-    cut_summary,
     facet_preimage,
-    volume_record,
+    json_record,
 )
 from .polytopes import (
     Polytope,
@@ -577,27 +576,50 @@ def certify(
     )
 
 
-def certificate_records(cert: Certificate) -> Dict[str, Any]:
-    """The summary records a certificate file states beside its checks:
-    the overall verdict, the cover, the cut locus, the cut and the volumes."""
+def certificate_object(cert: Certificate, files: Any) -> Dict[str, Any]:
+    """The certificate.json object of a certificate, keys in file order.
+
+    `files` is the record of the chain and colouring files beside it.  The
+    writer writes this object, and re-validation compares it, rebuilt from
+    the re-run checks, with the stored one.
+    """
+    a = cert.assembly
     return {
+        "format": "racover-certificate",
+        "n": cert.n,
+        "policy": cert.policy,
         "passed": cert.passed,
+        "class": {
+            "index": cert.class_index,
+            "id": cert.class_id,
+            "automorphisms": cert.automorphisms,
+            "witness": list(cert.witness),
+            "glue_facet": cert.glue_facet,
+        },
+        "glue_steps": [json_record(s) for s in cert.glue_steps],
+        "base_facet": a.base_facet,
+        "d_facet": a.d_facet,
+        "witness_facets": list(a.witness_facets),
+        "natural_map": list(a.natural_map),
+        "files": files,
         "cover": cover_summary(cert.cover, preimages=False),
         "cut_locus": {
-            "facet": cert.assembly.d_facet,
+            "facet": a.d_facet,
             "components": len(cert.components),
             "piece_counts": sorted(len(c.pieces) for c in cert.components),
         },
-        "cut": cut_summary(cert.cut),
+        "cut": json_record(cert.cut),
         "volumes": [
-            {"part": "ambient", **volume_record(cert.cut.ambient_volume)},
-            {"part": "boundary", **volume_record(cert.cut.boundary_volume)},
+            {"part": "ambient", **json_record(cert.cut.ambient_volume)},
+            {"part": "boundary", **json_record(cert.cut.boundary_volume)},
             {
                 "part": "ratio",
                 "exact": cert.cut.ratio_exact,
                 "numeric": cert.cut.ratio_numeric,
             },
         ],
+        "checks": [json_record(c) for c in cert.checks],
+        "notes": list(cert.notes),
     }
 
 
@@ -626,30 +648,30 @@ def recheck_certificate(
     The cover, preimage and cut come from the certificate's chains and
     colourings: `load_certificate` has just rebuilt them from the stored
     files, and for a certificate built in memory they are rebuilt here.
-    Each re-run check must reproduce the stored one, name, result and
-    detail, or a Finding names the first field that differs.  Returns the
-    re-run checks and, for a certificate loaded from a file, a message
-    naming the first stored summary record (`certificate_records`) that
-    the rebuilt objects contradict, or None if all agree.
+    The `certificate_object` of the re-run is compared, key by key in file
+    order, with the stored file, or with the in-memory certificate's own
+    object.  The checks come first: each re-run check must reproduce the
+    stored one, name, result and detail, or a Finding names the first
+    field that differs.  Returns the re-run checks and a message naming
+    the first other field that differs, or None if all agree.
     """
-    if cert.stored is None:
+    stored = cert.stored
+    if stored is None:
         cover, components, cut = cut_cover(cert.assembly)
+        stored = certificate_object(cert, None)
     else:
         cover, components, cut = cert.cover, cert.components, cert.cut
-    checks, _ = run_checks(cert.assembly, cover, components, cut)
-    field = _first_difference(
-        [asdict(c) for c in cert.checks], [asdict(c) for c in checks], "checks"
+    checks, notes = run_checks(cert.assembly, cover, components, cut)
+    # built after run_checks, so chi is the cover's cached value
+    fresh = certificate_object(
+        replace(cert, cover=cover, components=components, cut=cut, checks=checks, notes=notes),
+        stored["files"],
     )
+    field = _first_difference(stored.get("checks"), fresh["checks"], "checks")
     if field is not None:
         raise Finding(f"re-validation disagrees with the certificate at {field}")
-    if cert.stored is None:
-        return checks, None
-    # built after run_checks, so chi is the cover's cached value
-    fresh = certificate_records(
-        replace(cert, cover=cover, components=components, cut=cut, checks=checks)
-    )
-    for key, record in fresh.items():
-        field = _first_difference(cert.stored.get(key), record, key)
+    for key, value in fresh.items():
+        field = _first_difference(stored.get(key), value, key)
         if field is not None:
             return checks, f"re-validation disagrees with the certificate at {field}"
     return checks, None

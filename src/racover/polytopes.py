@@ -37,7 +37,6 @@ __all__ = [
     "facet_subpolytope",
     "connected_sum",
     "chain_sum",
-    "relabel",
     "f_vector",
     "orbifold_euler_characteristic",
     "symmetry_group",
@@ -75,7 +74,8 @@ class Polytope:
 
     Treat instances as frozen.  Neighbour lists and facet-vertex incidence
     are built at construction; the bit masks and the vertex-set lookup,
-    which only small polytopes need, are computed on first use.
+    which only small polytopes need, and the digest are computed on first
+    use.
     """
 
     def __init__(
@@ -141,7 +141,6 @@ class Polytope:
             raise PolytopeError("facet adjacency graph is disconnected")
 
         self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incidence))
-        self._digest: Optional[str] = None
 
     @cached_property
     def adjacency_masks(self) -> Tuple[int, ...]:
@@ -163,14 +162,11 @@ class Polytope:
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i]
 
-    @property
+    @cached_property
     def digest(self) -> str:
         """Content hash; equal digests mean identical facet-level structure."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(repr((self.dimension, self.facet_labels, self.adjacency, self.vertices)).encode())
-            self._digest = h.hexdigest()
-        return self._digest
+        data = repr((self.dimension, self.facet_labels, self.adjacency, self.vertices))
+        return hashlib.sha256(data.encode()).hexdigest()
 
     def same_structure(self, other: "Polytope") -> bool:
         return (
@@ -191,15 +187,12 @@ class Polytope:
 # generators
 
 def make_polygon(k: int) -> Polytope:
-    """The k-gon as a 2-polytope: facets are edges, cyclically adjacent."""
+    """The k-gon as a 2-polytope: facets are edges, cyclically adjacent,
+    and each vertex is a pair of adjacent edges."""
     if k < 3:
         raise PolytopeError("polygon needs at least 3 edges")
-    if k == 3:
-        adj = [(0, 1), (1, 2), (0, 2)]
-    else:
-        adj = [(i, (i + 1) % k) for i in range(k)]
-    verts = [(i, (i + 1) % k) for i in range(k)]
-    return Polytope(2, [f"e{i}" for i in range(k)], adj, verts)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    return Polytope(2, [f"e{i}" for i in range(k)], edges, edges)
 
 
 # Canonical face numbering of the dodecahedron used throughout this project:
@@ -338,16 +331,6 @@ def facet_subpolytope(P: Polytope, F: int) -> Tuple[Polytope, Tuple[int, ...]]:
     return sub, inc
 
 
-def relabel(P: Polytope, prefix: str) -> Polytope:
-    """Copy of P with labels '<prefix>.<old>'; used to keep summands apart."""
-    return Polytope(
-        P.dimension,
-        [f"{prefix}.{l}" for l in P.facet_labels],
-        P.adjacency,
-        P.vertices,
-    )
-
-
 @dataclass(frozen=True)
 class FacetMatching:
     """Identification of facet `facet1` of one polytope with `facet2` of another.
@@ -384,11 +367,6 @@ class FacetMatching:
             targets.add(image)
         if len(targets) != len(P2.facet_vertices[self.facet2]):
             raise PolytopeError("pairing does not cover the target facet's vertices")
-
-
-def identity_matching(P1: Polytope, F1: int, P2: Polytope, F2: int) -> FacetMatching:
-    """Label-identity matching; valid when P2 is a relabelled copy of P1 and F1 = F2."""
-    return FacetMatching(F1, F2, tuple((g, g) for g in P1.neighbours[F1]))
 
 
 def _glue(

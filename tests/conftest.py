@@ -15,6 +15,7 @@ from racover import gf2
 from racover.colouring import Colouring
 from racover.pipeline import Certificate, _dodecahedron_census, certify
 from racover.polytopes import (
+    FacetMatching,
     Polytope,
     antipodal_facet,
     chain_sum,
@@ -63,6 +64,21 @@ def renumbered(P: Polytope, rng: random.Random) -> Polytope:
         [(p[i], p[j]) for i, j in P.adjacency],
         [[p[g] for g in v] for v in P.vertices],
     )
+
+
+def relabel(P: Polytope, prefix: str) -> Polytope:
+    """Copy of P with labels '<prefix>.<old>'; used to keep summands apart."""
+    return Polytope(
+        P.dimension,
+        [f"{prefix}.{l}" for l in P.facet_labels],
+        P.adjacency,
+        P.vertices,
+    )
+
+
+def identity_matching(P1: Polytope, F1: int, P2: Polytope, F2: int) -> FacetMatching:
+    """Label-identity matching; valid when P2 is a relabelled copy of P1 and F1 = F2."""
+    return FacetMatching(F1, F2, tuple((g, g) for g in P1.neighbours[F1]))
 
 
 def dodecahedral_chain(n: int) -> Polytope:

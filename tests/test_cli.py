@@ -449,6 +449,29 @@ def test_verify_flags_an_edited_check_detail(cert1_dir, tmp_path, capsys):
     assert err == "finding: re-validation disagrees with the certificate at checks[7].detail\n"
 
 
+def test_verify_reads_back_the_notes(cert1_dir, tmp_path, capsys):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: obj["notes"].__setitem__(0, "edited"))
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out, err = capsys.readouterr()
+    assert out.endswith("PASS (18/18 checks)\n")
+    assert err == "finding: re-validation disagrees with the certificate at notes[0]\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda obj: obj.pop("checks"), lambda obj: obj["checks"][0].pop("detail")],
+    ids=["no-checks", "no-detail"],
+)
+def test_verify_rejects_a_certificate_with_malformed_checks(cert1_dir, tmp_path, capsys, edit):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, edit)
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "malformed certificate" in err
+
+
 def test_verify_accepts_an_untampered_copy(cert1_dir, tmp_path, capsys):
     # a certificate round-tripped through the JSON parser reads back equal
     target = _cert_copy(cert1_dir, tmp_path)

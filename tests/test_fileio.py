@@ -12,9 +12,8 @@ from racover.covers import (
     build_cover,
     cover_summary,
     cut_along,
-    cut_summary,
     facet_preimage,
-    volume_record,
+    json_record,
 )
 from racover.fileio import (
     FileFormatError,
@@ -166,10 +165,10 @@ def test_volume_and_summary_records(dodecahedron):
     assert set(rec["facet_preimage_pieces"]) == set(dodecahedron.facet_labels)
 
     cut = cut_along(C, facet_preimage(C, 0)[0])
-    crec = cut_summary(cut)
+    crec = json_record(cut)
     assert crec["one_sided"] is False
     assert crec["boundary_components"] == 2
-    assert crec["ambient_volume"] == volume_record(cut.ambient_volume)
+    assert crec["ambient_volume"] == json_record(cut.ambient_volume)
 
 
 def test_cover_summary_skips_preimages_in_dimension_two(pentagon):
@@ -202,6 +201,22 @@ def test_certificate_round_trip(tmp_path, cert1):
     second = tmp_path / "again"
     write_certificate(loaded, second)
     assert (second / "certificate.json").read_bytes() == path.read_bytes()
+
+
+# sha256 of each file `certify(1)` writes
+CERT1_DIGESTS = {
+    "ambient-colouring.txt": "62902afe0b9f261257a334460dec320248315b8f28c9f96340770d785fb994e3",
+    "ambient.json": "5d5e49b1863556737c5c1f7951b6b1887449eb110c2509498180341e62d4e156",
+    "certificate.json": "7f0d87f3ea99d92c830a417deda830ca7de68d9b5fa9cf83ea3772acf500b5e0",
+    "chain-colouring.txt": "25189dae2c77f279c6d6de25e14f94ef052c12e244a55abe8225f5b7024b4f29",
+    "chain.json": "d26bd1b6acfd34a394c031ecb0c011313c5954f2daa29cc8091caf17d07b432f",
+}
+
+
+def test_certificate_bytes_are_pinned(tmp_path, cert1):
+    outdir = tmp_path / "cert"
+    write_certificate(cert1, outdir)
+    assert {p.name: sha256_file(p) for p in outdir.iterdir()} == CERT1_DIGESTS
 
 
 def test_writer_reuses_the_checked_euler_characteristic(monkeypatch, tmp_path, cert1):

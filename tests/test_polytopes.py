@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 import pytest
 
-from conftest import octagons, renumbered
+from conftest import identity_matching, octagons, relabel, renumbered
 from racover import polytopes
 from racover.polytopes import (
     FacetMatching,
@@ -23,12 +23,10 @@ from racover.polytopes import (
     find_isomorphism,
     gauss_bonnet_pi2_multiple,
     greedy_facet_order,
-    identity_matching,
     make_120cell,
     make_dodecahedron,
     make_polygon,
     orbifold_euler_characteristic,
-    relabel,
     symmetry_generators,
     symmetry_group,
 )
