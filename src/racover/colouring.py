@@ -327,8 +327,11 @@ def canonical_form(P: Polytope, lam: Colouring) -> bytes:
 
 
 def equivalent(P: Polytope, lam1: Colouring, lam2: Colouring) -> bool:
-    """Same class under symmetries of P and invertible maps of the image."""
-    return canonical_form(P, lam1) == canonical_form(P, lam2)
+    """Same class under symmetries of P and invertible maps of the image:
+    lam2's normal sequence is one of lam1's orbit keys, so only lam1's
+    orbit is walked."""
+    _require_proper(P, lam2)
+    return normal_sequence(lam2.colours) in orbit_keys(P, lam1)
 
 
 def automorphism_order(P: Polytope, lam: Colouring) -> int:

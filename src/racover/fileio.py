@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .colouring import Colouring, ColouringError, PartialColouring
 from .pipeline import (
+    CERTIFICATE_FILES,
     Certificate,
     ChainAssembly,
     CheckResult,
@@ -192,28 +193,17 @@ def load_colouring(
 # ---------------------------------------------------------------------------
 # certificates
 
-_CERT_FILES = {
-    "chain": "chain.json",
-    "ambient": "ambient.json",
-    "chain_colouring": "chain-colouring.txt",
-    "ambient_colouring": "ambient-colouring.txt",
-}
-
-
 def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
     """Write the certificate directory; returns the certificate.json path."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_polytope(cert.assembly.P, out / _CERT_FILES["chain"])
-    write_polytope(cert.assembly.Q, out / _CERT_FILES["ambient"])
-    write_colouring(cert.assembly.mu_P, out / _CERT_FILES["chain_colouring"])
-    write_colouring(cert.assembly.lam_Q, out / _CERT_FILES["ambient_colouring"])
-    refs = {
-        key: {"path": name, "sha256": sha256_file(out / name)}
-        for key, name in _CERT_FILES.items()
-    }
+    write_polytope(cert.assembly.P, out / CERTIFICATE_FILES["chain"])
+    write_polytope(cert.assembly.Q, out / CERTIFICATE_FILES["ambient"])
+    write_colouring(cert.assembly.mu_P, out / CERTIFICATE_FILES["chain_colouring"])
+    write_colouring(cert.assembly.lam_Q, out / CERTIFICATE_FILES["ambient_colouring"])
+    digests = {key: sha256_file(out / name) for key, name in CERTIFICATE_FILES.items()}
     path = out / "certificate.json"
-    write_json(certificate_object(cert, refs), path)
+    write_json(certificate_object(cert, digests), path)
     return path
 
 

@@ -576,14 +576,30 @@ def certify(
     )
 
 
-def certificate_object(cert: Certificate, files: Any) -> Dict[str, Any]:
+# the chain and colouring files beside certificate.json, by their key in
+# its `files` record
+CERTIFICATE_FILES = {
+    "chain": "chain.json",
+    "ambient": "ambient.json",
+    "chain_colouring": "chain-colouring.txt",
+    "ambient_colouring": "ambient-colouring.txt",
+}
+
+
+def certificate_object(
+    cert: Certificate, digests: Optional[Mapping[str, str]]
+) -> Dict[str, Any]:
     """The certificate.json object of a certificate, keys in file order.
 
-    `files` is the record of the chain and colouring files beside it.  The
-    writer writes this object, and re-validation compares it, rebuilt from
-    the re-run checks, with the stored one.
+    `digests` maps each key of `CERTIFICATE_FILES` to the sha256 of that
+    file, or is None for a certificate not written to files.  The writer
+    writes this object, and re-validation compares it, rebuilt from the
+    re-run checks, with the stored one.
     """
     a = cert.assembly
+    files = None if digests is None else {
+        key: {"path": name, "sha256": digests[key]} for key, name in CERTIFICATE_FILES.items()
+    }
     return {
         "format": "racover-certificate",
         "n": cert.n,
@@ -625,9 +641,15 @@ def certificate_object(cert: Certificate, files: Any) -> Dict[str, Any]:
 
 def _first_difference(stored: Any, fresh: Any, field: str) -> Optional[str]:
     """The dotted name of the first field where a stored record differs
-    from the re-computed one, or None; leaves must agree in type too."""
-    if isinstance(fresh, dict) and isinstance(stored, dict) and stored.keys() == fresh.keys():
-        pairs = [(f"{field}.{key}", stored[key], fresh[key]) for key in fresh]
+    from the re-computed one, or None; `field` is the records' own name,
+    empty for the whole file.  Leaves must agree in type too, and records
+    in their keys: a key only one side has is the field named."""
+    if isinstance(fresh, dict) and isinstance(stored, dict):
+        prefix = f"{field}." if field else ""
+        unmatched = [k for k in stored if k not in fresh] + [k for k in fresh if k not in stored]
+        if unmatched:
+            return prefix + str(unmatched[0])
+        pairs = [(prefix + key, stored[key], fresh[key]) for key in fresh]
     elif isinstance(fresh, list) and isinstance(stored, list) and len(stored) == len(fresh):
         pairs = [(f"{field}[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, fresh))]
     else:
@@ -650,10 +672,13 @@ def recheck_certificate(
     files, and for a certificate built in memory they are rebuilt here.
     The `certificate_object` of the re-run is compared, key by key in file
     order, with the stored file, or with the in-memory certificate's own
-    object.  The checks come first: each re-run check must reproduce the
-    stored one, name, result and detail, or a Finding names the first
-    field that differs.  Returns the re-run checks and a message naming
-    the first other field that differs, or None if all agree.
+    object; at every level both must have the same keys.  The stored
+    digests are taken as they are (`load_certificate` has checked them
+    against the files).  The checks come first: each re-run check must
+    reproduce the stored one, name, result and detail, or a Finding names
+    the first field that differs.  Returns the re-run checks and a message
+    naming the first other field or key that differs, or None if all
+    agree.
     """
     stored = cert.stored
     if stored is None:
@@ -662,18 +687,19 @@ def recheck_certificate(
     else:
         cover, components, cut = cert.cover, cert.components, cert.cut
     checks, notes = run_checks(cert.assembly, cover, components, cut)
+    files = stored["files"]
+    digests = None if files is None else {key: ref["sha256"] for key, ref in files.items()}
     # built after run_checks, so chi is the cover's cached value
     fresh = certificate_object(
         replace(cert, cover=cover, components=components, cut=cut, checks=checks, notes=notes),
-        stored["files"],
+        digests,
     )
     field = _first_difference(stored.get("checks"), fresh["checks"], "checks")
     if field is not None:
         raise Finding(f"re-validation disagrees with the certificate at {field}")
-    for key, value in fresh.items():
-        field = _first_difference(stored.get(key), value, key)
-        if field is not None:
-            return checks, f"re-validation disagrees with the certificate at {field}"
+    field = _first_difference(stored, fresh, "")
+    if field is not None:
+        return checks, f"re-validation disagrees with the certificate at {field}"
     return checks, None
 
 

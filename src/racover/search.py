@@ -3,10 +3,10 @@
 Three searches: enumerate all small-cover colourings of a polytope, count
 chromatic colourings up to symmetry, and complete a seeded partial
 colouring of the 120-cell to a fully odd-weight one.  Each sets up a
-static facet order, its forbidding sets and a palette, and hands them to
-one shared node (`_depth_first`) with a leaf callback.  All are
-deterministic; budgets cut them off reproducibly by node count and
-coarsely by wall clock.
+static facet order, a palette and per depth one function generated from
+the forbidding sets, and hands them to one shared node (`_depth_first`)
+with a leaf callback.  All are deterministic; budgets cut them off
+reproducibly by node count and coarsely by wall clock.
 """
 from __future__ import annotations
 
@@ -194,75 +194,114 @@ def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets
     return sets  # type: ignore[return-value]
 
 
+_Mask = Callable[[List[int], List[Optional[int]], List[int]], int]
+
+# terms per parenthesised group of a generated mask: one flat `a | b | ...`
+# expression nests one level per term, and the compiler's recursion limit
+# stops a few thousand levels deep, so longer ones are grouped, in groups
+# of groups as needed
+_TERMS_PER_GROUP = 64
+# the globals of every mask function, which reads none; never written
+_MASK_GLOBALS: Dict[str, object] = {"__builtins__": {}}
+
+
+def _mask_function(sets: _Sets) -> _Mask:
+    """One depth's forbidden mask as a generated function of (bit, colours,
+    p), where p[x] is the bit of colour x and bit[f] = p[colours[f]]: the
+    OR of bit[g] over the singletons and of p[XOR of the colours] over each
+    pair and triple of `_forbidding_sets`, such as
+    `b[3] | b[7] | p[c[1] ^ c[2] ^ c[5]]`.  With p[x] = 1 << x that is the
+    mask of the forbidden colours.  Only integer facet indices, formatted
+    here, reach the compiled source; anything else raises TypeError."""
+    singles, pairs, triples = sets
+    for g in itertools.chain(singles, *pairs, *triples):
+        if type(g) is not int:
+            raise TypeError(f"facet index {g!r} is not an int")
+    terms = [f"b[{g}]" for g in singles]
+    terms += [f"p[c[{x}] ^ c[{y}]]" for x, y in pairs]
+    terms += [f"p[c[{x}] ^ c[{y}] ^ c[{z}]]" for x, y, z in triples]
+    while len(terms) > _TERMS_PER_GROUP:
+        terms = [
+            "(" + " | ".join(terms[i:i + _TERMS_PER_GROUP]) + ")"
+            for i in range(0, len(terms), _TERMS_PER_GROUP)
+        ]
+    return eval("lambda b, c, p: " + (" | ".join(terms) or "0"), _MASK_GLOBALS)
+
+
 def _depth_first(
     colours: List[Optional[int]],
     order: Sequence[int],
-    sets: Sequence[_Sets],
-    palette_mask: int,
-    position: Sequence[int],
+    masks: Sequence[_Mask],
+    palette: Sequence[int],
     budget: Optional[SearchBudget],
     leaf: Callable[[], bool],
 ) -> Tuple[str, int, float]:
     """The search node all three searches share.
 
-    Colours order[d] at depth d, in place in `colours`, with each palette
-    colour outside the forbidden mask of sets[d] in ascending order, and
-    calls `leaf` once every facet of `order` is coloured; a true return
-    stops the search.  Colour v is candidate position[v] of the palette,
-    and one node is counted per candidate: the inadmissible ones below an
-    admissible colour are ticked in one batch with it, and the rest of the
-    palette at the end, so a budget stops where one tick per candidate
-    would.  A facet's colour is only read at later depths, so nothing is
-    undone on the way back.  One loop over an explicit stack (the colours
-    left and the last position ticked per depth), so the depth is not
-    bounded by the interpreter's recursion limit.  Returns the status
-    ("found" when `leaf` stopped the search, "exhausted" or "budget-out"),
-    the node count and the seconds taken.
+    Colours order[d] at depth d, in place in `colours`, with each colour of
+    `palette` that masks[d] (see `_mask_function`) does not forbid, in
+    palette order, and calls `leaf` once every facet of `order` is
+    coloured; a true return stops the search.  Masks hold bit k for
+    palette[k], not for the colour itself, so they have only len(palette)
+    bits (8 at rank 4, 16 at rank 5) and stay cheap small integers; every
+    colour, and so every XOR of colours, is below the table `p` of those
+    bits.  One node is counted per
+    candidate: the inadmissible ones below an admissible colour are ticked
+    in one batch with it, and the rest of the palette at the end, so a
+    budget stops where one tick per candidate would.  A facet's colour is
+    only read at later depths, so nothing is undone on the way back.  One
+    loop over an explicit stack (the colours left and the last candidate
+    ticked per depth, written on the way down and read only when backing
+    up), so the depth is not bounded by the interpreter's recursion limit.
+    Returns the status ("found" when `leaf` stopped the search, "exhausted"
+    or "budget-out"), the node count and the seconds taken.
     """
     meter = _Meter(budget)
     count = 0
     nxt = meter._next
     end = len(order)
-    size = position[palette_mask.bit_length() - 1]
-    # bit[f] = 1 << colours[f] for every coloured facet
-    bit = [0 if c is None else 1 << c for c in colours]
+    size = len(palette)
+    palette_mask = (1 << size) - 1
+    # p[x] = 1 << (position of x in the palette), 0 for x outside it
+    p = [0] * (1 << max(palette).bit_length())
+    # pick[1 << k] = (the colour at position k, k + 1)
+    pick: Dict[int, Tuple[int, int]] = {}
+    for k, v in enumerate(palette):
+        p[v] = 1 << k
+        pick[1 << k] = (v, k + 1)
+    # bit[f] = p[colours[f]] for every coloured facet
+    bit = [0 if c is None else p[c] for c in colours]
     left = [0] * end
     ticked = [0] * end
     depth = 0
-    status = "exhausted"
     try:
         while True:
             if depth < end:
-                singles, pairs, triples = sets[depth]
-                forbidden = 0
-                for g in singles:
-                    forbidden |= bit[g]
-                for a, b in pairs:
-                    forbidden |= 1 << (colours[a] ^ colours[b])  # type: ignore[operator]
-                for a, b, c in triples:
-                    forbidden |= 1 << (colours[a] ^ colours[b] ^ colours[c])  # type: ignore[operator]
-                left[depth] = palette_mask & ~forbidden
-                ticked[depth] = 0
+                allowed = palette_mask & ~masks[depth](bit, colours, p)
+                tick = 0
             elif leaf():
-                status = "found"
-                break
+                meter.nodes = count
+                return "found", count, meter.seconds
             else:
-                depth -= 1
+                # a leaf has no palette: back up from it, ticking nothing
+                allowed = 0
+                tick = size
             # back up to the deepest depth with a colour left, ticking the
             # rest of the palette at each spent one
-            while depth >= 0 and not left[depth]:
-                count += size - ticked[depth]
+            while not allowed:
+                count += size - tick
                 if count >= nxt:
                     nxt = meter._check(count)
+                if not depth:
+                    meter.nodes = count
+                    return "exhausted", count, meter.seconds
                 depth -= 1
-            if depth < 0:
-                break
-            allowed = left[depth]
+                allowed = left[depth]
+                tick = ticked[depth]
             low = allowed & -allowed
             left[depth] = allowed ^ low
-            v = low.bit_length() - 1
-            k = position[v]
-            count += k - ticked[depth]
+            v, k = pick[low]
+            count += k - tick
             if count >= nxt:
                 nxt = meter._check(count)
             ticked[depth] = k
@@ -270,10 +309,8 @@ def _depth_first(
             colours[f] = v
             bit[f] = low
             depth += 1
-        meter.nodes = count
     except BudgetError:
-        status = "budget-out"
-    return status, meter.nodes, meter.seconds
+        return "budget-out", meter.nodes, meter.seconds
 
 
 def _proper_leaf(P: Polytope, rank: int, colours: Sequence[Optional[int]]) -> Colouring:
@@ -295,14 +332,14 @@ def enumerate_small_covers(
     colouring can be moved there by a linear map) and removes the GL(n)
     factor from the search.  The order is static, so the coloured facet
     sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`) for `_depth_first`.  Each new class stores its
+    (`_forbidding_sets`), and `_depth_first` reads them through one
+    generated mask function per depth.  Each new class stores its
     orbit keys, so a later leaf is recognised by one normal sequence and
     one set lookup.
     """
     n = P.dimension
     m = P.facet_count
     colours: List[Optional[int]] = [None] * m
-    top = (1 << n) - 1  # the palette is 1..top, so colour v is candidate v
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
     rest = [f for f in range(m) if colours[f] is None]
@@ -320,8 +357,8 @@ def enumerate_small_covers(
         return False
 
     status, nodes, seconds = _depth_first(
-        colours, rest, _forbidding_sets(P, rest, odd=False),
-        (1 << (top + 1)) - 2, range(top + 1), budget, leaf,
+        colours, rest, [_mask_function(s) for s in _forbidding_sets(P, rest, odd=False)],
+        range(1, 1 << n), budget, leaf,
     )
     return EnumerationResult(tuple(records), status != "budget-out", nodes, seconds)
 
@@ -354,10 +391,10 @@ def enumerate_chromatic_colourings(
     # two adjacent facets differ, so only the neighbours pinned or earlier
     # in the order forbid a colour; P.neighbours also holds adjacencies that
     # no vertex shows, which _forbidding_sets would miss
-    sets: List[_Sets] = []
+    masks: List[_Mask] = []
     coloured = set(v0)
     for f in order:
-        sets.append((tuple(g for g in P.neighbours[f] if g in coloured), (), ()))
+        masks.append(_mask_function((tuple(g for g in P.neighbours[f] if g in coloured), (), ())))
         coloured.add(f)
 
     classes: Dict[bytes, Tuple[int, ...]] = {}
@@ -376,10 +413,8 @@ def enumerate_chromatic_colourings(
         classes.setdefault(norm(colours), tuple(colours))
         return False
 
-    # the palette is 1..k, so colour v is candidate v
     status, nodes, seconds = _depth_first(
-        colours, order, sets,  # type: ignore[arg-type]
-        (1 << (k + 1)) - 2, range(k + 1), budget, leaf,
+        colours, order, masks, range(1, k + 1), budget, leaf  # type: ignore[arg-type]
     )
 
     # Symmetry orbits of classes, walked breadth-first under the group's
@@ -433,19 +468,21 @@ def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> Parti
     return PartialColouring(Z, rank, tuple(vals))
 
 
-_Plan = Tuple[Tuple[int, ...], Tuple[_Sets, ...]]
+_Plan = Tuple[Tuple[int, ...], Tuple[_Mask, ...]]
 _plan_cache: Dict[Tuple[str, Tuple[int, ...]], _Plan] = {}
 
 
 def _extension_plan(Z: Polytope, seeded: Tuple[int, ...]) -> _Plan:
-    """The static order of the unseeded facets and its odd-size forbidding
-    sets, cached by (Z.digest, seeded facets): they depend on nothing else,
-    so searches at either rank from one facet share them."""
+    """The static order of the unseeded facets and the mask function of
+    each depth's odd-size forbidding sets, cached by (Z.digest, seeded
+    facets): they depend on nothing else, so searches at either rank from
+    one facet share them."""
     key = (Z.digest, seeded)
     plan = _plan_cache.get(key)
     if plan is None:
         order = tuple(greedy_facet_order(Z, seeded)[len(seeded):])
-        plan = _plan_cache[key] = (order, tuple(_forbidding_sets(Z, order, odd=True)))
+        masks = tuple(map(_mask_function, _forbidding_sets(Z, order, odd=True)))
+        plan = _plan_cache[key] = (order, masks)
     return plan
 
 
@@ -461,8 +498,9 @@ def search_orientable_extension(
     depends only on which facets are coloured, so it is the static
     `greedy_facet_order` from the seeded facets.  With the order fixed, the
     coloured facet sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`, odd-size sets only) for `_depth_first`.  Order and
-    sets are planned once per seeded facet set (`_extension_plan`).
+    (`_forbidding_sets`, odd-size sets only), each compiled to one mask
+    function for `_depth_first`.  Order and masks are planned once per
+    seeded facet set (`_extension_plan`).
     """
     rank = seed.rank
     colours: List[Optional[int]] = list(seed.colours)
@@ -476,23 +514,15 @@ def search_orientable_extension(
         if not gf2.independent([colours[g] for g in v if colours[g] is not None]):
             raise ColouringError(f"seed already breaks properness at vertex {v}")
 
-    # position[v] is 1 + the index of v among the odd-weight colours
-    palette_mask = 0
-    position = [0] * (1 << rank)
-    for v in range(1, 1 << rank):
-        if gf2.parity(v):
-            palette_mask |= 1 << v
-            position[v] = palette_mask.bit_count()
-    order, sets = _extension_plan(Z, seeded)
+    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    order, masks = _extension_plan(Z, seeded)
     result: List[Colouring] = []
 
     def leaf() -> bool:
         result.append(_proper_leaf(Z, rank, colours))
         return True
 
-    status, nodes, seconds = _depth_first(
-        colours, order, sets, palette_mask, position, budget, leaf
-    )
+    status, nodes, seconds = _depth_first(colours, order, masks, palette, budget, leaf)
     lam = result[0] if result else None
     assert lam is None or is_orientable(Z, lam) is not None
     return SearchOutcome(status, lam, nodes, seconds)

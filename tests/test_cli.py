@@ -459,6 +459,26 @@ def test_verify_reads_back_the_notes(cert1_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda obj: obj.__setitem__("extra", 1), "extra"),
+        (lambda obj: obj["files"]["chain"].__setitem__("extra", 1), "files.chain.extra"),
+        (lambda obj: obj["files"].__setitem__("extra", obj["files"]["chain"]), "files.extra"),
+        (lambda obj: obj["files"]["chain"].__setitem__("path", "./chain.json"),
+         "files.chain.path"),
+    ],
+    ids=["top-level", "in-files-chain", "files-entry", "path"],
+)
+def test_verify_names_a_key_the_writer_does_not_write(cert1_dir, tmp_path, capsys, edit, field):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, edit)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out, err = capsys.readouterr()
+    assert out.endswith("PASS (18/18 checks)\n")
+    assert err == f"finding: re-validation disagrees with the certificate at {field}\n"
+
+
+@pytest.mark.parametrize(
     "edit",
     [lambda obj: obj.pop("checks"), lambda obj: obj["checks"][0].pop("detail")],
     ids=["no-checks", "no-detail"],

@@ -305,6 +305,42 @@ def test_census_classes_are_pairwise_inequivalent(dodecahedron, census):
     assert len(forms) == len(census.classes)
 
 
+def test_equivalent_agrees_with_canonical_forms_on_the_census(dodecahedron, census):
+    # each class against a random symmetry and linear image of every class,
+    # so the equivalent pairs are not equal colourings
+    P = dodecahedron
+    rng = random.Random(7)
+    group = symmetry_group(P)
+    maps = gf2.invertible_maps(3)
+    classes = [r.colouring for r in census.classes]
+    images = []
+    for lam in classes:
+        sigma, a = rng.choice(group), rng.choice(maps)
+        images.append(Colouring(
+            P, 3, tuple(gf2.apply_map(a, lam.colours[sigma[f]]) for f in range(P.facet_count))
+        ))
+    forms = [canonical_form(P, lam) for lam in classes]
+    image_forms = [canonical_form(P, mu) for mu in images]
+    assert image_forms == forms
+    for i, lam in enumerate(classes):
+        for j, mu in enumerate(images):
+            assert equivalent(P, lam, mu) == (forms[i] == image_forms[j]) == (i == j)
+        # and with the sides swapped
+        assert equivalent(P, images[i], lam)
+        assert not equivalent(P, images[i - 1], lam)
+
+
+def test_equivalent_rejects_an_improper_colouring_on_either_side(dodecahedron, census):
+    lam = census.classes[0].colouring
+    cols = list(lam.colours)
+    f, g = next(iter(dodecahedron.adjacency))
+    cols[g] = cols[f]
+    bad = Colouring(dodecahedron, 3, tuple(cols))
+    for pair in ((lam, bad), (bad, lam), (bad, bad)):
+        with pytest.raises(ColouringError, match="not proper"):
+            equivalent(dodecahedron, *pair)
+
+
 def test_automorphism_order_counts_colour_preserving_symmetries(pentagon, census):
     lam = Colouring(pentagon, 2, (1, 2, 1, 2, 3))
     order = automorphism_order(pentagon, lam)

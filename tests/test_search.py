@@ -694,6 +694,107 @@ def test_census_sets_match_the_vertex_spans(request, name):
         assert (larger > 0) == (P.dimension == 3)
 
 
+POWERS = [1 << x for x in range(32)]
+
+
+def _check_masks_along_the_order(colours, order, sets, masks, palette, seed, walks=4):
+    """On random partial colourings along the order (palette colours, not
+    necessarily proper), each depth's generated mask equals the OR of the
+    forbidden colours built from its sets, with the bit of colour x taken
+    as 1 << x; with bit k for palette[k], as the search takes it, it holds
+    the positions of the forbidden palette colours.  The colours are left
+    as they were."""
+    assert len(masks) == len(sets) == len(order)
+    position = [0] * 32
+    for k, v in enumerate(palette):
+        position[v] = 1 << k
+    rng = random.Random(seed)
+    for _ in range(walks):
+        cols = list(colours)
+        for d, f in enumerate(order):
+            before = list(cols)
+            want = _mask_from_sets(sets[d], cols)
+            bit = [0 if c is None else POWERS[c] for c in cols]
+            assert masks[d](bit, cols, POWERS) == want, d
+            bit = [0 if c is None else position[c] for c in cols]
+            got = masks[d](bit, cols, position)
+            assert got == sum(1 << k for k, v in enumerate(palette) if want >> v & 1), d
+            assert cols == before
+            cols[f] = rng.choice(palette)
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+@pytest.mark.parametrize("facet", [0, 7])
+def test_extension_masks_match_the_sets(z120, census, facet, rank):
+    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    for cls in (0, 14, 23):
+        seed = _class_seed(z120, census, cls, facet, rank)
+        seeded = tuple(f for f, c in enumerate(seed.colours) if c is not None)
+        # the plan the search itself runs on
+        order, masks = search._extension_plan(z120, seeded)
+        assert list(order) == _static_order(z120, seed)
+        sets = _forbidding_sets(z120, order, True)
+        _check_masks_along_the_order(seed.colours, order, sets, masks, palette, cls)
+
+
+def test_census_masks_match_the_sets(dodecahedron):
+    P = dodecahedron
+    colours = [None] * P.facet_count
+    for k, f in enumerate(P.vertices[0]):
+        colours[f] = 1 << k
+    order = [f for f in range(P.facet_count) if colours[f] is None]
+    sets = _forbidding_sets(P, order, False)
+    masks = [search._mask_function(s) for s in sets]
+    assert any(pairs for _, pairs, _ in sets)
+    _check_masks_along_the_order(colours, order, sets, masks, range(1, 8), 0, walks=20)
+
+
+@pytest.mark.parametrize("name, k", [("dodecahedron", 4), ("z120", 5)])
+def test_chromatic_masks_match_the_sets(request, name, k):
+    # the chromatic count forbids the colours of the neighbours pinned or
+    # earlier in the order, singletons only
+    P = request.getfixturevalue(name)
+    v0 = P.vertices[0]
+    colours = [None] * P.facet_count
+    for i, f in enumerate(v0):
+        colours[f] = i + 1
+    order = greedy_facet_order(P, v0)[P.dimension:]
+    coloured = set(v0)
+    sets = []
+    for f in order:
+        sets.append((tuple(g for g in P.neighbours[f] if g in coloured), (), ()))
+        coloured.add(f)
+    masks = [search._mask_function(s) for s in sets]
+    _check_masks_along_the_order(colours, order, sets, masks, range(1, k + 1), k)
+
+
+def test_a_mask_of_thousands_of_terms_compiles():
+    # a flat expression this long would exceed the compiler's recursion limit
+    rng = random.Random(1)
+    facets = range(5_000)
+    sets = (
+        tuple(rng.sample(facets, 2_000)),
+        tuple(tuple(rng.sample(facets, 2)) for _ in range(1_500)),
+        tuple(tuple(rng.sample(facets, 3)) for _ in range(1_500)),
+    )
+    mask = search._mask_function(sets)
+    for _ in range(3):
+        cols = [rng.randrange(1, 32) for _ in facets]
+        assert mask([1 << c for c in cols], cols, POWERS) == _mask_from_sets(sets, cols)
+    assert search._mask_function(((), (), ()))([], [], POWERS) == 0
+
+
+@pytest.mark.parametrize("sets", [
+    (("0] or __import__('os').getpid() or b[0",), (), ()),
+    ((1, 2.0), (), ()),
+    ((), ((1, True),), ()),
+    ((), (), ((1, 2, "3"),)),
+])
+def test_the_mask_generator_takes_only_int_indices(sets):
+    with pytest.raises(TypeError, match="is not an int"):
+        search._mask_function(sets)
+
+
 @pytest.fixture
 def plan_builds(monkeypatch):
     """An empty extension plan cache; the returned list collects the
