@@ -304,17 +304,21 @@ def normal_sequence(seq: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def orbit_keys(P: Polytope, lam: Colouring) -> FrozenSet[Tuple[int, ...]]:
-    """Normal sequences of lam composed with every symmetry of P.
+def orbit_keys(
+    P: Polytope, lam: Colouring, reading: Optional[Sequence[int]] = None
+) -> FrozenSet[Tuple[int, ...]]:
+    """Normal sequences of lam composed with every symmetry of P, each
+    colouring read in the facet order `reading` (index order by default).
 
-    A colouring mu of P is equivalent to lam exactly when
-    normal_sequence(mu.colours) is one of them.
+    A colouring mu of P is equivalent to lam exactly when the normal
+    sequence of mu's colours, read in the same order, is one of them.
     """
     _require_proper(P, lam)
-    cols = lam.colours
-    return frozenset(
-        normal_sequence(tuple(map(cols.__getitem__, sigma))) for sigma in symmetry_group(P)
-    )
+    get = lam.colours.__getitem__
+    group = symmetry_group(P)
+    if reading is not None:
+        group = map(operator.itemgetter(*reading), group)  # type: ignore[assignment]
+    return frozenset(normal_sequence(tuple(map(get, sigma))) for sigma in group)
 
 
 def canonical_form(P: Polytope, lam: Colouring) -> bytes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -674,16 +675,21 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
     far: then it either admits no automorphism or yields a new generator.
     A flag that admits none rules out its whole orbit under the generators
     found so far (were tau to send the base flag to g(flag), g^-1 tau
-    would send it to flag), so that orbit is skipped too.
+    would send it to flag), so that orbit is skipped too.  The scan stops
+    at the first vertex reached once the orbit of the base flag holds
+    every flag, as no later flag can then add a generator.
     """
     gens = _generator_cache.get(P.digest)
     if gens is None:
         flips = _edge_flips(P)
         base = P.vertices[0]
+        flags = len(P.vertices) * math.factorial(P.dimension)
         found: List[_Perm] = []
         orbit = {base}
         failed: Set[_Flag] = set()
         for k, v in enumerate(P.vertices):
+            if len(orbit) == flags:
+                break
             for flag in itertools.permutations(v):
                 if flag in orbit or flag in failed:
                     continue

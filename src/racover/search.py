@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -23,7 +24,6 @@ from .colouring import (
     PartialColouring,
     is_orientable,
     is_proper,
-    normal_sequence,
     orbit_keys,
 )
 from .polytopes import (
@@ -333,9 +333,11 @@ def enumerate_small_covers(
     factor from the search.  The order is static, so the coloured facet
     sets around each facet's vertices are fixed per depth
     (`_forbidding_sets`), and `_depth_first` reads them through one
-    generated mask function per depth.  Each new class stores its
-    orbit keys, so a later leaf is recognised by one normal sequence and
-    one set lookup.
+    generated mask function per depth.  A leaf is read with the pinned
+    facets first; read so, its first n colours are e_1, ..., e_n, which
+    makes the tuple its own normal sequence.  Each new class stores its
+    orbit keys in that reading order, so a later leaf is recognised by
+    one read and one set lookup.
     """
     n = P.dimension
     m = P.facet_count
@@ -343,13 +345,21 @@ def enumerate_small_covers(
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
     rest = [f for f in range(m) if colours[f] is None]
+    reading = (*P.vertices[0], *rest)
+    read = operator.itemgetter(*reading)
     seen: Set[Tuple[int, ...]] = set()
     records: List[ClassRecord] = []
 
     def leaf() -> bool:
-        lam = _proper_leaf(P, n, colours)
-        if normal_sequence(lam.colours) not in seen:
-            keys = orbit_keys(P, lam)
+        # Only a leaf with a new key is built and proven proper.  A repeat
+        # leaf equals, read in this order, the normal form of a symmetry
+        # image of a representative proven proper here.  A proper
+        # colouring spans GF(2)^n, so that normal form is its image under
+        # an invertible linear map, and proper too.  An improper leaf can
+        # never match a key and always reaches the assertion.
+        if read(colours) not in seen:
+            lam = _proper_leaf(P, n, colours)
+            keys = orbit_keys(P, lam, reading)
             seen.update(keys)
             # orbit-stabiliser, as in `automorphism_order`
             order = len(symmetry_group(P)) // len(keys)

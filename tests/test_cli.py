@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -198,6 +199,46 @@ def test_enumerate_writes_class_files(tmp_path, pentagon, capsys):
     assert summary["automorphism_orders"] == [2]
     lam = load_colouring(pentagon, tmp_path / "class-000.txt")
     assert isinstance(lam, Colouring)
+
+
+# sha256 of each file `racover enumerate dodecahedron.json` writes, but its
+# manifest, which records wall time
+CENSUS_DIGESTS = {
+    "class-000.txt": "67a43d72a0f33e9a6db33a79cb40293a23e48cf981a94846f08fef44a41827f8",
+    "class-001.txt": "8e4a76186c34edb786075496a698890b373a6a0546969ab78e58a1bb9396721c",
+    "class-002.txt": "49dd72bedbb113f76b34d89aa3fe6327c5602a0ee929dd0c15857f5feec6d040",
+    "class-003.txt": "bace2015c76e97d761429e352e9ca0db5a87f966ca71ae05d123204a1f4307a5",
+    "class-004.txt": "09265a1e783206a657d59c0485ff0d5ddf170f6a386a03b248318568f8216e5c",
+    "class-005.txt": "0898cd01476b7bc6b1bd08261ae4b5698354b17448b7c3cdb590ce706047c877",
+    "class-006.txt": "931c4b17a5fd87480f6c2ec89c2661b54f3cca4fc7a9ea56a124a4c44641eeee",
+    "class-007.txt": "cabdbee90f7560ee173d9f7780fbfbce0301031b1f48712b2f073a8a0b1d1296",
+    "class-008.txt": "d6d852b99228e2c384d4ba2c5ed4a247ae579650a40a9907d26f81fcf2e1d9f9",
+    "class-009.txt": "6e5322b4655ba8905d726345373b88b44275b093c05000435d13e93f970fb597",
+    "class-010.txt": "120b9c54fc35c55f74173f7c7d5f76bbe36ed89c8987aacc4b298294fbb034bb",
+    "class-011.txt": "c83c6380b20230d1264641652f3430445944b6769f643d1a8604375a7f91b85c",
+    "class-012.txt": "5ea833dab8897d5eb9aa7e45b1b11c83ec66e03243f7703411c8580f3f091ffe",
+    "class-013.txt": "93eb4937e078f953c76f9b46febdcd5a7abababaf259d6262a516a2babe33c96",
+    "class-014.txt": "4687fcc87bc1c339f612cdb568d8d7b3e55c506569d77ad47e6c0dd8d972625b",
+    "class-015.txt": "fc850343ed33d51a269cdfad8668de6cf88ef5d658cdef8c81450427a305bb6f",
+    "class-016.txt": "1d887b07c5cf4c310519bd65aa40c83dbed496e98a7c71afe4885aefe0eb7f40",
+    "class-017.txt": "74d7536af3fdc4e9b0104595ceeaea16b7c9812254acfcfa232df04ac8e1d38f",
+    "class-018.txt": "3436bdbdeff27c69b119f150c3bd5844274f290542f5bdf0ea4ff9e2bf09608e",
+    "class-019.txt": "cc4f77cc6f71c4fa5c596dd97c3e2d5f6fbfd836e8972995d2076e9f45f1d46d",
+    "class-020.txt": "4a207d87923bde32d39d603376f7692f37dc584ccf41545721f684f1554d4169",
+    "class-021.txt": "975d7e8d4d6ebbba058162e933d9ce848ea1b617a1519256cb2478e605b6fa25",
+    "class-022.txt": "025de2ad091d986823995884ef9519108ec4073a4985ec4fa7747ed087759d17",
+    "class-023.txt": "c6b1303cd76d6eb377c877faf7131f197b527ddf950cffc1d7fbb1bc3ced4faf",
+    "class-024.txt": "25189dae2c77f279c6d6de25e14f94ef052c12e244a55abe8225f5b7024b4f29",
+    "enumeration-summary.json": "109526f99d594fae305d19d889094a71980c5ab90a2896b828410d3956f06a01",
+}
+
+
+def test_census_bytes_are_pinned(tmp_path):
+    assert main(["generate", "dodecahedron", "--out", str(tmp_path)]) == EXIT_OK
+    out = tmp_path / "census"
+    assert main(["enumerate", str(tmp_path / "dodecahedron.json"), "--out", str(out)]) == EXIT_OK
+    files = _output_files(out)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == CENSUS_DIGESTS
 
 
 def test_enumerate_chromatic_summary(tmp_path, pentagon, capsys):

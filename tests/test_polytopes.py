@@ -215,6 +215,35 @@ def test_symmetry_group_of_the_120cell(z120):
     assert all(_is_automorphism(z120, g) for g in rng.sample(group, 300))
 
 
+def _generators_by_full_scan(P):
+    """`symmetry_generators` without its early stop: every flag is scanned."""
+    flips = polytopes._edge_flips(P)
+    base = P.vertices[0]
+    found, orbit, failed = [], {base}, set()
+    for k, v in enumerate(P.vertices):
+        for flag in itertools.permutations(v):
+            if flag in orbit or flag in failed:
+                continue
+            sigma = polytopes._propagate(P, P, flips, flips, k, flag)
+            if sigma is None:
+                failed |= polytopes._orbit(flag, found)
+            else:
+                found.append(sigma)
+                orbit = polytopes._orbit(base, found)
+    return tuple(found)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "renumbered", "120-cell"])
+def test_symmetry_generators_match_a_full_flag_scan(name, pentagon, dodecahedron, z120):
+    P = {
+        "pentagon": pentagon,
+        "dodecahedron": dodecahedron,
+        "renumbered": renumbered(dodecahedron, random.Random(5)),
+        "120-cell": z120,
+    }[name]
+    assert symmetry_generators(P) == _generators_by_full_scan(P)
+
+
 def test_120cell_symmetries_need_few_flag_propagations(monkeypatch):
     calls = []
     real = polytopes._propagate

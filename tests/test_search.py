@@ -128,6 +128,84 @@ def test_orbit_set_census_matches_canonical_form_grouping(dodecahedron, census, 
     assert sum(r.orientable for r in result.classes) == 1
 
 
+def _pinned_proper_count(P):
+    """The proper rank-n colourings of the n-polytope P whose first vertex
+    carries e_1, ..., e_n, counted by plain backtracking: the other facets
+    take every nonzero colour in index order, and a vertex is tested by
+    span closure once its last facet is coloured."""
+    n = P.dimension
+    colours = [0] * P.facet_count
+    for k, f in enumerate(P.vertices[0]):
+        colours[f] = 1 << k
+    free = [f for f, c in enumerate(colours) if not c]
+    # closing[i]: the vertices whose last free facet is free[i]
+    closing = [[] for _ in free]
+    for v in P.vertices:
+        last = max((free.index(g) for g in v if g in free), default=None)
+        if last is not None:
+            closing[last].append(v)
+
+    def independent(vectors):
+        span = {0}
+        for x in vectors:
+            if x in span:
+                return False
+            span |= {s ^ x for s in span}
+        return True
+
+    def count(i):
+        if i == len(free):
+            return 1
+        total = 0
+        for c in range(1, 1 << n):
+            colours[free[i]] = c
+            if all(independent([colours[g] for g in v]) for v in closing[i]):
+                total += count(i + 1)
+        colours[free[i]] = 0
+        return total
+
+    return count(0)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 7])
+def test_census_orbit_count_matches_plain_backtracking(dodecahedron, census, seed):
+    # GL(n) acts freely on proper colourings, and each orbit has exactly one
+    # member with the first vertex on e_1..e_n; so by orbit-stabiliser in
+    # Aut(P) x GL(n), the pinned count is the sum of |Aut(P)| / automorphisms
+    if seed is None:
+        P, result = dodecahedron, census
+    else:
+        P = renumbered(dodecahedron, random.Random(seed))
+        result = enumerate_small_covers(P)
+    assert len(symmetry_group(P)) == 120  # H3
+    assert sum(120 // r.automorphisms for r in result.classes) == 2165
+    assert _pinned_proper_count(P) == 2165
+
+
+def test_pentagon_orbit_count_matches_plain_backtracking(pentagon):
+    assert len(symmetry_group(pentagon)) == 10
+    result = enumerate_small_covers(pentagon)
+    assert sum(10 // r.automorphisms for r in result.classes) == _pinned_proper_count(pentagon) == 5
+
+
+def test_120cell_group_has_the_order_of_h4(z120):
+    assert len(symmetry_group(z120)) == 14400
+
+
+@pytest.mark.parametrize("keep", ["nothing", "singles"])
+def test_a_sabotaged_census_trips_the_leaf_assertion(dodecahedron, monkeypatch, keep):
+    # masks that forbid too little let improper leaves through; the census
+    # must not recognise one as a known class instead of asserting
+    real = search._mask_function
+    sabotaged = {
+        "nothing": lambda sets: real(((), (), ())),
+        "singles": lambda sets: real((sets[0], (), ())),
+    }[keep]
+    monkeypatch.setattr(search, "_mask_function", sabotaged)
+    with pytest.raises(AssertionError, match="^incremental properness bookkeeping failed$"):
+        enumerate_small_covers(dodecahedron)
+
+
 def test_enumeration_budget_cuts_off(dodecahedron):
     result = enumerate_small_covers(dodecahedron, SearchBudget(nodes=100, seconds=60))
     assert not result.complete
