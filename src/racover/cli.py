@@ -117,7 +117,7 @@ def cmd_check(args: argparse.Namespace, t0: float) -> int:
     print(f"image dimension: {dim} (cover degree {2 ** dim})")
     chi = is_orientable(P, lam)
     if chi is not None:
-        print(f"orientable: yes (covector {chi.covector:#x})")
+        print(f"orientable: yes (covector {chi:#x})")
     else:
         print("orientable: no")
     witness = non_orientability_witness(P, lam)

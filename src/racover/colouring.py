@@ -23,7 +23,6 @@ from .polytopes import (
 
 __all__ = [
     "ColouringError",
-    "Functional",
     "Colouring",
     "PartialColouring",
     "is_proper",
@@ -46,16 +45,6 @@ __all__ = [
 
 class ColouringError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Covector on the colour space; evaluation is bit-mask parity."""
-
-    covector: int
-
-    def __call__(self, v: int) -> int:
-        return gf2.parity(self.covector & v)
 
 
 @dataclass(frozen=True)
@@ -179,15 +168,15 @@ def _require_proper(P: Polytope, lam: Colouring) -> None:
         raise ColouringError("colouring is not proper")
 
 
-def is_orientable(P: Polytope, lam: Colouring) -> Optional[Functional]:
-    """A covector evaluating to 1 on every colour, or None if none exists.
+def is_orientable(P: Polytope, lam: Colouring) -> Optional[int]:
+    """A covector x with gf2.parity(x & c) == 1 for every colour c, as a bit
+    mask, or None if none exists.
 
     When the colours span their space, existence is equivalent to
     orientability of the associated manifold cover.
     """
     _require_proper(P, lam)
-    x = gf2.solve_all_ones(lam.colours)
-    return None if x is None else Functional(x)
+    return gf2.solve_all_ones(lam.colours)
 
 
 def zero_sum_triples(colours: Sequence[int]) -> Iterator[Tuple[int, int, int]]:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from . import gf2
 from .colouring import Colouring, induced_colouring, is_orientable, is_proper
-from .polytopes import Polytope, orbifold_euler_characteristic
+from .polytopes import Polytope, orbifold_euler_characteristic, reachable
 
 __all__ = [
     "CoverError",
@@ -149,17 +149,10 @@ def _components(
     remaining = set(nodes)
     out = []
     for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        remaining.remove(start)
-        comp = [start]
-        # comp doubles as the queue: nodes appended here are visited in turn
-        for g in comp:
-            for h in moves(g):
-                if h in remaining:
-                    remaining.remove(h)
-                    comp.append(h)
-        out.append(sorted(comp))
+        if start in remaining:
+            comp = reachable(start, lambda g: (h for h in moves(g) if h in remaining))
+            remaining -= comp
+            out.append(sorted(comp))
     return out
 
 

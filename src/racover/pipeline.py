@@ -395,7 +395,7 @@ def run_checks(
         expect(chi is not None, "ambient colouring is not orientable")
         odd = all(gf2.parity(c) for c in a.lam_Q.colours)
         expect(odd, "an ambient colour has even weight")
-        return f"covector {chi.covector:#x}, all colours odd-weight"
+        return f"covector {chi:#x}, all colours odd-weight"
 
     def chain_proper() -> str:
         expect(is_proper(a.P, a.mu_P), "chain colouring is not proper")

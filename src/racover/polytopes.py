@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+)
 
 __all__ = [
     "PolytopeError",
@@ -45,11 +47,29 @@ __all__ = [
     "find_isomorphism",
     "greedy_facet_order",
     "antipodal_facet",
+    "reachable",
 ]
 
 
 class PolytopeError(ValueError):
     pass
+
+
+_Node = TypeVar("_Node", bound=Hashable)
+
+
+def reachable(start: _Node, moves: Callable[[_Node], Iterable[_Node]]) -> Set[_Node]:
+    """Every node reachable from `start` under the neighbour function
+    `moves`, `start` included, found breadth first."""
+    seen = {start}
+    queue = [start]
+    # nodes appended to the queue are visited in turn
+    for node in queue:
+        for nxt in moves(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -129,16 +149,7 @@ class Polytope:
         if not all(incidence):
             raise PolytopeError("some facet lies on no vertex")
 
-        # facet adjacency graph must be connected
-        seen = [False] * m
-        seen[0] = True
-        queue = [0]
-        for i in queue:
-            for j in nb[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-        if len(queue) != m:
+        if len(reachable(0, nb.__getitem__)) != m:
             raise PolytopeError("facet adjacency graph is disconnected")
 
         self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incidence))
@@ -577,14 +588,7 @@ def _edge_flips(P: Polytope) -> _Flips:
         (k, i), (k2, i2) = on
         flips[k][i] = (k2, P.vertices[k2][i2])
         flips[k2][i2] = (k, P.vertices[k][i])
-    seen = {0}
-    queue = [0]
-    for k in queue:
-        for k2, _ in flips[k]:
-            if k2 not in seen:
-                seen.add(k2)
-                queue.append(k2)
-    if len(seen) != len(P.vertices):
+    if len(reachable(0, lambda k: (k2 for k2, _ in flips[k]))) != len(P.vertices):
         raise PolytopeError("vertex graph is disconnected")
     return flips
 
@@ -645,19 +649,11 @@ def _comparable(src: Polytope, dst: Polytope) -> bool:
 
 
 def _orbit(start: Tuple[int, ...], gens: Sequence[_Perm]) -> Set[Tuple[int, ...]]:
-    """Images of a tuple of facets under the group generated by `gens`,
-    breadth first.  From a flag this is its orbit; from the identity
-    permutation, the group itself."""
-    orbit = {start}
-    queue = [start]
-    for t in queue:
-        pick = itemgetter(*t)  # pick(g) = (g[t[0]], g[t[1]], ...), as a tuple: len(t) >= 2
-        for g in gens:
-            image = pick(g)
-            if image not in orbit:
-                orbit.add(image)
-                queue.append(image)
-    return orbit
+    """Images of a tuple of facets under the group generated by `gens`.
+    From a flag this is its orbit; from the identity permutation, the
+    group itself."""
+    # itemgetter(*t)(g) = (g[t[0]], g[t[1]], ...), as a tuple: len(t) >= 2
+    return reachable(start, lambda t: map(itemgetter(*t), gens))
 
 
 _generator_cache: Dict[str, Tuple[_Perm, ...]] = {}

@@ -30,6 +30,7 @@ from .polytopes import (
     Polytope,
     facet_subpolytope,
     greedy_facet_order,
+    reachable,
     symmetry_generators,
     symmetry_group,
 )
@@ -58,7 +59,7 @@ class SearchBudget:
     def __post_init__(self):
         for name in ("nodes", "seconds"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:  # NaN too: no clock reading exceeds it
                 raise ValueError(f"budget {name} must be positive, got {value}")
 
 
@@ -434,17 +435,11 @@ def enumerate_chromatic_colourings(
     visited: Set[bytes] = set()
     orbit_count = 0
     for key in sorted(classes):
-        if key in visited:
-            continue
-        orbit_count += 1
-        visited.add(key)
-        frontier = [key]
-        for seq in frontier:
-            for g in gens:
-                image = norm(tuple(map(seq.__getitem__, g)))
-                if image not in visited:
-                    visited.add(image)
-                    frontier.append(image)
+        if key not in visited:
+            orbit_count += 1
+            visited |= reachable(
+                key, lambda seq: (norm(tuple(map(seq.__getitem__, g))) for g in gens)
+            )
     reps = tuple(classes[key] for key in sorted(classes))
     return ChromaticResult(
         len(classes), orbit_count, status != "budget-out", nodes, seconds, reps

@@ -6,6 +6,7 @@ repeats cheap, but the fixtures keep the dependency explicit.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from typing import List, Optional
 
@@ -96,6 +97,16 @@ def octagons() -> List[Polytope]:
     labels = [f"e{i}" for i in range(8)]
     return [Polytope(2, labels, ring + extra, ring)
             for extra in ([(0, 4), (2, 6)], [(0, 6), (2, 4)])]
+
+
+def two_tetrahedra() -> Polytope:
+    """Tetrahedra on facets 0-3 and 4-7, joined only by the adjacency
+    (0, 4) that no vertex shows: the facet graph is connected, the vertex
+    graph is not."""
+    blocks = (range(4), range(4, 8))
+    adjacency = [p for b in blocks for p in itertools.combinations(b, 2)] + [(0, 4)]
+    vertices = [v for b in blocks for v in itertools.combinations(b, 3)]
+    return Polytope(3, [f"t{i}" for i in range(8)], adjacency, vertices)
 
 
 def random_proper_colouring(P: Polytope, rank: int, rng: random.Random) -> Colouring:

@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from conftest import two_tetrahedra
 from racover import __version__, pipeline
 from racover.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from racover.colouring import Colouring
@@ -143,6 +144,15 @@ def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys,
     code = main(["enumerate", str(path), "--out", str(tmp_path)] + chromatic)
     assert code == EXIT_USAGE
     assert "does not lie on exactly two vertices (1 found)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chromatic", [[], ["--chromatic", "4"]])
+def test_enumerate_rejects_a_disconnected_vertex_graph(tmp_path, capsys, chromatic):
+    path = tmp_path / "tetrahedra.json"
+    write_polytope(two_tetrahedra(), path)
+    code = main(["enumerate", str(path), "--out", str(tmp_path / "out")] + chromatic)
+    assert code == EXIT_USAGE
+    assert "vertex graph is disconnected" in capsys.readouterr().err
 
 
 def _set_facets(obj, value):
@@ -586,14 +596,20 @@ def test_certify_rejects_a_malformed_policy(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, field",
-    [("--budget-nodes", "nodes"), ("--budget-seconds", "seconds")],
-    ids=["nodes", "seconds"],
+    "flag, field, value",
+    [
+        ("--budget-nodes", "nodes", "0"),
+        ("--budget-seconds", "seconds", "0"),
+        # NaN compares false with every clock reading, so it would turn the
+        # wall-clock budget off
+        ("--budget-seconds", "seconds", "nan"),
+    ],
+    ids=["nodes", "seconds", "seconds-nan"],
 )
-def test_bad_budget_is_a_usage_error(tmp_path, census, capsys, flag, field):
+def test_bad_budget_is_a_usage_error(tmp_path, census, capsys, flag, field, value):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main([
-        "extend", str(tmp_path / "class.txt"), flag, "0",
+        "extend", str(tmp_path / "class.txt"), flag, value,
         "--out", str(tmp_path),
     ])
     assert code == EXIT_USAGE

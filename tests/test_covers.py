@@ -14,6 +14,7 @@ from racover.covers import (
     CoverComplex,
     CoverError,
     HypersurfaceComponent,
+    _components,
     _direct_euler_characteristic,
     build_cover,
     cover_connected,
@@ -27,6 +28,13 @@ from racover.covers import (
 from racover.polytopes import _face_counts, f_vector
 
 DODECA_4COL = [1, 2, 3, 4, 2, 4, 3, 4, 1, 3, 1, 2]
+
+
+def test_components_ignore_neighbours_outside_the_node_set():
+    # on the integer line, the nodes split at the missing 2, 6 and 7; each
+    # component comes back sorted, and the components by least node
+    got = _components([8, 5, 4, 3, 1, 0], lambda g: (g + 1, g - 1))
+    assert got == [[0, 1], [3, 4, 5], [8]]
 
 
 def _pentagon_cover(pentagon, cols):

@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 import pytest
 
-from conftest import identity_matching, octagons, relabel, renumbered
+from conftest import identity_matching, octagons, relabel, renumbered, two_tetrahedra
 from racover import polytopes
 from racover.polytopes import (
     FacetMatching,
@@ -396,6 +396,11 @@ def test_symmetries_need_every_edge_on_two_vertices(dodecahedron):
     with pytest.raises(PolytopeError, match=r"does not lie on exactly two vertices \(1 found\)"):
         symmetry_group(broken)
     assert find_isomorphism(dodecahedron, broken) is None
+
+
+def test_symmetries_need_a_connected_vertex_graph():
+    with pytest.raises(PolytopeError, match="^vertex graph is disconnected$"):
+        symmetry_group(two_tetrahedra())
 
 
 def test_constructor_rejects_bad_input():
