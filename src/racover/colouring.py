@@ -33,7 +33,6 @@ __all__ = [
     "non_orientability_witness",
     "from_k_colouring",
     "induced_colouring",
-    "extend_colouring_generic",
     "equivalent",
     "normal_sequence",
     "orbit_keys",
@@ -97,11 +96,6 @@ class PartialColouring:
     @property
     def assigned(self) -> int:
         return sum(1 for c in self.colours if c is not None)
-
-    def to_colouring(self) -> Colouring:
-        if any(c is None for c in self.colours):
-            raise ColouringError("colouring is not total")
-        return Colouring(self.polytope, self.rank, tuple(self.colours))  # type: ignore[arg-type]
 
 
 # Whether the colours at a vertex pass the properness test, by colour
@@ -233,41 +227,6 @@ def induced_colouring(P: Polytope, F: int, lam: Colouring) -> Colouring:
     out = Colouring(sub, lam.rank - 1, tuple(q(lam.colours[g]) for g in inc))
     if not is_proper(sub, out):
         raise ColouringError("induced colouring failed to be proper")
-    return out
-
-
-def extend_colouring_generic(P: Polytope, F: int, lam_sub: Colouring) -> Colouring:
-    """Extend a proper colouring of the facet F to an orientable one of P.
-
-    The target space is GF(2) + GF(2)^s + GF(2)^f where s is the input rank
-    and f counts the facets of P not touching F.  Facet F gets (1, 0, 0);
-    a neighbour G gets (w+1, v, 0) with v the colour of its trace and w the
-    parity of v; the i-th remaining facet gets (0, 0, e_i).  Every colour
-    has odd weight, so the result is orientable, and it induces the input
-    back on F up to equivalence.
-    """
-    sub, inc = facet_subpolytope(P, F)
-    if not lam_sub.polytope.same_structure(sub):
-        raise ColouringError("colouring does not live on the facet subpolytope")
-    if not is_proper(sub, lam_sub):
-        raise ColouringError("colouring of the facet is not proper")
-    s = lam_sub.rank
-    others = [
-        g
-        for g in range(P.facet_count)
-        if g != F and not P.adjacency_masks[F] >> g & 1
-    ]
-    rank = 1 + s + len(others)
-    vals = [0] * P.facet_count
-    vals[F] = 1
-    for j, g in enumerate(inc):
-        v = lam_sub.colours[j]
-        vals[g] = (gf2.parity(v) ^ 1) | v << 1
-    for i, g in enumerate(others):
-        vals[g] = 1 << (1 + s + i)
-    out = Colouring(P, rank, tuple(vals))
-    if not is_proper(P, out):
-        raise ColouringError("generic extension failed to be proper")
     return out
 
 

@@ -75,9 +75,6 @@ class CoverComplex:
     def cells(self) -> int:
         return self.copies * self.cells_per_copy
 
-    def partner(self, g: int, F: int) -> int:
-        return g ^ self.colouring.colours[F]
-
     @cached_property
     def euler_characteristic(self) -> int:
         """See `cover_euler_characteristic`; computed once per cover."""

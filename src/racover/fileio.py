@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .colouring import Colouring, ColouringError, PartialColouring
 from .pipeline import (
@@ -138,7 +138,9 @@ def load_polytope(path: Union[str, Path]) -> Polytope:
 
 # ---------------------------------------------------------------------------
 # colourings: first line "rank <s>", then one value per facet in index
-# order, decimal bit-packed vectors, "-" for an unassigned facet
+# order, decimal bit-packed vectors, "-" for an unassigned facet; numbers
+# are ASCII decimal digits only, where int() alone would also take '+1',
+# '1_0' and non-ASCII digits
 
 def write_colouring(
     c: Union[Colouring, PartialColouring], path: Union[str, Path]
@@ -165,6 +167,8 @@ def load_colouring(
             if len(parts) != 2 or parts[0] != "rank":
                 raise FileFormatError(f"{path}:{ln}: expected 'rank <s>'")
             try:
+                if not (parts[1].isascii() and parts[1].isdigit()):
+                    raise ValueError
                 rank = int(parts[1])
             except ValueError:
                 raise FileFormatError(f"{path}:{ln}: bad rank {parts[1]!r}") from None
@@ -173,6 +177,8 @@ def load_colouring(
             vals.append(None)
             continue
         try:
+            if not (line.isascii() and line.isdigit()):
+                raise ValueError
             vals.append(int(line))
         except ValueError:
             raise FileFormatError(f"{path}:{ln}: bad colour {line!r}") from None
@@ -216,6 +222,26 @@ def _int_field(
     return value
 
 
+def _str_field(path: Path, value: object, name: str) -> str:
+    if type(value) is not str:
+        raise FileFormatError(f"{path}: {name} {value!r} is not a string")
+    return value
+
+
+def _facets_field(
+    path: Path, value: object, name: str, facets: int, what: str, distinct: Optional[int] = None
+) -> Tuple[int, ...]:
+    """The list field `name` of facet indices in [0, facets), required to
+    hold `distinct` distinct ones when that is given."""
+    if (
+        type(value) is not list
+        or not all(type(f) is int and 0 <= f < facets for f in value)
+        or distinct is not None and not len(value) == len(set(value)) == distinct
+    ):
+        raise FileFormatError(f"{path}: {name} {value!r} is not {what}")
+    return tuple(value)
+
+
 def _check_class_record(path: Path, cls: dict) -> None:
     """Check the kind and range of each field of the `class` record; whether
     they match the census is not checked here."""
@@ -226,16 +252,32 @@ def _check_class_record(path: Path, cls: dict) -> None:
         ("glue_facet", facets, "a facet of the dodecahedron"),
     ):
         _int_field(path, cls[key], f"class.{key}", 0, hi, what)
-    witness = cls["witness"]
-    if (
-        type(witness) is not list
-        or len(witness) != 3
-        or not all(type(f) is int and 0 <= f < facets for f in witness)
-        or len(set(witness)) != 3
-    ):
-        raise FileFormatError(
-            f"{path}: class.witness {witness!r} is not three distinct facets of the dodecahedron"
-        )
+    _str_field(path, cls["id"], "class.id")
+    _facets_field(
+        path, cls["witness"], "class.witness", facets,
+        "three distinct facets of the dodecahedron", 3,
+    )
+
+
+def _glue_steps(path: Path, records: object, n: int) -> Tuple[GlueStep, ...]:
+    """The n - 1 glue step records, each field checked for kind and range;
+    whether they match the chains is not checked here."""
+    if type(records) is not list or len(records) != n - 1:
+        raise FileFormatError(f"{path}: glue_steps is not a list of n - 1 = {n - 1} records")
+    fields = (
+        ("step", 2, n + 1, "a summand from 2 to n"),
+        ("dodeca_facet", 0, make_dodecahedron().facet_count, "a facet of the dodecahedron"),
+        ("z_facet", 0, make_120cell().facet_count, "a facet of the 120-cell"),
+    )
+    steps = []
+    for k, s in enumerate(records):
+        if type(s) is not dict or s.keys() != {key for key, *_ in fields}:
+            raise FileFormatError(f"{path}: glue_steps[{k}] {s!r} is not a glue step record")
+        steps.append(GlueStep(*(
+            _int_field(path, s[key], f"glue_steps[{k}].{key}", lo, hi, what)
+            for key, lo, hi, what in fields
+        )))
+    return tuple(steps)
 
 
 def load_certificate(path: Union[str, Path]) -> Certificate:
@@ -277,6 +319,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             path, obj["base_facet"], "base_facet", 0, make_120cell().facet_count,
             "a facet of the 120-cell",
         )
+        policy = _str_field(path, obj["policy"], "policy")
         cls = obj["class"]
         _check_class_record(path, cls)
         assembly = ChainAssembly(
@@ -286,15 +329,21 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             Q,
             lam,
             d_facet,
-            tuple(obj["witness_facets"]),
-            tuple(GlueStep(**s) for s in obj["glue_steps"]),
-            tuple(obj["natural_map"]),
+            _facets_field(
+                path, obj["witness_facets"], "witness_facets", P.facet_count,
+                "three distinct facets of the chain", 3,
+            ),
+            _glue_steps(path, obj["glue_steps"], n),
+            _facets_field(
+                path, obj["natural_map"], "natural_map", P.facet_count,
+                "a list of facets of the chain",
+            ),
             base_facet,
         )
         cover, components, cut = cut_cover(assembly)
         checks = tuple(CheckResult(**c) for c in obj["checks"])
         return Certificate(
-            obj["policy"],
+            policy,
             cls["index"],
             cls["id"],
             cls["automorphisms"],

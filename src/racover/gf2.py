@@ -14,8 +14,6 @@ __all__ = [
     "independent",
     "solve_all_ones",
     "quotient_map",
-    "invertible_maps",
-    "apply_map",
 ]
 
 
@@ -97,38 +95,3 @@ def quotient_map(lf: int) -> Callable[[int], int]:
 
     return q
 
-
-def invertible_maps(dim: int) -> List[List[int]]:
-    """All invertible dim x dim matrices over GF(2), as column lists.
-
-    A matrix is the list of images of the standard basis vectors; meant
-    for small dim only (168 matrices at dim 3).
-    """
-    maps: List[List[int]] = []
-    cols: List[int] = []
-
-    def rec() -> None:
-        if len(cols) == dim:
-            maps.append(cols.copy())
-            return
-        spanned = span(cols)
-        for c in range(1, 1 << dim):
-            if c not in spanned:
-                cols.append(c)
-                rec()
-                cols.pop()
-
-    rec()
-    return maps
-
-
-def apply_map(cols: List[int], v: int) -> int:
-    """Image of v under the matrix with the given basis-vector images."""
-    out = 0
-    i = 0
-    while v:
-        if v & 1:
-            out ^= cols[i]
-        v >>= 1
-        i += 1
-    return out

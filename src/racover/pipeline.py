@@ -62,6 +62,11 @@ from .search import (
 )
 
 
+# the 120-cell facet that carries the class colouring in the extension
+# search; in the chain Q the summands' copies of it merge into `d_facet`
+_BASE_FACET = 0
+
+
 class Finding(Exception):
     """A mathematical expectation failed.  Kept distinct from usage errors
     so callers can exit with the dedicated status code."""
@@ -229,14 +234,13 @@ def extend_from_facet(
 
 def extend_class(
     chosen: ChosenClass,
-    base_facet: int = 0,
     rank: int = 5,
     budget: Optional[SearchBudget] = None,
 ) -> Tuple[SearchOutcome, Tuple[int, ...], Tuple[int, ...]]:
-    """`extend_from_facet` for a chosen class, raising on anything but
-    success: budget exhaustion and a genuinely empty search space are kept
-    distinct."""
-    outcome, inc, psi = extend_from_facet(chosen.colouring, base_facet, rank, budget)
+    """`extend_from_facet` for a chosen class from the chain's base facet,
+    raising on anything but success: budget exhaustion and a genuinely
+    empty search space are kept distinct."""
+    outcome, inc, psi = extend_from_facet(chosen.colouring, _BASE_FACET, rank, budget)
     if outcome.status == "budget-out":
         raise BudgetError(f"extension search stopped after {outcome.nodes} nodes")
     if outcome.colouring is None:
@@ -267,7 +271,6 @@ def assemble_chain(
     chosen: ChosenClass,
     n: int,
     budget: Optional[SearchBudget] = None,
-    base_facet: int = 0,
 ) -> ChainAssembly:
     """Build the length-n dodecahedron chain and its 120-cell companion.
 
@@ -288,7 +291,7 @@ def assemble_chain(
     D = make_dodecahedron()
     if not chosen.colouring.polytope.same_structure(D):
         raise ValueError("chain assembly starts from a dodecahedral class")
-    outcome, inc, psi = extend_class(chosen, base_facet, 5, budget)
+    outcome, inc, psi = extend_class(chosen, 5, budget)
     lam_Z = outcome.colouring
     assert lam_Z is not None
     Z = make_120cell()
@@ -307,7 +310,7 @@ def assemble_chain(
         GlueStep(t + 2, a, z) for t, (a, z) in enumerate(zip(attach, attach_z))
     )
 
-    d_facet = q_prov[0][base_facet]
+    d_facet = q_prov[0][_BASE_FACET]
     assert d_facet is not None
     witness_facets = tuple(p_prov[0][w] for w in chosen.witness)
     if any(w is None for w in witness_facets):
@@ -323,7 +326,7 @@ def assemble_chain(
         witness_facets,  # type: ignore[arg-type]
         glue_steps,
         nat,
-        base_facet,
+        _BASE_FACET,
     )
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "facet_subpolytope",
     "connected_sum",
     "chain_sum",
-    "f_vector",
     "orbifold_euler_characteristic",
     "symmetry_group",
     "symmetry_generators",
@@ -495,18 +494,6 @@ def _face_counts(P: Polytope) -> Dict[int, int]:
     return counts
 
 
-def f_vector(P: Polytope) -> Tuple[int, ...]:
-    """Face counts (f_0, ..., f_{n-1}), vertices first, facets last."""
-    counts = _face_counts(P)
-    n = P.dimension
-    fv = tuple(counts[n - d] for d in range(n))
-    if fv[-1] != P.facet_count:
-        raise PolytopeError("face count disagrees with facet list")
-    if n == 3 and fv[0] - fv[1] + fv[2] != 2:
-        raise PolytopeError("Euler relation fails; polytope is not spherical")
-    return fv
-
-
 def orbifold_euler_characteristic(P: Polytope) -> Fraction:
     """Sum of (-1)^dim / 2^codim over all faces, the polytope included."""
     counts = _face_counts(P)
@@ -515,16 +502,6 @@ def orbifold_euler_characteristic(P: Polytope) -> Fraction:
     for k, c in counts.items():
         total += Fraction((-1) ** (n - k) * c, 2 ** k)
     return total
-
-
-def gauss_bonnet_pi2_multiple(P: Polytope) -> Fraction:
-    """Volume of a right-angled hyperbolic 4-polytope as a multiple of pi^2.
-
-    Gauss-Bonnet in dimension four: vol = (4 pi^2 / 3) * chi_orb.
-    """
-    if P.dimension != 4:
-        raise PolytopeError("Gauss-Bonnet volume formula implemented for dimension 4 only")
-    return Fraction(4, 3) * orbifold_euler_characteristic(P)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,31 @@
-"""Shared fixtures: session-cached polytopes, censuses and certificates.
+"""Shared fixtures: session-cached polytopes, censuses and certificates,
+and the reference helpers the tests compare the library against.
 
 Heavy objects (the 120-cell, the dodecahedral census, the chain
 certificates) are built once per session; the library's own caches make
-repeats cheap, but the fixtures keep the dependency explicit.
+repeats cheap, but the fixtures keep the dependency explicit.  The
+helpers include the brute-force GL(s, 2) oracle (`invertible_maps`,
+`apply_map`), the generic orientable extension of a facet colouring and
+the f-vector; no command of the package needs them.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import pytest
 
 from racover import gf2
-from racover.colouring import Colouring
+from racover.colouring import Colouring, ColouringError, is_proper
 from racover.pipeline import Certificate, _dodecahedron_census, certify
 from racover.polytopes import (
     FacetMatching,
     Polytope,
+    _face_counts,
     antipodal_facet,
     chain_sum,
+    facet_subpolytope,
     make_120cell,
     make_dodecahedron,
     make_polygon,
@@ -50,6 +56,11 @@ def census() -> EnumerationResult:
 @pytest.fixture(scope="session")
 def cert1() -> Certificate:
     return certify(1)
+
+
+@pytest.fixture(scope="session")
+def cert3() -> Certificate:
+    return certify(3)
 
 
 def renumbered(P: Polytope, rng: random.Random) -> Polytope:
@@ -146,3 +157,82 @@ def random_proper_colouring(P: Polytope, rank: int, rng: random.Random) -> Colou
     if not rec(0):
         raise ValueError(f"no proper rank-{rank} colouring on {P!r}")
     return Colouring(P, rank, tuple(vals))  # type: ignore[arg-type]
+
+
+def f_vector(P: Polytope) -> Tuple[int, ...]:
+    """Face counts (f_0, ..., f_{n-1}), vertices first, facets last; in
+    dimension 3 they must satisfy Euler's relation."""
+    counts = _face_counts(P)
+    n = P.dimension
+    fv = tuple(counts[n - d] for d in range(n))
+    assert n != 3 or fv[0] - fv[1] + fv[2] == 2, "Euler relation fails"
+    return fv
+
+
+def invertible_maps(dim: int) -> List[List[int]]:
+    """All invertible dim x dim matrices over GF(2), as column lists: a
+    matrix is the list of images of the standard basis vectors.  The
+    brute-force GL(dim, 2) oracle, for small dim (168 matrices at 3)."""
+    maps: List[List[int]] = []
+    cols: List[int] = []
+
+    def rec() -> None:
+        if len(cols) == dim:
+            maps.append(cols.copy())
+            return
+        spanned = gf2.span(cols)
+        for c in range(1, 1 << dim):
+            if c not in spanned:
+                cols.append(c)
+                rec()
+                cols.pop()
+
+    rec()
+    return maps
+
+
+def apply_map(cols: List[int], v: int) -> int:
+    """Image of v under the matrix with the given basis-vector images."""
+    out = 0
+    i = 0
+    while v:
+        if v & 1:
+            out ^= cols[i]
+        v >>= 1
+        i += 1
+    return out
+
+
+def extend_colouring_generic(P: Polytope, F: int, lam_sub: Colouring) -> Colouring:
+    """Extend a proper colouring of the facet F to an orientable one of P.
+
+    The target space is GF(2) + GF(2)^s + GF(2)^f where s is the input rank
+    and f counts the facets of P not touching F.  Facet F gets (1, 0, 0);
+    a neighbour G gets (w+1, v, 0) with v the colour of its trace and w the
+    parity of v; the i-th remaining facet gets (0, 0, e_i).  Every colour
+    has odd weight, so the result is orientable, and it induces the input
+    back on F up to equivalence.
+    """
+    sub, inc = facet_subpolytope(P, F)
+    if not lam_sub.polytope.same_structure(sub):
+        raise ColouringError("colouring does not live on the facet subpolytope")
+    if not is_proper(sub, lam_sub):
+        raise ColouringError("colouring of the facet is not proper")
+    s = lam_sub.rank
+    others = [
+        g
+        for g in range(P.facet_count)
+        if g != F and not P.adjacency_masks[F] >> g & 1
+    ]
+    rank = 1 + s + len(others)
+    vals = [0] * P.facet_count
+    vals[F] = 1
+    for j, g in enumerate(inc):
+        v = lam_sub.colours[j]
+        vals[g] = (gf2.parity(v) ^ 1) | v << 1
+    for i, g in enumerate(others):
+        vals[g] = 1 << (1 + s + i)
+    out = Colouring(P, rank, tuple(vals))
+    if not is_proper(P, out):
+        raise ColouringError("generic extension failed to be proper")
+    return out

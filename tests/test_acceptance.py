@@ -12,18 +12,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_proper_colouring
+from conftest import (
+    apply_map,
+    extend_colouring_generic,
+    invertible_maps,
+    random_proper_colouring,
+)
 from racover import gf2
 from racover.colouring import (
     Colouring,
     equivalent,
-    extend_colouring_generic,
     from_k_colouring,
     induced_colouring,
     is_proper,
     transport,
 )
 from racover.covers import (
+    V_120CELL_PI2,
     build_cover,
     cover_euler_characteristic,
     cut_along,
@@ -33,7 +38,6 @@ from racover.pipeline import certify, extend_class, select_class
 from racover.polytopes import (
     facet_subpolytope,
     find_isomorphism,
-    gauss_bonnet_pi2_multiple,
     orbifold_euler_characteristic,
 )
 from racover.search import (
@@ -56,8 +60,8 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def certs(cert1):
-    return {1: cert1, 2: certify(2), 3: certify(3)}
+def certs(cert1, cert3):
+    return {1: cert1, 2: certify(2), 3: cert3}
 
 
 def test_criterion_1_small_cover_census(census):
@@ -173,8 +177,9 @@ def test_criterion_4_chain_certificates(certs):
 
 def test_criterion_5_gauss_bonnet(z120):
     chi = orbifold_euler_characteristic(z120)
-    vol = gauss_bonnet_pi2_multiple(z120)
-    ok = chi == Fraction(17, 2) and vol == Fraction(34, 3) and vol == Fraction(4, 3) * chi
+    # Gauss-Bonnet in dimension four: vol = (4 pi^2 / 3) * chi_orb
+    vol = Fraction(4, 3) * chi
+    ok = chi == Fraction(17, 2) and vol == Fraction(34, 3) == V_120CELL_PI2
     _report(
         5,
         "Gauss-Bonnet consistency",
@@ -266,8 +271,8 @@ def test_criterion_8_property_suites(pentagon, dodecahedron, z120, census, certs
     for lam in pool:
         direct = gf2.solve_all_ones(lam.colours) is not None
         brute = any(
-            all(gf2.parity(gf2.apply_map(cols, c)) for c in lam.colours)
-            for cols in gf2.invertible_maps(lam.rank)
+            all(gf2.parity(apply_map(cols, c)) for c in lam.colours)
+            for cols in invertible_maps(lam.rank)
         )
         if direct == brute:
             agreements += 1

@@ -298,7 +298,7 @@ def test_extend_matches_extend_class(tmp_path, z120, census):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main(["extend", str(tmp_path / "class.txt"), "--out", str(tmp_path)])
     assert code == EXIT_OK
-    outcome, _, _ = extend_class(select_class(census, "index:0"), base_facet=0)
+    outcome, _, _ = extend_class(select_class(census, "index:0"))
     summary = json.loads((tmp_path / "extension-summary.json").read_text("utf-8"))
     assert summary["seed_facet"] == 0
     assert summary["nodes"] == outcome.nodes
@@ -581,6 +581,7 @@ def test_verify_rejects_a_files_record_that_is_not_an_object(cert1_dir, tmp_path
         ("glue_facet", 12), ("glue_facet", -1), ("glue_facet", "x"),
         ("witness", [0, 0, 1]), ("witness", [99, 100, 101]), ("witness", [0, 1]),
         ("witness", [0, 1, True]), ("witness", "012"),
+        ("id", 123),
     ],
 )
 def test_verify_rejects_a_malformed_class_record(cert1_dir, tmp_path, capsys, field, value):

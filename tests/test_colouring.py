@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import dodecahedral_chain, random_proper_colouring
+from conftest import (
+    apply_map,
+    dodecahedral_chain,
+    extend_colouring_generic,
+    invertible_maps,
+    random_proper_colouring,
+)
 from racover import colouring, gf2
 from racover.colouring import (
     Colouring,
@@ -15,7 +21,6 @@ from racover.colouring import (
     canonical_form,
     dependent_vertex,
     equivalent,
-    extend_colouring_generic,
     from_k_colouring,
     image_dimension,
     induced_colouring,
@@ -292,9 +297,9 @@ def test_canonical_form_is_a_class_invariant(pentagon):
         )
         assert canonical_form(pentagon, moved) == base
     # invariant under any invertible map of the colour space
-    for cols in rng.sample(gf2.invertible_maps(2), 4):
+    for cols in rng.sample(invertible_maps(2), 4):
         mapped = Colouring(
-            pentagon, 2, tuple(gf2.apply_map(cols, c) for c in lam.colours)
+            pentagon, 2, tuple(apply_map(cols, c) for c in lam.colours)
         )
         assert canonical_form(pentagon, mapped) == base
         assert equivalent(pentagon, mapped, lam)
@@ -311,13 +316,13 @@ def test_equivalent_agrees_with_canonical_forms_on_the_census(dodecahedron, cens
     P = dodecahedron
     rng = random.Random(7)
     group = symmetry_group(P)
-    maps = gf2.invertible_maps(3)
+    maps = invertible_maps(3)
     classes = [r.colouring for r in census.classes]
     images = []
     for lam in classes:
         sigma, a = rng.choice(group), rng.choice(maps)
         images.append(Colouring(
-            P, 3, tuple(gf2.apply_map(a, lam.colours[sigma[f]]) for f in range(P.facet_count))
+            P, 3, tuple(apply_map(a, lam.colours[sigma[f]]) for f in range(P.facet_count))
         ))
     forms = [canonical_form(P, lam) for lam in classes]
     image_forms = [canonical_form(P, mu) for mu in images]
@@ -403,10 +408,6 @@ def test_transport_round_trip(pentagon):
 def test_partial_colouring_behaviour(pentagon):
     part = PartialColouring(pentagon, 2, (1, None, 1, 2, None))
     assert part.assigned == 3
-    with pytest.raises(ColouringError):
-        part.to_colouring()
-    total = PartialColouring(pentagon, 2, (1, 2, 1, 2, 3)).to_colouring()
-    assert isinstance(total, Colouring)
     with pytest.raises(ColouringError):
         # adjacent equal colours are dependent at their shared vertex
         PartialColouring(pentagon, 2, (1, 1, None, None, None))

@@ -152,6 +152,17 @@ def test_colouring_file_errors(tmp_path, pentagon):
     with pytest.raises(FileFormatError):
         load_colouring(pentagon, path)
 
+    # only ASCII decimal digits: int() would also take a sign, underscores
+    # and non-ASCII digits
+    for rank in ("+2", "+0_3", "0_2", "\u0662"):
+        path.write_text(f"rank {rank}\n1\n2\n1\n2\n3\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="bad rank"):
+            load_colouring(pentagon, path)
+    for colour in ("+1", "1_0", "\u0664", "-1"):
+        path.write_text(f"rank 2\n1\n2\n1\n2\n{colour}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="bad colour"):
+            load_colouring(pentagon, path)
+
 
 def test_volume_and_summary_records(dodecahedron):
     lam = from_k_colouring(dodecahedron, [1, 2, 3, 4, 2, 4, 3, 4, 1, 3, 1, 2])
@@ -292,6 +303,10 @@ def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
     [
         ("n", 0), ("n", -1), ("n", "1"), ("base_facet", 10**6), ("base_facet", -1),
         ("files", []), ("files", "x"), ("files", {"chain": "x"}),
+        ("policy", 5),
+        ("glue_steps", [{"step": "x", "dodeca_facet": None, "z_facet": [1]}]),
+        ("witness_facets", [10**6, 0, 1]), ("witness_facets", [True, 2, 3]),
+        ("natural_map", [1.0, *range(1, 12)]),
     ],
 )
 def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
@@ -300,6 +315,26 @@ def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
     obj[key] = value
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
     with pytest.raises(FileFormatError, match=key):
+        load_certificate(path)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda steps: steps.clear(), "glue_steps"),
+        (lambda steps: steps[0].update(z_facet=10**6), r"glue_steps\[0\]\.z_facet"),
+        (lambda steps: steps[1].update(step=True), r"glue_steps\[1\]\.step"),
+        (lambda steps: steps[1].update(dodeca_facet=12), r"glue_steps\[1\]\.dodeca_facet"),
+        (lambda steps: steps[0].update(extra=1), r"glue_steps\[0\]"),
+    ],
+    ids=["empty", "z_facet", "step", "dodeca_facet", "extra-key"],
+)
+def test_certificate_rejects_a_malformed_glue_step(tmp_path, cert3, edit, field):
+    path = write_certificate(cert3, tmp_path / "cert")
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    edit(obj["glue_steps"])
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=field):
         load_certificate(path)
 
 

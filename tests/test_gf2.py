@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import apply_map, invertible_maps
 from racover import gf2
 
 
@@ -83,7 +84,7 @@ def test_solve_all_ones_known_cases():
 
 @pytest.mark.parametrize("dim, count", [(1, 1), (2, 6), (3, 168)])
 def test_invertible_map_counts(dim, count):
-    maps = gf2.invertible_maps(dim)
+    maps = invertible_maps(dim)
     assert len(maps) == count
     seen = set()
     for cols in maps:
@@ -96,18 +97,18 @@ def test_invertible_map_counts(dim, count):
 def test_apply_map_on_basis_and_sums():
     cols = [3, 5, 6]
     for i in range(3):
-        assert gf2.apply_map(cols, 1 << i) == cols[i]
+        assert apply_map(cols, 1 << i) == cols[i]
     rng = random.Random(19)
     for _ in range(100):
         a = rng.randrange(8)
         b = rng.randrange(8)
-        assert gf2.apply_map(cols, a ^ b) == gf2.apply_map(cols, a) ^ gf2.apply_map(cols, b)
+        assert apply_map(cols, a ^ b) == apply_map(cols, a) ^ apply_map(cols, b)
 
 
 def test_invertible_maps_compose_to_permutations():
     # an invertible map permutes the nonzero vectors
-    for cols in gf2.invertible_maps(3):
-        images = {gf2.apply_map(cols, v) for v in range(1, 8)}
+    for cols in invertible_maps(3):
+        images = {apply_map(cols, v) for v in range(1, 8)}
         assert images == set(range(1, 8))
 
 

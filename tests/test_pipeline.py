@@ -6,11 +6,12 @@ import sys
 
 import pytest
 
-from conftest import identity_matching, relabel
+from conftest import f_vector, identity_matching, relabel
 from racover import gf2, polytopes
 from racover.colouring import equivalent, induced_colouring, is_orientable, is_proper, transport
 from racover.fileio import load_certificate, write_certificate
 from racover.pipeline import (
+    _BASE_FACET,
     Finding,
     GlueStep,
     _verify_facet_map,
@@ -25,7 +26,6 @@ from racover.polytopes import (
     PolytopeError,
     antipodal_facet,
     connected_sum,
-    f_vector,
     facet_subpolytope,
     make_120cell,
     make_dodecahedron,
@@ -297,11 +297,11 @@ def _grow_by_connected_sum(cur, vals, prov, base, tag, base_vals, attach):
     return out, new_vals, new_prov
 
 
-def _reference_chain(chosen, n, base_facet=0):
+def _reference_chain(chosen, n):
     """The chain glued one summand at a time, rebuilding after each step;
     the natural map is read off the facet labels."""
     D, Z = make_dodecahedron(), make_120cell()
-    outcome, inc, psi = extend_class(chosen, base_facet)
+    outcome, inc, psi = extend_class(chosen)
     lam_Z = outcome.colouring
     z_of_d = {psi[j]: inc[j] for j in range(len(inc))}
     d_of_z = {z: d for d, z in z_of_d.items()}
@@ -319,7 +319,7 @@ def _reference_chain(chosen, n, base_facet=0):
         )
         steps.append(GlueStep(t, attach, z_of_d[attach]))
         attach = antipodal_facet(D, attach)
-    d_facet = q_prov[0][base_facet]
+    d_facet = q_prov[0][_BASE_FACET]
     nat = []
     for qf in facet_subpolytope(Q, d_facet)[1]:
         targets = set()

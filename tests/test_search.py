@@ -263,30 +263,51 @@ def _norm(seq):
     return bytes(ren.setdefault(c, len(ren) + 1) for c in seq)
 
 
-def _orbit_count_by_full_sweep(P, result):
+def _full_sweep(P, result):
     """Reference orbit count: one sweep over the whole symmetry group per
-    unvisited class, as the count was first computed."""
+    unvisited class, as the count was first computed.  Returns the count
+    and the sum over the orbits of |Aut| / |stabiliser of the first class
+    met|, the stabiliser read off the same sweep."""
+    group = symmetry_group(P)
     rem = {_norm(rep) for rep in result.representatives}
     count = 0
+    orbit_sizes = 0
     for rep in result.representatives:
-        if _norm(rep) not in rem:
+        key = _norm(rep)
+        if key not in rem:
             continue
         count += 1
-        for sigma in symmetry_group(P):
-            rem.discard(_norm([rep[sigma[j]] for j in range(P.facet_count)]))
-    return count
+        stabiliser = 0
+        for sigma in group:
+            image = _norm([rep[sigma[j]] for j in range(P.facet_count)])
+            rem.discard(image)
+            stabiliser += image == key
+        assert len(group) % stabiliser == 0
+        orbit_sizes += len(group) // stabiliser
+    return count, orbit_sizes
 
 
 @pytest.mark.parametrize(
-    "name,k,nodes", [("dodecahedron", 4, None), ("dodecahedron", 5, None), ("z120", 5, 7910)]
+    "name,k,nodes",
+    [
+        ("dodecahedron", 4, None), ("dodecahedron", 5, None), ("z120", 5, 7910),
+        ("octagon0", 3, None), ("octagon0", 4, None),
+        ("octagon1", 3, None), ("octagon1", 4, None),
+    ],
 )
 def test_generator_orbit_count_matches_the_full_sweep(request, name, k, nodes):
-    P = request.getfixturevalue(name)
+    if name.startswith("octagon"):
+        P = octagons()[int(name[-1])]
+    else:
+        P = request.getfixturevalue(name)
     result = enumerate_chromatic_colourings(P, k)
     assert result.complete
     if nodes is not None:
         assert result.nodes == nodes
-    assert result.orbit_count == _orbit_count_by_full_sweep(P, result)
+    orbits, orbit_sizes = _full_sweep(P, result)
+    assert result.orbit_count == orbits
+    # orbit-stabiliser: the orbits partition the classes counted up to renaming
+    assert orbit_sizes == result.count
 
 
 def test_budgeted_orbit_count_matches_the_full_sweep(dodecahedron):
@@ -294,7 +315,7 @@ def test_budgeted_orbit_count_matches_the_full_sweep(dodecahedron):
         result = enumerate_chromatic_colourings(
             dodecahedron, 5, SearchBudget(nodes=nodes, seconds=60)
         )
-        assert result.orbit_count == _orbit_count_by_full_sweep(dodecahedron, result)
+        assert result.orbit_count == _full_sweep(dodecahedron, result)[0]
 
 
 def test_chromatic_budget_cuts_off(dodecahedron):
@@ -1021,7 +1042,7 @@ def _reference_chromatic(P, k, budget=None):
     except _BudgetOut:
         complete = False
     reps = tuple(classes[key] for key in sorted(classes))
-    orbits = _orbit_count_by_full_sweep(P, SimpleNamespace(representatives=reps))
+    orbits = _full_sweep(P, SimpleNamespace(representatives=reps))[0]
     return len(reps), orbits, complete, meter.nodes, reps
 
 
