@@ -254,8 +254,8 @@ def cmd_certify(args: argparse.Namespace, t0: float) -> int:
     path = fileio.write_certificate(cert, outdir)
     print(f"certificate: {path}")
     print(
-        f"class {cert.class_index} (automorphisms {cert.automorphisms}), "
-        f"witness {cert.witness}, glue facet {cert.glue_facet}"
+        f"class {cert.chosen.index} (automorphisms {cert.chosen.automorphisms}), "
+        f"witness {cert.chosen.witness}, glue facet {cert.chosen.glue_facet}"
     )
     _report_checks(cert.checks)
     _write_run_manifest(args, {}, path, outdir, t0)

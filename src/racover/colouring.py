@@ -65,7 +65,7 @@ class Colouring:
         if len(self.colours) != self.polytope.facet_count:
             raise ColouringError("one colour per facet required")
         for c in self.colours:
-            if not 0 <= c < 1 << self.rank:
+            if c < 0 or c.bit_length() > self.rank:
                 raise ColouringError(f"colour {c} outside GF(2)^{self.rank}")
 
     @cached_property
@@ -87,7 +87,7 @@ class PartialColouring:
         if len(self.colours) != self.polytope.facet_count:
             raise ColouringError("one entry per facet required")
         for c in self.colours:
-            if c is not None and not 0 <= c < 1 << self.rank:
+            if c is not None and (c < 0 or c.bit_length() > self.rank):
                 raise ColouringError(f"colour {c} outside GF(2)^{self.rank}")
         v = dependent_vertex(self.polytope, self.colours)
         if v is not None:

@@ -22,8 +22,10 @@ from .pipeline import (
     ChainAssembly,
     CheckResult,
     GlueStep,
+    _dodecahedron_census,
     certificate_object,
     cut_cover,
+    select_class,
 )
 from .polytopes import Polytope, PolytopeError, make_120cell, make_dodecahedron
 
@@ -244,7 +246,8 @@ def _facets_field(
 
 def _check_class_record(path: Path, cls: dict) -> None:
     """Check the kind and range of each field of the `class` record; whether
-    they match the census is not checked here."""
+    they match the class re-selected from the census is re-validation's
+    check."""
     facets = make_dodecahedron().facet_count
     for key, hi, what in (
         ("index", None, "a non-negative integer"),
@@ -286,7 +289,8 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
     Referenced files must match their recorded digests; the cover, cut
     locus and cut report are rebuilt from the loaded chains, and
     `validate_certificate` re-runs the checks on these, so it exercises the
-    stored data, not cached results.
+    stored data, not cached results.  The class is re-selected from the
+    census under the stored policy, as `certify` selects it.
     The parsed file is kept as `stored`, so re-validation can read back
     every field it states.
     """
@@ -315,13 +319,18 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
         d_facet = _int_field(
             path, obj["d_facet"], "d_facet", 0, Q.facet_count, "a facet of the ambient polytope"
         )
-        base_facet = _int_field(
+        _int_field(
             path, obj["base_facet"], "base_facet", 0, make_120cell().facet_count,
             "a facet of the 120-cell",
         )
         policy = _str_field(path, obj["policy"], "policy")
-        cls = obj["class"]
-        _check_class_record(path, cls)
+        _check_class_record(path, obj["class"])
+        if type(obj["notes"]) is not list:
+            raise FileFormatError(f"{path}: notes {obj['notes']!r} is not a list")
+        try:
+            chosen = select_class(_dodecahedron_census(), policy)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: policy: {exc}") from None
         assembly = ChainAssembly(
             n,
             P,
@@ -338,25 +347,10 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
                 path, obj["natural_map"], "natural_map", P.facet_count,
                 "a list of facets of the chain",
             ),
-            base_facet,
         )
         cover, components, cut = cut_cover(assembly)
         checks = tuple(CheckResult(**c) for c in obj["checks"])
-        return Certificate(
-            policy,
-            cls["index"],
-            cls["id"],
-            cls["automorphisms"],
-            tuple(cls["witness"]),
-            cls["glue_facet"],
-            assembly,
-            cover,
-            components,
-            cut,
-            checks,
-            tuple(obj["notes"]),
-            obj,
-        )
+        return Certificate(policy, chosen, assembly, cover, components, cut, checks, obj)
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: malformed certificate ({exc})") from exc
 

@@ -113,7 +113,6 @@ class ChainAssembly:
     witness_facets: Tuple[int, int, int]
     glue_steps: Tuple[GlueStep, ...]
     natural_map: Tuple[int, ...]
-    base_facet: int
 
 
 @dataclass(frozen=True)
@@ -129,31 +128,23 @@ class Certificate:
 
     `stored` is the parsed certificate file a certificate was loaded from,
     and None for one built in memory.  A loaded certificate's cover,
-    components and cut were rebuilt from its stored chains on loading.
-    The chain length and glue steps are the assembly's.
+    components and cut were rebuilt from its stored chains on loading, and
+    its class re-selected from the census under its stored policy.  The
+    chain length is the assembly's.
     """
 
     policy: str
-    class_index: int
-    class_id: str
-    automorphisms: int
-    witness: Tuple[int, int, int]
-    glue_facet: int
+    chosen: ChosenClass
     assembly: ChainAssembly
     cover: CoverComplex
     components: Tuple[HypersurfaceComponent, ...]
     cut: CutReport
     checks: Tuple[CheckResult, ...]
-    notes: Tuple[str, ...]
     stored: Optional[Mapping[str, Any]] = None
 
     @property
     def n(self) -> int:
         return self.assembly.n
-
-    @property
-    def glue_steps(self) -> Tuple[GlueStep, ...]:
-        return self.assembly.glue_steps
 
     @property
     def passed(self) -> bool:
@@ -184,10 +175,12 @@ def select_class(result: EnumerationResult, policy: str = "max-symmetry") -> Cho
             raise ValueError("enumeration contains no non-orientable class")
         index, record = max(candidates, key=lambda t: (t[1].automorphisms, -t[0]))
     elif policy.startswith("index:"):
-        try:
-            index = int(policy.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed policy {policy!r}") from None
+        digits = policy[len("index:"):]
+        # ASCII decimal digits only: int() would also take '+2', '2_2',
+        # ' 22' and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"malformed policy {policy!r}")
+        index = int(digits)
         if not 0 <= index < len(result.classes):
             raise ValueError(f"class index {index} outside the enumeration")
         record = result.classes[index]
@@ -326,7 +319,6 @@ def assemble_chain(
         witness_facets,  # type: ignore[arg-type]
         glue_steps,
         nat,
-        _BASE_FACET,
     )
 
 
@@ -377,7 +369,7 @@ def run_checks(
     cover: CoverComplex,
     components: Sequence[HypersurfaceComponent],
     cut: CutReport,
-) -> Tuple[Tuple[CheckResult, ...], Tuple[str, ...]]:
+) -> Tuple[CheckResult, ...]:
     """Evaluate every certified property; one CheckResult per property.
 
     A crash inside a check must surface as that check failing, not abort
@@ -529,17 +521,7 @@ def run_checks(
             checks.append(CheckResult(name, True, fn()))
         except Exception as exc:  # noqa: BLE001 - see docstring
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-
-    sizes = sorted(len(c.pieces) for c in components)
-    notes = (
-        f"cut locus: {len(components)} component(s) with piece counts {sizes}, "
-        "computed from the gluing; informal descriptions of this construction "
-        "sometimes quote four copies",
-        "naming: N is the boundary three-manifold, M the ambient four-manifold "
-        "it bounds; accounts that swap the two letters describe the same pair",
-        "gluings use the label-identity matching between mirrored summands",
-    )
-    return tuple(checks), notes
+    return tuple(checks)
 
 
 def cut_cover(
@@ -561,22 +543,8 @@ def certify(
     chosen = select_class(_dodecahedron_census(), policy)
     a = assemble_chain(chosen, n, budget)
     cover, components, cut = cut_cover(a)
-    checks, notes = run_checks(a, cover, components, cut)
-    class_id = canonical_form(chosen.colouring.polytope, chosen.colouring).decode()
-    return Certificate(
-        policy,
-        chosen.index,
-        class_id,
-        chosen.automorphisms,
-        chosen.witness,
-        chosen.glue_facet,
-        a,
-        cover,
-        components,
-        cut,
-        checks,
-        notes,
-    )
+    checks = run_checks(a, cover, components, cut)
+    return Certificate(policy, chosen, a, cover, components, cut, checks)
 
 
 # the chain and colouring files beside certificate.json, by their key in
@@ -597,26 +565,29 @@ def certificate_object(
     `digests` maps each key of `CERTIFICATE_FILES` to the sha256 of that
     file, or is None for a certificate not written to files.  The writer
     writes this object, and re-validation compares it, rebuilt from the
-    re-run checks, with the stored one.
+    re-run checks, with the stored one.  The class id, the base facet and
+    the notes are derived here, not kept in the certificate.
     """
     a = cert.assembly
+    chosen = cert.chosen
     files = None if digests is None else {
         key: {"path": name, "sha256": digests[key]} for key, name in CERTIFICATE_FILES.items()
     }
+    piece_counts = sorted(len(c.pieces) for c in cert.components)
     return {
         "format": "racover-certificate",
         "n": cert.n,
         "policy": cert.policy,
         "passed": cert.passed,
         "class": {
-            "index": cert.class_index,
-            "id": cert.class_id,
-            "automorphisms": cert.automorphisms,
-            "witness": list(cert.witness),
-            "glue_facet": cert.glue_facet,
+            "index": chosen.index,
+            "id": canonical_form(chosen.colouring.polytope, chosen.colouring).decode(),
+            "automorphisms": chosen.automorphisms,
+            "witness": list(chosen.witness),
+            "glue_facet": chosen.glue_facet,
         },
-        "glue_steps": [json_record(s) for s in cert.glue_steps],
-        "base_facet": a.base_facet,
+        "glue_steps": [json_record(s) for s in a.glue_steps],
+        "base_facet": _BASE_FACET,
         "d_facet": a.d_facet,
         "witness_facets": list(a.witness_facets),
         "natural_map": list(a.natural_map),
@@ -625,7 +596,7 @@ def certificate_object(
         "cut_locus": {
             "facet": a.d_facet,
             "components": len(cert.components),
-            "piece_counts": sorted(len(c.pieces) for c in cert.components),
+            "piece_counts": piece_counts,
         },
         "cut": json_record(cert.cut),
         "volumes": [
@@ -638,7 +609,14 @@ def certificate_object(
             },
         ],
         "checks": [json_record(c) for c in cert.checks],
-        "notes": list(cert.notes),
+        "notes": [
+            f"cut locus: {len(cert.components)} component(s) with piece counts "
+            f"{piece_counts}, computed from the gluing; informal descriptions of "
+            "this construction sometimes quote four copies",
+            "naming: N is the boundary three-manifold, M the ambient four-manifold "
+            "it bounds; accounts that swap the two letters describe the same pair",
+            "gluings use the label-identity matching between mirrored summands",
+        ],
     }
 
 
@@ -689,12 +667,12 @@ def recheck_certificate(
         stored = certificate_object(cert, None)
     else:
         cover, components, cut = cert.cover, cert.components, cert.cut
-    checks, notes = run_checks(cert.assembly, cover, components, cut)
+    checks = run_checks(cert.assembly, cover, components, cut)
     files = stored["files"]
     digests = None if files is None else {key: ref["sha256"] for key, ref in files.items()}
     # built after run_checks, so chi is the cover's cached value
     fresh = certificate_object(
-        replace(cert, cover=cover, components=components, cut=cut, checks=checks, notes=notes),
+        replace(cert, cover=cover, components=components, cut=cut, checks=checks),
         digests,
     )
     field = _first_difference(stored.get("checks"), fresh["checks"], "checks")

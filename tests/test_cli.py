@@ -117,6 +117,22 @@ def test_check_accepts_a_partial_colouring(tmp_path, pentagon, capsys):
     assert "partial colouring: 3/5" in capsys.readouterr().out
 
 
+def test_check_takes_a_huge_rank_header(tmp_path, dodecahedron, census, capsys):
+    # the colour range check must not build 2^rank, which at this rank
+    # raises OverflowError
+    write_polytope(dodecahedron, tmp_path / "d.json")
+    write_colouring(census.classes[0].colouring, tmp_path / "c.txt")
+    lines = (tmp_path / "c.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "rank 3"
+    lines[0] = f"rank {10**20}"
+    (tmp_path / "c.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["check", str(tmp_path / "d.json"), str(tmp_path / "c.txt")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    assert out.startswith(f"facets: 12, rank: {10**20}\nproper: yes\n")
+    assert err == ""
+
+
 def test_malformed_colouring_is_a_usage_error(tmp_path, pentagon, capsys):
     write_polytope(pentagon, tmp_path / "p.json")
     (tmp_path / "c.txt").write_text("rank x\n", encoding="utf-8")
@@ -429,9 +445,9 @@ def test_verify_flags_a_recorded_failure(cert1_dir, tmp_path, capsys, monkeypatc
     real = pipeline.run_checks
 
     def failing_run_checks(*args):
-        checks, notes = real(*args)
+        checks = real(*args)
         failed = dataclasses.replace(checks[7], passed=False)
-        return checks[:7] + (failed,) + checks[8:], notes
+        return checks[:7] + (failed,) + checks[8:]
 
     monkeypatch.setattr(pipeline, "run_checks", failing_run_checks)
     assert main(["verify", str(target)]) == EXIT_FINDING
@@ -574,6 +590,46 @@ def test_verify_rejects_a_files_record_that_is_not_an_object(cert1_dir, tmp_path
 
 
 @pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda obj: obj["class"].update(index=3), "class.index"),
+        (lambda obj: obj["class"].update(automorphisms=7), "class.automorphisms"),
+        (lambda obj: obj["class"].update(witness=[0, 2, 4]), "class.witness[1]"),
+        (lambda obj: obj["class"].update(glue_facet=6), "class.glue_facet"),
+        (lambda obj: obj["class"].update(id="x"), "class.id"),
+        # class 3 is re-selected, and its index is the first field to differ
+        (lambda obj: obj.update(policy="index:3"), "class.index"),
+        (lambda obj: obj.update(base_facet=5), "base_facet"),
+    ],
+    ids=["index", "automorphisms", "witness", "glue_facet", "id", "policy", "base_facet"],
+)
+def test_verify_re_derives_the_class_and_base_facet(cert1_dir, tmp_path, capsys, edit, field):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, edit)
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out, err = capsys.readouterr()
+    assert out.endswith("PASS (18/18 checks)\n")
+    assert err == f"finding: re-validation disagrees with the certificate at {field}\n"
+
+
+@pytest.mark.parametrize(
+    "policy, reason",
+    [("bogus", "unknown policy 'bogus'"), ("index:5", "class 5 is orientable")],
+    ids=["unknown", "orientable-class"],
+)
+def test_verify_rejects_a_policy_the_census_cannot_serve(
+    cert1_dir, tmp_path, capsys, census, policy, reason
+):
+    assert census.classes[5].orientable
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: obj.update(policy=policy))
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"certificate.json: policy: {reason}" in err
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("index", -1), ("index", 1.0), ("index", True),
@@ -594,6 +650,11 @@ def test_verify_rejects_a_malformed_class_record(cert1_dir, tmp_path, capsys, fi
 def test_certify_rejects_a_malformed_policy(tmp_path, capsys):
     code = main(["certify", "--n", "1", "--policy", "loudest", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
+    # int() would read each of these as class 22
+    for policy in ["index:+2_2", "index: 22", "index:22 ", "index:+22", "index:\u0662\u0662"]:
+        code = main(["certify", "--n", "1", "--policy", policy, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert f"malformed policy {policy!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

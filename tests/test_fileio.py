@@ -199,10 +199,8 @@ def test_certificate_round_trip(tmp_path, cert1):
 
     loaded = load_certificate(path)
     assert loaded.n == cert1.n
-    assert loaded.class_index == cert1.class_index
-    assert loaded.class_id == cert1.class_id
-    assert loaded.witness == cert1.witness
-    assert loaded.glue_steps == cert1.glue_steps
+    assert loaded.chosen == cert1.chosen
+    assert loaded.assembly.glue_steps == cert1.assembly.glue_steps
     assert [(c.name, c.passed) for c in loaded.checks] == [
         (c.name, c.passed) for c in cert1.checks
     ]
@@ -306,7 +304,7 @@ def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
         ("policy", 5),
         ("glue_steps", [{"step": "x", "dodeca_facet": None, "z_facet": [1]}]),
         ("witness_facets", [10**6, 0, 1]), ("witness_facets", [True, 2, 3]),
-        ("natural_map", [1.0, *range(1, 12)]),
+        ("natural_map", [1.0, *range(1, 12)]), ("notes", "x"),
     ],
 )
 def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
