@@ -193,7 +193,7 @@ def cmd_enumerate(args: argparse.Namespace, t0: float) -> int:
 
 def cmd_extend(args: argparse.Namespace, t0: float) -> int:
     mu = _load_total_colouring(make_dodecahedron(), args.colouring)
-    outcome, _, _ = extend_from_facet(mu, args.seed_facet, args.rank, _budget(args))
+    outcome = extend_from_facet(mu, args.seed_facet, args.rank, _budget(args))
     outdir = _outdir(args)
     summary = {
         "status": outcome.status,

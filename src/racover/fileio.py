@@ -11,20 +11,24 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .colouring import Colouring, ColouringError, PartialColouring
 from .pipeline import (
     CERTIFICATE_FILES,
     Certificate,
-    ChainAssembly,
     CheckResult,
-    GlueStep,
+    Finding,
     _dodecahedron_census,
+    _first_difference,
+    build_chain,
+    certificate_files,
     certificate_object,
+    class_record,
+    colouring_text,
     cut_cover,
+    polytope_text,
     select_class,
 )
 from .polytopes import Polytope, PolytopeError, make_120cell, make_dodecahedron
@@ -61,35 +65,8 @@ def sha256_file(path: Union[str, Path]) -> str:
 _POLYTOPE_KEYS = {"format", "dimension", "facets", "adjacency", "vertices"}
 
 
-def _json_list(items: Iterable[str]) -> str:
-    """A non-empty list value at depth 1 of `json.dumps(indent=2)`, from its
-    item lines."""
-    body = ",\n".join(items)
-    return f"[\n{body}\n  ]"
-
-
-def _json_rows(rows: Iterable[Sequence[int]], width: int) -> Iterator[str]:
-    """The item lines of a list of integer rows of one width, laid out as
-    `json.dumps(indent=2)` lays them out at depth 2."""
-    template = "    [\n" + ",\n".join(["      {}"] * width) + "\n    ]"
-    return itertools.starmap(template.format, rows)
-
-
 def write_polytope(P: Polytope, path: Union[str, Path]) -> None:
-    """The bytes of `write_json` on the polytope's object, rendered directly:
-    `json.dumps(indent=2)` runs CPython's pure-Python encoder, which costs
-    most of a certificate write.  Every adjacency row has 2 entries and
-    every vertex row `dimension` (the constructor checks both)."""
-    labels = map("    {}".format, map(encode_basestring_ascii, P.facet_labels))
-    text = (
-        '{\n  "format": "racover-polytope",\n'
-        f'  "dimension": {P.dimension},\n'
-        f'  "facets": {_json_list(labels)},\n'
-        f'  "adjacency": {_json_list(_json_rows(P.adjacency, 2))},\n'
-        f'  "vertices": {_json_list(_json_rows(P.vertices, P.dimension))}\n'
-        "}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(polytope_text(P), encoding="utf-8")
 
 
 def _index_rows(path: Union[str, Path], obj: dict, key: str, width: Optional[int]) -> list:
@@ -147,10 +124,7 @@ def load_polytope(path: Union[str, Path]) -> Polytope:
 def write_colouring(
     c: Union[Colouring, PartialColouring], path: Union[str, Path]
 ) -> None:
-    lines = [f"rank {c.rank}"]
-    for v in c.colours:
-        lines.append("-" if v is None else str(v))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(colouring_text(c), encoding="utf-8")
 
 
 def load_colouring(
@@ -205,13 +179,11 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
     """Write the certificate directory; returns the certificate.json path."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_polytope(cert.assembly.P, out / CERTIFICATE_FILES["chain"])
-    write_polytope(cert.assembly.Q, out / CERTIFICATE_FILES["ambient"])
-    write_colouring(cert.assembly.mu_P, out / CERTIFICATE_FILES["chain_colouring"])
-    write_colouring(cert.assembly.lam_Q, out / CERTIFICATE_FILES["ambient_colouring"])
-    digests = {key: sha256_file(out / name) for key, name in CERTIFICATE_FILES.items()}
+    files = certificate_files(cert.assembly)
+    for key, name in CERTIFICATE_FILES.items():
+        (out / name).write_bytes(files[key])
     path = out / "certificate.json"
-    write_json(certificate_object(cert, digests), path)
+    write_json(certificate_object(cert, files), path)
     return path
 
 
@@ -230,24 +202,9 @@ def _str_field(path: Path, value: object, name: str) -> str:
     return value
 
 
-def _facets_field(
-    path: Path, value: object, name: str, facets: int, what: str, distinct: Optional[int] = None
-) -> Tuple[int, ...]:
-    """The list field `name` of facet indices in [0, facets), required to
-    hold `distinct` distinct ones when that is given."""
-    if (
-        type(value) is not list
-        or not all(type(f) is int and 0 <= f < facets for f in value)
-        or distinct is not None and not len(value) == len(set(value)) == distinct
-    ):
-        raise FileFormatError(f"{path}: {name} {value!r} is not {what}")
-    return tuple(value)
-
-
 def _check_class_record(path: Path, cls: dict) -> None:
     """Check the kind and range of each field of the `class` record; whether
-    they match the class re-selected from the census is re-validation's
-    check."""
+    they match the class re-selected from the census is checked next."""
     facets = make_dodecahedron().facet_count
     for key, hi, what in (
         ("index", None, "a non-negative integer"),
@@ -256,43 +213,28 @@ def _check_class_record(path: Path, cls: dict) -> None:
     ):
         _int_field(path, cls[key], f"class.{key}", 0, hi, what)
     _str_field(path, cls["id"], "class.id")
-    _facets_field(
-        path, cls["witness"], "class.witness", facets,
-        "three distinct facets of the dodecahedron", 3,
-    )
-
-
-def _glue_steps(path: Path, records: object, n: int) -> Tuple[GlueStep, ...]:
-    """The n - 1 glue step records, each field checked for kind and range;
-    whether they match the chains is not checked here."""
-    if type(records) is not list or len(records) != n - 1:
-        raise FileFormatError(f"{path}: glue_steps is not a list of n - 1 = {n - 1} records")
-    fields = (
-        ("step", 2, n + 1, "a summand from 2 to n"),
-        ("dodeca_facet", 0, make_dodecahedron().facet_count, "a facet of the dodecahedron"),
-        ("z_facet", 0, make_120cell().facet_count, "a facet of the 120-cell"),
-    )
-    steps = []
-    for k, s in enumerate(records):
-        if type(s) is not dict or s.keys() != {key for key, *_ in fields}:
-            raise FileFormatError(f"{path}: glue_steps[{k}] {s!r} is not a glue step record")
-        steps.append(GlueStep(*(
-            _int_field(path, s[key], f"glue_steps[{k}].{key}", lo, hi, what)
-            for key, lo, hi, what in fields
-        )))
-    return tuple(steps)
+    witness = cls["witness"]
+    if (
+        type(witness) is not list
+        or not all(type(f) is int and 0 <= f < facets for f in witness)
+        or not len(witness) == len(set(witness)) == 3
+    ):
+        raise FileFormatError(
+            f"{path}: class.witness {witness!r} is not three distinct facets of the dodecahedron"
+        )
 
 
 def load_certificate(path: Union[str, Path]) -> Certificate:
-    """Rebuild a Certificate from certificate.json and its referenced files.
+    """Rebuild a Certificate from certificate.json and its ambient colouring.
 
-    Referenced files must match their recorded digests; the cover, cut
-    locus and cut report are rebuilt from the loaded chains, and
-    `validate_certificate` re-runs the checks on these, so it exercises the
-    stored data, not cached results.  The class is re-selected from the
-    census under the stored policy, as `certify` selects it.
-    The parsed file is kept as `stored`, so re-validation can read back
-    every field it states.
+    Referenced files must match their recorded digests.  The class is
+    re-selected from the census under the stored policy and must be the
+    recorded one, or a Finding names the first field that differs; then
+    `build_chain` rebuilds the chains from it and n, as `certify` does,
+    and the ambient colouring, the one data file parsed, is put on the
+    rebuilt Q.  The cover, cut locus and cut report are rebuilt from
+    these.  The parsed file is kept as `stored`, so re-validation can read
+    back every field it states.
     """
     path = Path(path)
     obj = _read_json(path)
@@ -309,16 +251,14 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
                 raise FileFormatError(
                     f"{base / ref['path']}: digest {actual} differs from the certificate"
                 )
-        P = load_polytope(base / refs["chain"]["path"])
-        Q = load_polytope(base / refs["ambient"]["path"])
-        mu = load_colouring(P, base / refs["chain_colouring"]["path"])
-        lam = load_colouring(Q, base / refs["ambient_colouring"]["path"])
-        if isinstance(mu, PartialColouring) or isinstance(lam, PartialColouring):
-            raise FileFormatError(f"{path}: certificate colourings must be total")
+        # a gluing merges two facets away and their 12 neighbours pairwise,
+        # so Q has 106n + 14 facets, one colour line each after the header:
+        # checked first, this bounds the rebuild by the colouring file's size
+        ambient = base / refs["ambient_colouring"]["path"]
+        colours = len(list(filter(str.strip, ambient.read_text(encoding="utf-8").splitlines()))) - 1
         n = _int_field(path, obj["n"], "n", 1, None, "a chain length of at least 1")
-        d_facet = _int_field(
-            path, obj["d_facet"], "d_facet", 0, Q.facet_count, "a facet of the ambient polytope"
-        )
+        if colours != 106 * n + 14:
+            raise FileFormatError(f"{path}: n {n} does not fit the {colours} colours of {ambient}")
         _int_field(
             path, obj["base_facet"], "base_facet", 0, make_120cell().facet_count,
             "a facet of the 120-cell",
@@ -331,23 +271,13 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             chosen = select_class(_dodecahedron_census(), policy)
         except ValueError as exc:
             raise FileFormatError(f"{path}: policy: {exc}") from None
-        assembly = ChainAssembly(
-            n,
-            P,
-            mu,
-            Q,
-            lam,
-            d_facet,
-            _facets_field(
-                path, obj["witness_facets"], "witness_facets", P.facet_count,
-                "three distinct facets of the chain", 3,
-            ),
-            _glue_steps(path, obj["glue_steps"], n),
-            _facets_field(
-                path, obj["natural_map"], "natural_map", P.facet_count,
-                "a list of facets of the chain",
-            ),
-        )
+        # the chains are rebuilt from this class, so it must be the recorded one
+        field = _first_difference(obj["class"], class_record(chosen), "class")
+        if field is not None:
+            raise Finding(f"re-validation disagrees with the certificate at {field}")
+        assembly = build_chain(chosen, n, lambda Q, _: load_colouring(Q, ambient))  # type: ignore
+        if isinstance(assembly.lam_Q, PartialColouring):
+            raise FileFormatError(f"{ambient}: certificate colourings must be total")
         cover, components, cut = cut_cover(assembly)
         checks = tuple(CheckResult(**c) for c in obj["checks"])
         return Certificate(policy, chosen, assembly, cover, components, cut, checks, obj)

@@ -10,14 +10,20 @@ components, and the volume ledger.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from . import gf2
 from .colouring import (
     Colouring,
     ColouringError,
+    PartialColouring,
     canonical_form,
     equivalent,
     image_dimension,
@@ -127,10 +133,8 @@ class Certificate:
     """Everything the construction produced plus one pass/fail per check.
 
     `stored` is the parsed certificate file a certificate was loaded from,
-    and None for one built in memory.  A loaded certificate's cover,
-    components and cut were rebuilt from its stored chains on loading, and
-    its class re-selected from the census under its stored policy.  The
-    chain length is the assembly's.
+    and None for one built in memory.  See `load_certificate` for what
+    loading rebuilds.  The chain length is the assembly's.
     """
 
     policy: str
@@ -200,51 +204,56 @@ def select_class(result: EnumerationResult, policy: str = "max-symmetry") -> Cho
     raise Finding(f"class {index} has no witness triple with a disjoint facet")
 
 
+@lru_cache(maxsize=None)
+def _facet_map(base_facet: int) -> Tuple[Polytope, Tuple[int, ...], Tuple[int, ...]]:
+    """The facet subpolytope of a 120-cell facet, built once per facet, with
+    its incidence and trace maps: facet j of it sits on 120-cell facet
+    inc[j] and corresponds to dodecahedron facet psi[j]."""
+    sub, inc = facet_subpolytope(make_120cell(), base_facet)
+    psi = find_isomorphism(sub, make_dodecahedron())
+    if psi is None:
+        raise PolytopeError(f"facet {base_facet} of the 120-cell is not dodecahedral")
+    return sub, inc, psi
+
+
 def extend_from_facet(
     mu: Colouring,
     base_facet: int = 0,
     rank: int = 5,
     budget: Optional[SearchBudget] = None,
-) -> Tuple[SearchOutcome, Tuple[int, ...], Tuple[int, ...]]:
-    """Transport a dodecahedral colouring onto a 120-cell facet and search
-    an orientable extension from it.
-
-    Returns the search outcome, whatever its status, plus the incidence and
-    trace maps: facet j of the facet subpolytope sits on 120-cell facet
-    inc[j] and corresponds to dodecahedron facet psi[j].
-    """
-    Z = make_120cell()
-    sub, inc = facet_subpolytope(Z, base_facet)
-    psi = find_isomorphism(sub, mu.polytope)
-    if psi is None:
-        raise PolytopeError(f"facet {base_facet} of the 120-cell is not dodecahedral")
+) -> SearchOutcome:
+    """Transport a colouring of `make_dodecahedron()` onto a 120-cell facet
+    and search an orientable extension from it; returns the search
+    outcome, whatever its status."""
+    sub, _, psi = _facet_map(base_facet)
     mu_sub = Colouring(
         sub, mu.rank, tuple(mu.colours[psi[j]] for j in range(sub.facet_count))
     )
+    Z = make_120cell()
     seed = seed_from_facet(Z, base_facet, mu_sub, rank)
-    return search_orientable_extension(Z, seed, budget), inc, psi
+    return search_orientable_extension(Z, seed, budget)
 
 
 def extend_class(
     chosen: ChosenClass,
     rank: int = 5,
     budget: Optional[SearchBudget] = None,
-) -> Tuple[SearchOutcome, Tuple[int, ...], Tuple[int, ...]]:
+) -> SearchOutcome:
     """`extend_from_facet` for a chosen class from the chain's base facet,
     raising on anything but success: budget exhaustion and a genuinely
     empty search space are kept distinct."""
-    outcome, inc, psi = extend_from_facet(chosen.colouring, _BASE_FACET, rank, budget)
+    outcome = extend_from_facet(chosen.colouring, _BASE_FACET, rank, budget)
     if outcome.status == "budget-out":
         raise BudgetError(f"extension search stopped after {outcome.nodes} nodes")
     if outcome.colouring is None:
         raise Finding(f"class {chosen.index} admits no orientable rank-{rank} extension")
-    return outcome, inc, psi
+    return outcome
 
 
-def _glued_colours(
-    out: Polytope, prov: Sequence[Sequence[Optional[int]]], base_vals: Sequence[int]
-) -> Tuple[int, ...]:
-    """Colour array of a chain glued from copies of one coloured base:
+def _glued(
+    out: Polytope, prov: Sequence[Sequence[Optional[int]]], base: Colouring
+) -> Colouring:
+    """The colouring of a chain glued from copies of one coloured base:
     every piece of a merged facet must carry the same colour."""
     vals: List[Optional[int]] = [None] * out.facet_count
     for row in prov:
@@ -252,20 +261,22 @@ def _glued_colours(
             if ni is None:
                 continue
             if vals[ni] is None:
-                vals[ni] = base_vals[g]
-            elif vals[ni] != base_vals[g]:
+                vals[ni] = base.colours[g]
+            elif vals[ni] != base.colours[g]:
                 raise ColouringError(
                     f"colour mismatch across the gluing at {out.facet_labels[ni]}"
                 )
-    return tuple(vals)  # type: ignore[arg-type]
+    return Colouring(out, base.rank, tuple(vals))  # type: ignore[arg-type]
 
 
-def assemble_chain(
+def build_chain(
     chosen: ChosenClass,
     n: int,
-    budget: Optional[SearchBudget] = None,
+    colour_Q: Callable[[Polytope, Sequence[Sequence[Optional[int]]]], Colouring],
 ) -> ChainAssembly:
-    """Build the length-n dodecahedron chain and its 120-cell companion.
+    """The length-n dodecahedron chain of a class, its 120-cell companion
+    and all read off their provenance, a fixed function of the class and n;
+    the colouring of Q alone comes from outside, as `colour_Q(Q, prov)`.
 
     Both chains are glued by label-identity matchings at matching facets:
     the dodecahedral glue facet traces the 120-cell facet glued on the
@@ -275,30 +286,25 @@ def assemble_chain(
     antipode for even t, so each summand's two glue facets are disjoint
     and each chain is built in one pass.  The witness triple of the first
     summand is never touched by any gluing, so the chain colouring stays
-    non-orientable for every n.  The natural map is read off the chain
-    provenance here and verified once, by the `long-facet-subpolytope`
-    check.
+    non-orientable for every n.  The natural map is verified once, by the
+    `long-facet-subpolytope` check.
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
     D = make_dodecahedron()
     if not chosen.colouring.polytope.same_structure(D):
         raise ValueError("chain assembly starts from a dodecahedral class")
-    outcome, inc, psi = extend_class(chosen, 5, budget)
-    lam_Z = outcome.colouring
-    assert lam_Z is not None
-    Z = make_120cell()
-    z_of_d = {psi[j]: inc[j] for j in range(len(inc))}
-    d_of_z = {z: d for d, z in z_of_d.items()}
+    # by dodecahedral facet, the 120-cell facet next to the base facet that
+    # traces it, through the map `extend_class` seeds the search by
+    _, inc, psi = _facet_map(_BASE_FACET)
+    z_of_d = [z for _, z in sorted(zip(psi, inc))]
 
     ends = (chosen.glue_facet, antipodal_facet(D, chosen.glue_facet))
     attach = [ends[t % 2] for t in range(n - 1)]
     attach_z = [z_of_d[a] for a in attach]
     P, p_prov = chain_sum(D, attach)
-    Q, q_prov = chain_sum(Z, attach_z)
-    mu = chosen.colouring
-    mu_P = Colouring(P, mu.rank, _glued_colours(P, p_prov, mu.colours))
-    lam_Q = Colouring(Q, lam_Z.rank, _glued_colours(Q, q_prov, lam_Z.colours))
+    Q, q_prov = chain_sum(make_120cell(), attach_z)
+    mu_P = _glued(P, p_prov, chosen.colouring)
     glue_steps = tuple(
         GlueStep(t + 2, a, z) for t, (a, z) in enumerate(zip(attach, attach_z))
     )
@@ -308,13 +314,13 @@ def assemble_chain(
     witness_facets = tuple(p_prov[0][w] for w in chosen.witness)
     if any(w is None for w in witness_facets):
         raise Finding("a witness facet was consumed by the gluings")
-    nat = _natural_map(Q, Q.neighbours[d_facet], d_of_z, q_prov, p_prov)
+    nat = _natural_map(Q, Q.neighbours[d_facet], z_of_d, q_prov, p_prov)
     return ChainAssembly(
         n,
         P,
         mu_P,
         Q,
-        lam_Q,
+        colour_Q(Q, q_prov),
         d_facet,
         witness_facets,  # type: ignore[arg-type]
         glue_steps,
@@ -322,24 +328,36 @@ def assemble_chain(
     )
 
 
+def assemble_chain(
+    chosen: ChosenClass,
+    n: int,
+    budget: Optional[SearchBudget] = None,
+) -> ChainAssembly:
+    """Search the orientable extension of a class, then build its length-n
+    chains, gluing the colouring of Q from copies of the extension."""
+    lam_Z = extend_class(chosen, 5, budget).colouring
+    assert lam_Z is not None
+    return build_chain(chosen, n, lambda Q, prov: _glued(Q, prov, lam_Z))
+
+
 def _natural_map(
     Q: Polytope,
     incQ: Sequence[int],
-    d_of_z: Dict[int, int],
+    z_of_d: Sequence[int],
     q_prov: Sequence[Sequence[Optional[int]]],
     p_prov: Sequence[Sequence[Optional[int]]],
 ) -> Tuple[int, ...]:
     """Facet map from the subpolytope of the merged facet, whose facets sit
     on the chain facets `incQ`, onto P, read off the chain provenance.
 
-    In every summand, a 120-cell facet z next to the base facet traces the
-    dodecahedral facet d_of_z[z].  A chain facet joins pieces of one base
+    In every summand, the 120-cell facet z_of_d[d] next to the base facet
+    traces the dodecahedral facet d.  A chain facet joins pieces of one base
     facet, so each piece of a chain facet next to the merged one is such a
     z, and all of them must point at the same facet of P.
     """
     targets: Dict[int, Set[Optional[int]]] = {}
     for q_row, p_row in zip(q_prov, p_prov):
-        for z, d in d_of_z.items():
+        for d, z in enumerate(z_of_d):
             if q_row[z] is not None:
                 targets.setdefault(q_row[z], set()).add(p_row[d])
     nat = []
@@ -547,6 +565,45 @@ def certify(
     return Certificate(policy, chosen, a, cover, components, cut, checks)
 
 
+# the text of the certificate's files, which re-validation hashes too
+
+def _json_list(items: Iterable[str]) -> str:
+    """A non-empty list value at depth 1 of `json.dumps(indent=2)`, from its
+    item lines."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]"
+
+
+def _json_rows(rows: Iterable[Sequence[int]], width: int) -> Iterator[str]:
+    """The item lines of a list of integer rows of one width, laid out as
+    `json.dumps(indent=2)` lays them out at depth 2."""
+    template = "    [\n" + ",\n".join(["      {}"] * width) + "\n    ]"
+    return itertools.starmap(template.format, rows)
+
+
+def polytope_text(P: Polytope) -> str:
+    """The text of `fileio.write_json` on the polytope's object, rendered
+    directly: `json.dumps(indent=2)` runs CPython's pure-Python encoder,
+    which costs most of a certificate write.  Every adjacency row has 2
+    entries and every vertex row `dimension` (the constructor checks both)."""
+    labels = map("    {}".format, map(encode_basestring_ascii, P.facet_labels))
+    return (
+        '{\n  "format": "racover-polytope",\n'
+        f'  "dimension": {P.dimension},\n'
+        f'  "facets": {_json_list(labels)},\n'
+        f'  "adjacency": {_json_list(_json_rows(P.adjacency, 2))},\n'
+        f'  "vertices": {_json_list(_json_rows(P.vertices, P.dimension))}\n'
+        "}\n"
+    )
+
+
+def colouring_text(c: Union[Colouring, PartialColouring]) -> str:
+    lines = [f"rank {c.rank}"]
+    for v in c.colours:
+        lines.append("-" if v is None else str(v))
+    return "\n".join(lines) + "\n"
+
+
 # the chain and colouring files beside certificate.json, by their key in
 # its `files` record
 CERTIFICATE_FILES = {
@@ -557,21 +614,42 @@ CERTIFICATE_FILES = {
 }
 
 
+def certificate_files(a: ChainAssembly) -> Dict[str, bytes]:
+    """The bytes of each data file of a certificate, by key of `CERTIFICATE_FILES`."""
+    return {
+        "chain": polytope_text(a.P).encode(),
+        "ambient": polytope_text(a.Q).encode(),
+        "chain_colouring": colouring_text(a.mu_P).encode(),
+        "ambient_colouring": colouring_text(a.lam_Q).encode(),
+    }
+
+
+def class_record(chosen: ChosenClass) -> Dict[str, Any]:
+    """The `class` record of a certificate of the class."""
+    return {
+        "index": chosen.index,
+        "id": canonical_form(chosen.colouring.polytope, chosen.colouring).decode(),
+        "automorphisms": chosen.automorphisms,
+        "witness": list(chosen.witness),
+        "glue_facet": chosen.glue_facet,
+    }
+
+
 def certificate_object(
-    cert: Certificate, digests: Optional[Mapping[str, str]]
+    cert: Certificate, files: Optional[Mapping[str, bytes]]
 ) -> Dict[str, Any]:
     """The certificate.json object of a certificate, keys in file order.
 
-    `digests` maps each key of `CERTIFICATE_FILES` to the sha256 of that
-    file, or is None for a certificate not written to files.  The writer
-    writes this object, and re-validation compares it, rebuilt from the
-    re-run checks, with the stored one.  The class id, the base facet and
-    the notes are derived here, not kept in the certificate.
+    `files` is the `certificate_files` of its assembly, whose sha256 the
+    object records, or None for a certificate not written to files.  The
+    writer writes this object, and re-validation compares it, rebuilt from
+    the re-run checks, with the stored one.  The class id, the base facet
+    and the notes are derived here, not kept in the certificate.
     """
     a = cert.assembly
-    chosen = cert.chosen
-    files = None if digests is None else {
-        key: {"path": name, "sha256": digests[key]} for key, name in CERTIFICATE_FILES.items()
+    refs = None if files is None else {
+        key: {"path": name, "sha256": hashlib.sha256(files[key]).hexdigest()}
+        for key, name in CERTIFICATE_FILES.items()
     }
     piece_counts = sorted(len(c.pieces) for c in cert.components)
     return {
@@ -579,19 +657,13 @@ def certificate_object(
         "n": cert.n,
         "policy": cert.policy,
         "passed": cert.passed,
-        "class": {
-            "index": chosen.index,
-            "id": canonical_form(chosen.colouring.polytope, chosen.colouring).decode(),
-            "automorphisms": chosen.automorphisms,
-            "witness": list(chosen.witness),
-            "glue_facet": chosen.glue_facet,
-        },
+        "class": class_record(cert.chosen),
         "glue_steps": [json_record(s) for s in a.glue_steps],
         "base_facet": _BASE_FACET,
         "d_facet": a.d_facet,
         "witness_facets": list(a.witness_facets),
         "natural_map": list(a.natural_map),
-        "files": files,
+        "files": refs,
         "cover": cover_summary(cert.cover, preimages=False),
         "cut_locus": {
             "facet": a.d_facet,
@@ -649,17 +721,16 @@ def recheck_certificate(
     """Re-run every check from the certificate's own data.
 
     The cover, preimage and cut come from the certificate's chains and
-    colourings: `load_certificate` has just rebuilt them from the stored
-    files, and for a certificate built in memory they are rebuilt here.
-    The `certificate_object` of the re-run is compared, key by key in file
-    order, with the stored file, or with the in-memory certificate's own
-    object; at every level both must have the same keys.  The stored
-    digests are taken as they are (`load_certificate` has checked them
-    against the files).  The checks come first: each re-run check must
-    reproduce the stored one, name, result and detail, or a Finding names
-    the first field that differs.  Returns the re-run checks and a message
-    naming the first other field or key that differs, or None if all
-    agree.
+    colourings: `load_certificate` has just rebuilt them, and for a
+    certificate built in memory they are rebuilt here.  The
+    `certificate_object` of the re-run, with the digests of the files the
+    writer would write for it, is compared, key by key in file order, with
+    the stored file, or with the in-memory certificate's own object; at
+    every level both must have the same keys.  The checks come first: each
+    re-run check must reproduce the stored one, name, result and detail,
+    or a Finding names the first field that differs.  Returns the re-run
+    checks and a message naming the first other field or key that differs,
+    or None if all agree.
     """
     stored = cert.stored
     if stored is None:
@@ -668,12 +739,10 @@ def recheck_certificate(
     else:
         cover, components, cut = cert.cover, cert.components, cert.cut
     checks = run_checks(cert.assembly, cover, components, cut)
-    files = stored["files"]
-    digests = None if files is None else {key: ref["sha256"] for key, ref in files.items()}
     # built after run_checks, so chi is the cover's cached value
     fresh = certificate_object(
         replace(cert, cover=cover, components=components, cut=cut, checks=checks),
-        digests,
+        None if cert.stored is None else certificate_files(cert.assembly),
     )
     field = _first_difference(stored.get("checks"), fresh["checks"], "checks")
     if field is not None:

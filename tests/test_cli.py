@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import time
 
 import pytest
 
@@ -314,7 +315,7 @@ def test_extend_matches_extend_class(tmp_path, z120, census):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main(["extend", str(tmp_path / "class.txt"), "--out", str(tmp_path)])
     assert code == EXIT_OK
-    outcome, _, _ = extend_class(select_class(census, "index:0"))
+    outcome = extend_class(select_class(census, "index:0"))
     summary = json.loads((tmp_path / "extension-summary.json").read_text("utf-8"))
     assert summary["seed_facet"] == 0
     assert summary["nodes"] == outcome.nodes
@@ -407,6 +408,13 @@ def test_readme_extend_example(tmp_path, monkeypatch, capsys):
 def cert1_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cert1")
     assert main(["certify", "--n", "1", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def cert3_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cert3")
+    assert main(["certify", "--n", "3", "--out", str(out)]) == EXIT_OK
     return out
 
 
@@ -589,27 +597,70 @@ def test_verify_rejects_a_files_record_that_is_not_an_object(cert1_dir, tmp_path
     assert "files is not an object" in capsys.readouterr().err
 
 
+def _swap(items, i, j):
+    items[i], items[j] = items[j], items[i]
+
+
+def _swap_glue_facets(steps):
+    steps[0]["dodeca_facet"], steps[1]["dodeca_facet"] = (
+        steps[1]["dodeca_facet"], steps[0]["dodeca_facet"]
+    )
+
+
+def _relabel_chain(obj, cert_dir):
+    """Rename one facet of chain.json and record the edited file's digest."""
+    chain = cert_dir / "chain.json"
+    text = chain.read_text(encoding="utf-8").replace('"1.f0"', '"1.g0"')
+    chain.write_text(text, encoding="utf-8")
+    obj["files"]["chain"]["sha256"] = hashlib.sha256(chain.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
-        (lambda obj: obj["class"].update(index=3), "class.index"),
-        (lambda obj: obj["class"].update(automorphisms=7), "class.automorphisms"),
-        (lambda obj: obj["class"].update(witness=[0, 2, 4]), "class.witness[1]"),
-        (lambda obj: obj["class"].update(glue_facet=6), "class.glue_facet"),
-        (lambda obj: obj["class"].update(id="x"), "class.id"),
+        (lambda obj, _: obj["class"].update(index=3), "class.index"),
+        (lambda obj, _: obj["class"].update(automorphisms=7), "class.automorphisms"),
+        (lambda obj, _: obj["class"].update(witness=[0, 2, 4]), "class.witness[1]"),
+        (lambda obj, _: obj["class"].update(glue_facet=6), "class.glue_facet"),
+        (lambda obj, _: obj["class"].update(id="x"), "class.id"),
         # class 3 is re-selected, and its index is the first field to differ
-        (lambda obj: obj.update(policy="index:3"), "class.index"),
-        (lambda obj: obj.update(base_facet=5), "base_facet"),
+        (lambda obj, _: obj.update(policy="index:3"), "class.index"),
+        (lambda obj, _: obj.update(base_facet=5), "base_facet"),
+        (lambda obj, _: obj["glue_steps"][0].update(dodeca_facet=4),
+         "glue_steps[0].dodeca_facet"),
+        (lambda obj, _: obj["glue_steps"][0].update(z_facet=7), "glue_steps[0].z_facet"),
+        (lambda obj, _: _swap_glue_facets(obj["glue_steps"]), "glue_steps[0].dodeca_facet"),
+        (lambda obj, _: obj["witness_facets"].reverse(), "witness_facets[0]"),
+        (lambda obj, _: obj.update(d_facet=1), "d_facet"),
+        (lambda obj, _: _swap(obj["natural_map"], 2, 3), "natural_map[2]"),
+        (_relabel_chain, "files.chain.sha256"),
     ],
-    ids=["index", "automorphisms", "witness", "glue_facet", "id", "policy", "base_facet"],
+    ids=[
+        "index", "automorphisms", "witness", "glue_facet", "id", "policy", "base_facet",
+        "glue-dodeca-facet", "glue-z-facet", "glue-steps-swapped", "witness-facets-reordered",
+        "d-facet", "natural-map-swapped", "chain-relabelled",
+    ],
 )
-def test_verify_re_derives_the_class_and_base_facet(cert1_dir, tmp_path, capsys, edit, field):
-    target = _cert_copy(cert1_dir, tmp_path)
-    _edit_certificate(target, edit)
+def test_verify_re_derives_the_class_and_base_facet(cert3_dir, tmp_path, capsys, edit, field):
+    target = _cert_copy(cert3_dir, tmp_path)
+    _edit_certificate(target, lambda obj: edit(obj, target))
     assert main(["verify", str(target)]) == EXIT_FINDING
     out, err = capsys.readouterr()
-    assert out.endswith("PASS (18/18 checks)\n")
+    # the chains are rebuilt from the class, so it is compared before any check runs
+    assert (out == "") if field.startswith("class.") else out.endswith("PASS (18/18 checks)\n")
     assert err == f"finding: re-validation disagrees with the certificate at {field}\n"
+
+
+@pytest.mark.parametrize("n", [10**6, 2])
+def test_verify_bounds_the_rebuild_by_the_ambient_colouring(cert1_dir, tmp_path, capsys, n):
+    # unbounded, n = 10**6 would glue 10**6 120-cells before any check
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: obj.update(n=n))
+    start = time.perf_counter()
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"certificate.json: n {n} does not fit the 120 colours of" in err
 
 
 @pytest.mark.parametrize(

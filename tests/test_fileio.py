@@ -286,14 +286,26 @@ def test_certificate_detects_tampered_files(tmp_path, cert1):
         load_certificate(path)
 
 
+def test_loading_reads_no_chain_file(monkeypatch, tmp_path, cert3):
+    # the chains are rebuilt from the class and n; only their digests are read
+    def refuse(path):
+        raise AssertionError(f"{path} parsed")
+
+    path = write_certificate(cert3, tmp_path / "cert")
+    monkeypatch.setattr(fileio, "load_polytope", refuse)
+    assert all(c.passed for c in validate_certificate(load_certificate(path)))
+
+
+# the chains' bookkeeping is derived, so an out-of-range value of it is a
+# disagreement with the rebuild, as an edited cover.copies is
 @pytest.mark.parametrize("d_facet", [10**6, -1])
 def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
     path = write_certificate(cert1, tmp_path / "cert")
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj["d_facet"] = d_facet
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    with pytest.raises(FileFormatError, match="d_facet"):
-        load_certificate(path)
+    with pytest.raises(Finding, match="at d_facet$"):
+        validate_certificate(load_certificate(path))
 
 
 @pytest.mark.parametrize(
@@ -312,8 +324,9 @@ def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj[key] = value
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    with pytest.raises(FileFormatError, match=key):
-        load_certificate(path)
+    derived = key in ("glue_steps", "witness_facets", "natural_map")
+    with pytest.raises(Finding if derived else FileFormatError, match=key):
+        validate_certificate(load_certificate(path))
 
 
 @pytest.mark.parametrize(
@@ -332,8 +345,8 @@ def test_certificate_rejects_a_malformed_glue_step(tmp_path, cert3, edit, field)
     obj = json.loads(path.read_text(encoding="utf-8"))
     edit(obj["glue_steps"])
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    with pytest.raises(FileFormatError, match=field):
-        load_certificate(path)
+    with pytest.raises(Finding, match=f"at {field}"):
+        validate_certificate(load_certificate(path))
 
 
 def test_sha256_file_matches_digest_of_bytes(tmp_path):
