@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from . import gf2
 from .colouring import Colouring, induced_colouring, is_orientable, is_proper
-from .polytopes import Polytope, orbifold_euler_characteristic, reachable
+from .polytopes import Polytope, codim_faces, orbifold_euler_characteristic, reachable
 
 __all__ = [
     "CoverError",
@@ -178,12 +178,13 @@ def _direct_euler_characteristic(C: CoverComplex) -> int:
             # every facet lies on a vertex (the constructor checks it)
             tally = Counter(zip(cols))
         else:
-            # vertices are distinct sorted tuples, so their k-subsets
-            # name each face once after deduplication
-            faces = P.vertices if k == n else set(itertools.chain.from_iterable(
-                map(itertools.combinations, P.vertices, itertools.repeat(k))
+            # each face's colours, read k at a time from one stream: no
+            # per-face iterator or per-column copy is built, and the faces
+            # are freed as soon as the stream is read
+            stream = map(cols.__getitem__, itertools.chain.from_iterable(
+                P.vertices if k == n else codim_faces(P, k)
             ))
-            tally = Counter(zip(*[map(cols.__getitem__, col) for col in zip(*faces)]))
+            tally = Counter(zip(*[stream] * k))
         sign = (-1) ** (n - k)
         for key, count in tally.items():
             total += sign * count * (copies >> gf2.rank(key))

@@ -18,20 +18,19 @@ from .colouring import Colouring, ColouringError, PartialColouring
 from .pipeline import (
     CERTIFICATE_FILES,
     Certificate,
-    CheckResult,
     Finding,
     _dodecahedron_census,
     _first_difference,
     build_chain,
     certificate_files,
     certificate_object,
+    checked_certificate,
     class_record,
     colouring_text,
-    cut_cover,
     polytope_text,
     select_class,
 )
-from .polytopes import Polytope, PolytopeError, make_120cell, make_dodecahedron
+from .polytopes import Polytope, PolytopeError, _edge_flips
 
 
 class FileFormatError(ValueError):
@@ -110,9 +109,13 @@ def load_polytope(path: Union[str, Path]) -> Polytope:
     adjacency = _index_rows(path, obj, "adjacency", 2)
     vertices = _index_rows(path, obj, "vertices", None)
     try:
-        return Polytope(obj["dimension"], facets, adjacency, vertices)
+        P = Polytope(obj["dimension"], facets, adjacency, vertices)
+        # the one check that P is simple: every edge lies on two vertices,
+        # and the vertex graph is connected
+        _edge_flips(P)
     except PolytopeError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -187,54 +190,18 @@ def write_certificate(cert: Certificate, outdir: Union[str, Path]) -> Path:
     return path
 
 
-def _int_field(
-    path: Path, value: object, name: str, lo: int, hi: Optional[int], what: str
-) -> int:
-    """The integer field `name`, required to lie in [lo, hi)."""
-    if type(value) is not int or value < lo or (hi is not None and value >= hi):
-        raise FileFormatError(f"{path}: {name} {value!r} is not {what}")
-    return value
-
-
-def _str_field(path: Path, value: object, name: str) -> str:
-    if type(value) is not str:
-        raise FileFormatError(f"{path}: {name} {value!r} is not a string")
-    return value
-
-
-def _check_class_record(path: Path, cls: dict) -> None:
-    """Check the kind and range of each field of the `class` record; whether
-    they match the class re-selected from the census is checked next."""
-    facets = make_dodecahedron().facet_count
-    for key, hi, what in (
-        ("index", None, "a non-negative integer"),
-        ("automorphisms", None, "a non-negative integer"),
-        ("glue_facet", facets, "a facet of the dodecahedron"),
-    ):
-        _int_field(path, cls[key], f"class.{key}", 0, hi, what)
-    _str_field(path, cls["id"], "class.id")
-    witness = cls["witness"]
-    if (
-        type(witness) is not list
-        or not all(type(f) is int and 0 <= f < facets for f in witness)
-        or not len(witness) == len(set(witness)) == 3
-    ):
-        raise FileFormatError(
-            f"{path}: class.witness {witness!r} is not three distinct facets of the dodecahedron"
-        )
-
-
 def load_certificate(path: Union[str, Path]) -> Certificate:
     """Rebuild a Certificate from certificate.json and its ambient colouring.
 
-    Referenced files must match their recorded digests.  The class is
-    re-selected from the census under the stored policy and must be the
-    recorded one, or a Finding names the first field that differs; then
-    `build_chain` rebuilds the chains from it and n, as `certify` does,
-    and the ambient colouring, the one data file parsed, is put on the
-    rebuilt Q.  The cover, cut locus and cut report are rebuilt from
-    these.  The parsed file is kept as `stored`, so re-validation can read
-    back every field it states.
+    Only the fields the rebuild reads are input, checked here: `n`,
+    `policy`, and the `files.<key>.sha256` digests, each against the data
+    file at its fixed name.  The class is re-selected from the census under
+    the stored policy and must be the recorded one, or a Finding names the
+    first field that differs; then `build_chain` rebuilds the chains from
+    it and n, as `certify` does, the ambient colouring, the one data file
+    parsed, is put on the rebuilt Q, and `checked_certificate` re-runs
+    every check.  Every other field is derived: the parsed file is kept as
+    `stored`, and re-validation compares it with the rebuild.
     """
     path = Path(path)
     obj = _read_json(path)
@@ -242,47 +209,38 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
         raise FileFormatError(f"{path}: not a certificate file")
     base = path.parent
     try:
-        refs = obj["files"]
-        if not isinstance(refs, dict) or not all(isinstance(r, dict) for r in refs.values()):
-            raise FileFormatError(f"{path}: files is not an object of file records")
-        for ref in refs.values():
-            actual = sha256_file(base / ref["path"])
-            if actual != ref["sha256"]:
-                raise FileFormatError(
-                    f"{base / ref['path']}: digest {actual} differs from the certificate"
-                )
-        # a gluing merges two facets away and their 12 neighbours pairwise,
-        # so Q has 106n + 14 facets, one colour line each after the header:
-        # checked first, this bounds the rebuild by the colouring file's size
-        ambient = base / refs["ambient_colouring"]["path"]
-        colours = len(list(filter(str.strip, ambient.read_text(encoding="utf-8").splitlines()))) - 1
-        n = _int_field(path, obj["n"], "n", 1, None, "a chain length of at least 1")
-        if colours != 106 * n + 14:
-            raise FileFormatError(f"{path}: n {n} does not fit the {colours} colours of {ambient}")
-        _int_field(
-            path, obj["base_facet"], "base_facet", 0, make_120cell().facet_count,
-            "a facet of the 120-cell",
-        )
-        policy = _str_field(path, obj["policy"], "policy")
-        _check_class_record(path, obj["class"])
-        if type(obj["notes"]) is not list:
-            raise FileFormatError(f"{path}: notes {obj['notes']!r} is not a list")
-        try:
-            chosen = select_class(_dodecahedron_census(), policy)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: policy: {exc}") from None
-        # the chains are rebuilt from this class, so it must be the recorded one
-        field = _first_difference(obj["class"], class_record(chosen), "class")
-        if field is not None:
-            raise Finding(f"re-validation disagrees with the certificate at {field}")
-        assembly = build_chain(chosen, n, lambda Q, _: load_colouring(Q, ambient))  # type: ignore
-        if isinstance(assembly.lam_Q, PartialColouring):
-            raise FileFormatError(f"{ambient}: certificate colourings must be total")
-        cover, components, cut = cut_cover(assembly)
-        checks = tuple(CheckResult(**c) for c in obj["checks"])
-        return Certificate(policy, chosen, assembly, cover, components, cut, checks, obj)
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"{path}: malformed certificate ({exc})") from exc
+        digests = {key: obj["files"][key]["sha256"] for key in CERTIFICATE_FILES}
+    except (KeyError, TypeError):
+        raise FileFormatError(f"{path}: files is not an object of file records") from None
+    for key, name in CERTIFICATE_FILES.items():
+        actual = sha256_file(base / name)
+        if actual != digests[key]:
+            raise FileFormatError(f"{base / name}: digest {actual} differs from the certificate")
+    # a gluing merges two facets away and their 12 neighbours pairwise,
+    # so Q has 106n + 14 facets, one colour line each after the header:
+    # checked first, this bounds the rebuild by the colouring file's size
+    ambient = base / CERTIFICATE_FILES["ambient_colouring"]
+    colours = len(list(filter(str.strip, ambient.read_text(encoding="utf-8").splitlines()))) - 1
+    n = obj.get("n")
+    if type(n) is not int or n < 1:
+        raise FileFormatError(f"{path}: n {n!r} is not a chain length of at least 1")
+    if colours != 106 * n + 14:
+        raise FileFormatError(f"{path}: n {n} does not fit the {colours} colours of {ambient}")
+    policy = obj.get("policy")
+    if type(policy) is not str:
+        raise FileFormatError(f"{path}: policy {policy!r} is not a string")
+    try:
+        chosen = select_class(_dodecahedron_census(), policy)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: policy: {exc}") from None
+    # the chains are rebuilt from this class, so it must be the recorded one
+    field = _first_difference(obj.get("class"), class_record(chosen), "class")
+    if field is not None:
+        raise Finding(f"re-validation disagrees with the certificate at {field}")
+    assembly = build_chain(chosen, n, lambda Q, _: load_colouring(Q, ambient))  # type: ignore
+    if isinstance(assembly.lam_Q, PartialColouring):
+        raise FileFormatError(f"{ambient}: certificate colourings must be total")
+    return checked_certificate(policy, chosen, assembly, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
@@ -88,6 +88,11 @@ class ChosenClass:
     automorphisms: int
     witness: Tuple[int, int, int]
     glue_facet: int
+
+    @cached_property
+    def id(self) -> str:
+        """The canonical form of the class colouring, computed once."""
+        return canonical_form(self.colouring.polytope, self.colouring).decode()
 
 
 @dataclass(frozen=True)
@@ -552,6 +557,19 @@ def cut_cover(
     return cover, components, cut_along(cover, components[0])
 
 
+def checked_certificate(
+    policy: str,
+    chosen: ChosenClass,
+    a: ChainAssembly,
+    stored: Optional[Mapping[str, Any]] = None,
+) -> Certificate:
+    """The certificate of an assembly: its cover, preimage and cut, and
+    every check run on them."""
+    cover, components, cut = cut_cover(a)
+    checks = run_checks(a, cover, components, cut)
+    return Certificate(policy, chosen, a, cover, components, cut, checks, stored)
+
+
 def certify(
     n: int,
     policy: str = "max-symmetry",
@@ -559,10 +577,7 @@ def certify(
 ) -> Certificate:
     """Run the full construction for chain length n and check every claim."""
     chosen = select_class(_dodecahedron_census(), policy)
-    a = assemble_chain(chosen, n, budget)
-    cover, components, cut = cut_cover(a)
-    checks = run_checks(a, cover, components, cut)
-    return Certificate(policy, chosen, a, cover, components, cut, checks)
+    return checked_certificate(policy, chosen, assemble_chain(chosen, n, budget))
 
 
 # the text of the certificate's files, which re-validation hashes too
@@ -628,7 +643,7 @@ def class_record(chosen: ChosenClass) -> Dict[str, Any]:
     """The `class` record of a certificate of the class."""
     return {
         "index": chosen.index,
-        "id": canonical_form(chosen.colouring.polytope, chosen.colouring).decode(),
+        "id": chosen.id,
         "automorphisms": chosen.automorphisms,
         "witness": list(chosen.witness),
         "glue_facet": chosen.glue_facet,
@@ -643,8 +658,8 @@ def certificate_object(
     `files` is the `certificate_files` of its assembly, whose sha256 the
     object records, or None for a certificate not written to files.  The
     writer writes this object, and re-validation compares it, rebuilt from
-    the re-run checks, with the stored one.  The class id, the base facet
-    and the notes are derived here, not kept in the certificate.
+    the re-run checks, with the stored one.  The base facet and the notes
+    are derived here, not kept in the certificate.
     """
     a = cert.assembly
     refs = None if files is None else {
@@ -718,39 +733,33 @@ def _first_difference(stored: Any, fresh: Any, field: str) -> Optional[str]:
 def recheck_certificate(
     cert: Certificate,
 ) -> Tuple[Tuple[CheckResult, ...], Optional[str]]:
-    """Re-run every check from the certificate's own data.
+    """Compare a certificate with its own re-run.
 
-    The cover, preimage and cut come from the certificate's chains and
-    colourings: `load_certificate` has just rebuilt them, and for a
-    certificate built in memory they are rebuilt here.  The
-    `certificate_object` of the re-run, with the digests of the files the
-    writer would write for it, is compared, key by key in file order, with
-    the stored file, or with the in-memory certificate's own object; at
-    every level both must have the same keys.  The checks come first: each
-    re-run check must reproduce the stored one, name, result and detail,
-    or a Finding names the first field that differs.  Returns the re-run
-    checks and a message naming the first other field or key that differs,
-    or None if all agree.
+    A loaded certificate's checks were re-run by `load_certificate` on its
+    rebuild; its `certificate_object`, with the digests of the files the
+    writer would write for it, is compared with the stored file.  A
+    certificate built in memory is re-derived by `checked_certificate`
+    from its class and assembly, and the two objects are compared.  Both
+    must have the same keys at every level, compared key by key in file
+    order.  The checks come first: each re-run check must reproduce the
+    stored one, name, result and detail, or a Finding names the first
+    field that differs.  Returns the re-run checks and a message naming
+    the first other field or key that differs, or None if all agree.
     """
-    stored = cert.stored
-    if stored is None:
-        cover, components, cut = cut_cover(cert.assembly)
+    if cert.stored is None:
         stored = certificate_object(cert, None)
+        cert = checked_certificate(cert.policy, cert.chosen, cert.assembly)
+        fresh = certificate_object(cert, None)
     else:
-        cover, components, cut = cert.cover, cert.components, cert.cut
-    checks = run_checks(cert.assembly, cover, components, cut)
-    # built after run_checks, so chi is the cover's cached value
-    fresh = certificate_object(
-        replace(cert, cover=cover, components=components, cut=cut, checks=checks),
-        None if cert.stored is None else certificate_files(cert.assembly),
-    )
+        stored = cert.stored
+        fresh = certificate_object(cert, certificate_files(cert.assembly))
     field = _first_difference(stored.get("checks"), fresh["checks"], "checks")
     if field is not None:
         raise Finding(f"re-validation disagrees with the certificate at {field}")
     field = _first_difference(stored, fresh, "")
     if field is not None:
-        return checks, f"re-validation disagrees with the certificate at {field}"
-    return checks, None
+        return cert.checks, f"re-validation disagrees with the certificate at {field}"
+    return cert.checks, None
 
 
 def validate_certificate(cert: Certificate) -> Tuple[CheckResult, ...]:

@@ -163,6 +163,38 @@ def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys,
     assert "does not lie on exactly two vertices (1 found)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "cover", "enumerate"])
+@pytest.mark.parametrize("name", ["dodecahedron", "pentagon"])
+def test_every_command_rejects_a_deleted_vertex_row(
+    request, tmp_path, capsys, census, name, command
+):
+    # each edge of the deleted vertex then lies on one vertex only
+    P = request.getfixturevalue(name)
+    path = tmp_path / "broken.json"
+    write_polytope(P, path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert tuple(obj["vertices"].pop(0)) == P.vertices[0]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    if name == "dodecahedron":
+        write_colouring(census.classes[24].colouring, tmp_path / "c.txt")
+    else:
+        write_colouring(Colouring(P, 2, (1, 2, 1, 2, 3)), tmp_path / "c.txt")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "check": ["check", str(path), str(tmp_path / "c.txt")],
+        "cover": ["cover", str(path), str(tmp_path / "c.txt")] + out,
+        "enumerate": ["enumerate", str(path)] + out,
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    v = P.vertices[0]
+    edges = [v[:i] + v[i + 1:] for i in range(len(v))]
+    assert any(
+        err == f"error: {path}: edge {e} does not lie on exactly two vertices (1 found)\n"
+        for e in edges
+    )
+
+
 @pytest.mark.parametrize("chromatic", [[], ["--chromatic", "4"]])
 def test_enumerate_rejects_a_disconnected_vertex_graph(tmp_path, capsys, chromatic):
     path = tmp_path / "tetrahedra.json"
@@ -541,8 +573,11 @@ def test_verify_reads_back_the_notes(cert1_dir, tmp_path, capsys):
         (lambda obj: obj["files"].__setitem__("extra", obj["files"]["chain"]), "files.extra"),
         (lambda obj: obj["files"]["chain"].__setitem__("path", "./chain.json"),
          "files.chain.path"),
+        # data files are read at their fixed names, so this path is never opened
+        (lambda obj: obj["files"]["chain"].__setitem__("path", "../missing.json"),
+         "files.chain.path"),
     ],
-    ids=["top-level", "in-files-chain", "files-entry", "path"],
+    ids=["top-level", "in-files-chain", "files-entry", "path", "foreign-path"],
 )
 def test_verify_names_a_key_the_writer_does_not_write(cert1_dir, tmp_path, capsys, edit, field):
     target = _cert_copy(cert1_dir, tmp_path)
@@ -554,17 +589,24 @@ def test_verify_names_a_key_the_writer_does_not_write(cert1_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [lambda obj: obj.pop("checks"), lambda obj: obj["checks"][0].pop("detail")],
+    "edit, field",
+    [
+        (lambda obj: obj.pop("checks"), "checks"),
+        (lambda obj: obj["checks"][0].pop("detail"), "checks[0].detail"),
+    ],
     ids=["no-checks", "no-detail"],
 )
-def test_verify_rejects_a_certificate_with_malformed_checks(cert1_dir, tmp_path, capsys, edit):
+def test_verify_rejects_a_certificate_with_malformed_checks(
+    cert1_dir, tmp_path, capsys, edit, field
+):
+    # the checks are derived, so a malformed record disagrees with the re-run
+    # ones, and is reported before any check is printed
     target = _cert_copy(cert1_dir, tmp_path)
     _edit_certificate(target, edit)
-    assert main(["verify", str(target)]) == EXIT_USAGE
+    assert main(["verify", str(target)]) == EXIT_FINDING
     out, err = capsys.readouterr()
     assert out == ""
-    assert "malformed certificate" in err
+    assert err == f"finding: re-validation disagrees with the certificate at {field}\n"
 
 
 def test_verify_accepts_an_untampered_copy(cert1_dir, tmp_path, capsys):
@@ -680,22 +722,36 @@ def test_verify_rejects_a_policy_the_census_cannot_serve(
     assert f"certificate.json: policy: {reason}" in err
 
 
+# certify(1) picks class 24, whose witness is (0, 1, 3)
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, named",
     [
-        ("index", -1), ("index", 1.0), ("index", True),
-        ("automorphisms", "2"), ("automorphisms", -1),
-        ("glue_facet", 12), ("glue_facet", -1), ("glue_facet", "x"),
-        ("witness", [0, 0, 1]), ("witness", [99, 100, 101]), ("witness", [0, 1]),
-        ("witness", [0, 1, True]), ("witness", "012"),
-        ("id", 123),
+        ("index", -1, "index"), ("index", 1.0, "index"), ("index", True, "index"),
+        ("automorphisms", "2", "automorphisms"), ("automorphisms", -1, "automorphisms"),
+        ("glue_facet", 12, "glue_facet"), ("glue_facet", -1, "glue_facet"),
+        ("glue_facet", "x", "glue_facet"),
+        ("witness", [0, 0, 1], "witness[1]"), ("witness", [99, 100, 101], "witness[0]"),
+        ("witness", [0, 1], "witness"), ("witness", [0, 1, True], "witness[2]"),
+        ("witness", "012", "witness"),
+        ("id", 123, "id"),
+    ],
+    ids=[
+        "index--1", "index-1.0", "index-True", "automorphisms-2", "automorphisms--1",
+        "glue_facet-12", "glue_facet--1", "glue_facet-x", "witness-value8", "witness-value9",
+        "witness-value10", "witness-value11", "witness-012", "id-123",
     ],
 )
-def test_verify_rejects_a_malformed_class_record(cert1_dir, tmp_path, capsys, field, value):
+def test_verify_rejects_a_malformed_class_record(
+    cert1_dir, tmp_path, capsys, field, value, named
+):
+    # the class record is derived: a value of the wrong kind or out of range
+    # disagrees with the re-selected class, before anything is rebuilt
     target = _cert_copy(cert1_dir, tmp_path)
     _edit_certificate(target, lambda obj: obj["class"].update({field: value}))
-    assert main(["verify", str(target)]) == EXIT_USAGE
-    assert f"class.{field} {value!r} is not" in capsys.readouterr().err
+    assert main(["verify", str(target)]) == EXIT_FINDING
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"finding: re-validation disagrees with the certificate at class.{named}\n"
 
 
 def test_certify_rejects_a_malformed_policy(tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import dodecahedral_chain
-from racover import covers, fileio, pipeline
+from racover import colouring, covers, fileio, pipeline
 from racover.colouring import Colouring, PartialColouring, from_k_colouring
 from racover.covers import (
     build_cover,
@@ -258,15 +258,31 @@ def test_validation_reads_back_the_stored_records(monkeypatch, tmp_path, cert1):
         validate_certificate(load_certificate(path))
 
 
+def test_verify_computes_the_class_id_once(monkeypatch, tmp_path, cert1):
+    path = write_certificate(cert1, tmp_path / "cert")
+    calls = []
+    real = colouring.canonical_form
+
+    def counting(P, lam):
+        calls.append(lam)
+        return real(P, lam)
+
+    for module in (colouring, pipeline):
+        monkeypatch.setattr(module, "canonical_form", counting)
+    # the loader compares the class record, and re-validation renders it
+    # again, from the same class
+    validate_certificate(load_certificate(path))
+    assert len(calls) == 1
+
+
 def test_verify_builds_the_cover_once(monkeypatch, tmp_path, cert1):
     path = write_certificate(cert1, tmp_path / "cert")
     built = []
     real = pipeline.cut_cover
     counting = lambda a: built.append(a) or real(a)  # noqa: E731
     monkeypatch.setattr(pipeline, "cut_cover", counting)
-    monkeypatch.setattr(fileio, "cut_cover", counting)
-    # loading rebuilds the cover from the stored chains, and validation
-    # re-runs the checks on that one
+    # loading rebuilds the cover from the stored chains and runs the checks
+    # on it, and validation compares the result with the stored file
     loaded = load_certificate(path)
     assert built == [loaded.assembly]
     validate_certificate(loaded)
@@ -296,8 +312,8 @@ def test_loading_reads_no_chain_file(monkeypatch, tmp_path, cert3):
     assert all(c.passed for c in validate_certificate(load_certificate(path)))
 
 
-# the chains' bookkeeping is derived, so an out-of-range value of it is a
-# disagreement with the rebuild, as an edited cover.copies is
+# every field the rebuild does not read is derived, so an out-of-range
+# value of it is a disagreement with the rebuild, as an edited cover.copies is
 @pytest.mark.parametrize("d_facet", [10**6, -1])
 def test_certificate_rejects_an_out_of_range_d_facet(tmp_path, cert1, d_facet):
     path = write_certificate(cert1, tmp_path / "cert")
@@ -324,7 +340,7 @@ def test_certificate_rejects_an_out_of_range_field(tmp_path, cert1, key, value):
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj[key] = value
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    derived = key in ("glue_steps", "witness_facets", "natural_map")
+    derived = key in ("base_facet", "glue_steps", "witness_facets", "natural_map", "notes")
     with pytest.raises(Finding if derived else FileFormatError, match=key):
         validate_certificate(load_certificate(path))
 
