@@ -133,11 +133,16 @@ def write_colouring(
 def load_colouring(
     P: Polytope, path: Union[str, Path]
 ) -> Union[Colouring, PartialColouring]:
+    return _parse_colouring(P, Path(path).read_text(encoding="utf-8"), path)
+
+
+def _parse_colouring(
+    P: Polytope, text: str, path: Union[str, Path]
+) -> Union[Colouring, PartialColouring]:
+    """The colouring in `text`, read from `path`, which errors name."""
     rank: Optional[int] = None
     vals: List[Optional[int]] = []
-    for ln, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -212,15 +217,22 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
         digests = {key: obj["files"][key]["sha256"] for key in CERTIFICATE_FILES}
     except (KeyError, TypeError):
         raise FileFormatError(f"{path}: files is not an object of file records") from None
+    ambient = base / CERTIFICATE_FILES["ambient_colouring"]
     for key, name in CERTIFICATE_FILES.items():
-        actual = sha256_file(base / name)
+        # the ambient colouring, the one file parsed, is read once; the
+        # others are only hashed
+        if key == "ambient_colouring":
+            data = ambient.read_bytes()
+            actual = hashlib.sha256(data).hexdigest()
+        else:
+            actual = sha256_file(base / name)
         if actual != digests[key]:
             raise FileFormatError(f"{base / name}: digest {actual} differs from the certificate")
+    text = data.decode("utf-8")
     # a gluing merges two facets away and their 12 neighbours pairwise,
     # so Q has 106n + 14 facets, one colour line each after the header:
     # checked first, this bounds the rebuild by the colouring file's size
-    ambient = base / CERTIFICATE_FILES["ambient_colouring"]
-    colours = len(list(filter(str.strip, ambient.read_text(encoding="utf-8").splitlines()))) - 1
+    colours = len(list(filter(str.strip, text.splitlines()))) - 1
     n = obj.get("n")
     if type(n) is not int or n < 1:
         raise FileFormatError(f"{path}: n {n!r} is not a chain length of at least 1")
@@ -237,7 +249,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
     field = _first_difference(obj.get("class"), class_record(chosen), "class")
     if field is not None:
         raise Finding(f"re-validation disagrees with the certificate at {field}")
-    assembly = build_chain(chosen, n, lambda Q, _: load_colouring(Q, ambient))  # type: ignore
+    assembly = build_chain(chosen, n, lambda Q, _: _parse_colouring(Q, text, ambient))  # type: ignore
     if isinstance(assembly.lam_Q, PartialColouring):
         raise FileFormatError(f"{ambient}: certificate colourings must be total")
     return checked_certificate(policy, chosen, assembly, obj)

@@ -16,6 +16,12 @@ vertices, so the image of one flag fixes a whole map, walked vertex to
 vertex without branching and then checked in full.  The symmetry group is
 generated by the maps found from flags outside the orbit of the base flag
 (a handful: four for the 120-cell), and listed breadth first from them.
+The scan for those maps stops by orbit-stabiliser counting: once the
+flags of the first vertex are scanned, the stabiliser of that vertex is
+known, and when its order times the first vertex's orbit under the maps
+found equals the number of flags, every flag is in the base flag's orbit.
+Polytopes that are not flag-transitive never reach that count; there the
+base flag's orbit is listed to skip flags, and every vertex is scanned.
 """
 from __future__ import annotations
 
@@ -661,30 +667,48 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
     far: then it either admits no automorphism or yields a new generator.
     A flag that admits none rules out its whole orbit under the generators
     found so far (were tau to send the base flag to g(flag), g^-1 tau
-    would send it to flag), so that orbit is skipped too.  The scan stops
-    at the first vertex reached once the orbit of the base flag holds
-    every flag, as no later flag can then add a generator.
+    would send it to flag), so that orbit is skipped too.
+
+    The scan stops by orbit-stabiliser counting.  Once the flags of vertex
+    0 are scanned, the generators found generate its whole stabiliser, of
+    order the base flag's orbit size then; later generators cannot enlarge
+    it.  So after each later generator the group found has order (orbit of
+    vertex 0 as a facet set) x (that stabiliser order).  This equals the
+    number of flags only when the stabiliser has order n! and the orbit
+    holds every vertex; then every flag is in the base flag's orbit, no
+    later flag can add a generator, and the scan stops without building
+    that orbit.  Otherwise, as on polytopes that are not flag-transitive,
+    the orbit is built to skip flags and the scan goes on; where vertex
+    0's stabiliser is smaller than n!, no vertex orbit is built at all.
     """
     gens = _generator_cache.get(P.digest)
     if gens is None:
         flips = _edge_flips(P)
         base = P.vertices[0]
-        flags = len(P.vertices) * math.factorial(P.dimension)
+        per_vertex = math.factorial(P.dimension)  # flags at one vertex
         found: List[_Perm] = []
         orbit = {base}
         failed: Set[_Flag] = set()
-        for k, v in enumerate(P.vertices):
-            if len(orbit) == flags:
-                break
-            for flag in itertools.permutations(v):
-                if flag in orbit or flag in failed:
-                    continue
-                sigma = _propagate(P, P, flips, flips, k, flag)
-                if sigma is None:
-                    failed |= _orbit(flag, found)
-                else:
-                    found.append(sigma)
-                    orbit = _orbit(base, found)
+        stabiliser = 0  # order of the stabiliser of vertex 0, once its flags are scanned
+        scan = ((k, flag) for k, v in enumerate(P.vertices) for flag in itertools.permutations(v))
+        for k, flag in scan:
+            if k and not stabiliser:
+                stabiliser = len(orbit)
+            if flag in orbit or flag in failed:
+                continue
+            sigma = _propagate(P, P, flips, flips, k, flag)
+            if sigma is None:
+                failed |= _orbit(flag, found)
+                continue
+            found.append(sigma)
+            # both factors of (orbit of vertex 0) x stabiliser must be full
+            if stabiliser == per_vertex:
+                vertices = reachable(
+                    frozenset(base), lambda s: map(frozenset, map(itemgetter(*s), found))
+                )
+                if len(vertices) == len(P.vertices):
+                    break
+            orbit = _orbit(base, found)
         gens = _generator_cache[P.digest] = tuple(found)
     return gens
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +291,22 @@ def test_verify_builds_the_cover_once(monkeypatch, tmp_path, cert1):
     # a certificate built in memory is re-derived, not trusted
     validate_certificate(cert1)
     assert built == [loaded.assembly, cert1.assembly]
+
+
+def test_loading_reads_the_ambient_colouring_once(monkeypatch, tmp_path, cert3):
+    # one read serves its digest, its line count and its parse
+    path = write_certificate(cert3, tmp_path / "cert")
+    opened = []
+    real = Path.open
+
+    def counting(self, *args, **kwargs):
+        opened.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting)
+    loaded = load_certificate(path)
+    assert opened.count("ambient-colouring.txt") == 1
+    assert loaded.assembly.lam_Q.colours == cert3.assembly.lam_Q.colours
 
 
 def test_certificate_detects_tampered_files(tmp_path, cert1):

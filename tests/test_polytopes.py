@@ -9,7 +9,15 @@ from typing import List, Tuple
 
 import pytest
 
-from conftest import f_vector, identity_matching, octagons, relabel, renumbered, two_tetrahedra
+from conftest import (
+    dodecahedral_chain,
+    f_vector,
+    identity_matching,
+    octagons,
+    relabel,
+    renumbered,
+    two_tetrahedra,
+)
 from racover import covers, polytopes
 from racover.polytopes import (
     FacetMatching,
@@ -231,15 +239,55 @@ def _generators_by_full_scan(P):
     return tuple(found)
 
 
-@pytest.mark.parametrize("name", ["pentagon", "dodecahedron", "renumbered", "120-cell"])
+@pytest.mark.parametrize(
+    "name",
+    ["pentagon", "dodecahedron", "renumbered", "120-cell", "2-chain", "3-chain", "20-chain"],
+)
 def test_symmetry_generators_match_a_full_flag_scan(name, pentagon, dodecahedron, z120):
+    # the chains are not flag-transitive, so their scans never stop by
+    # counting and build the base flag's orbit after every generator
     P = {
-        "pentagon": pentagon,
-        "dodecahedron": dodecahedron,
-        "renumbered": renumbered(dodecahedron, random.Random(5)),
-        "120-cell": z120,
-    }[name]
+        "pentagon": lambda: pentagon,
+        "dodecahedron": lambda: dodecahedron,
+        "renumbered": lambda: renumbered(dodecahedron, random.Random(5)),
+        "120-cell": lambda: z120,
+        "2-chain": lambda: chain_sum(dodecahedron, [0])[0],
+        "3-chain": lambda: dodecahedral_chain(3),
+        "20-chain": lambda: dodecahedral_chain(20),
+    }[name]()
     assert symmetry_generators(P) == _generators_by_full_scan(P)
+
+
+def test_120cell_generator_scan_builds_no_flag_orbit(monkeypatch):
+    # the scan stops by orbit-stabiliser counting: no set it builds is
+    # larger than the 600 vertices, where the base flag's orbit has 14 400
+    sizes = []
+    real = polytopes.reachable
+
+    def recording(start, moves):
+        found = real(start, moves)
+        sizes.append(len(found))
+        return found
+
+    monkeypatch.setattr(polytopes, "reachable", recording)
+    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    Z = make_120cell()
+    sizes.clear()
+    assert len(symmetry_generators(Z)) == 4
+    assert max(sizes) == len(Z.vertices) == 600
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "120-cell", "2-chain", "3-chain"])
+def test_symmetry_group_order_is_orbit_times_stabiliser(name, dodecahedron, z120):
+    P = {
+        "dodecahedron": lambda: dodecahedron,
+        "120-cell": lambda: z120,
+        "2-chain": lambda: chain_sum(dodecahedron, [0])[0],
+        "3-chain": lambda: dodecahedral_chain(3),
+    }[name]()
+    v0 = frozenset(P.vertices[0])
+    images = [frozenset(map(g.__getitem__, v0)) for g in symmetry_group(P)]
+    assert len(symmetry_group(P)) == len(set(images)) * images.count(v0)
 
 
 def test_120cell_symmetries_need_few_flag_propagations(monkeypatch):
