@@ -1,11 +1,11 @@
 """Combinatorics of simple right-angled polytopes in dimensions 2 to 4.
 
-A polytope is stored facet-first: the adjacency graph on facet indices plus
-the list of vertices, each vertex given as the sorted tuple of the n facets
-through it.  For a simple polytope this determines the whole face lattice:
-a codimension-k face corresponds to a k-subset of facets contained in some
-vertex, so face counts, subpolytopes and orbifold Euler characteristics can
-all be read off combinatorially.
+A polytope is stored facet-first: the list of vertices, each the sorted
+tuple of the n facets through it, and the facet adjacency graph, the pairs
+of facets that share a vertex.  For a simple polytope the vertices
+determine the whole face lattice: a codimension-k face corresponds to a
+k-subset of facets contained in some vertex, so face counts, subpolytopes
+and orbifold Euler characteristics can all be read off combinatorially.
 
 Facet ordering is deterministic for every generator in this module, so
 serialized polytopes are stable across runs.
@@ -85,24 +85,26 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _vertex_fault(t: Tuple[int, ...], dimension: int, m: int, pairs: Set[Tuple[int, int]]) -> str:
+def _vertex_fault(t: Tuple[int, ...], dimension: int, m: int, unseen: Set[Tuple[int, int]]) -> str:
     """What is wrong with the sorted vertex t, checked in this order: its
-    size, its index range, then its first non-adjacent pair."""
+    size, its index range, then its first pair in `unseen`, which the
+    adjacency does not name."""
     if len(t) != dimension or len(set(t)) != dimension:
         return f"vertex {t} is not a set of {dimension} facets"
     if t[0] < 0 or t[-1] >= m:
         return f"vertex {t} has an invalid facet index"
-    a, b = next(p for p in itertools.combinations(t, 2) if p not in pairs)
+    a, b = next(p for p in itertools.combinations(t, 2) if p in unseen)
     return f"vertex {t} contains non-adjacent facets {a},{b}"
 
 
 class Polytope:
     """Immutable simple polytope, dimension 2 to 4, facet-first encoding.
 
-    Treat instances as frozen.  Neighbour lists and facet-vertex incidence
-    are built at construction; the bit masks and the vertex-set lookup,
-    which only small polytopes need, and the digest are computed on first
-    use.
+    Treat instances as frozen.  The given adjacency must equal the facet
+    pairs that share a vertex row; duplicate and reversed pairs and rows
+    are merged.  Neighbour lists and facet-vertex incidence are built at
+    construction; the bit masks and the vertex-set lookup, which only
+    small polytopes need, and the digest are computed on first use.
     """
 
     def __init__(
@@ -122,12 +124,31 @@ class Polytope:
         if m < dimension + 1:
             raise PolytopeError("too few facets")
 
-        pairs = set()
+        # the sorted rows in input order, duplicates merged, and the facet
+        # pairs they show, which the given adjacency must equal
+        rows = dict.fromkeys(map(tuple, map(sorted, vertices)))
+        shown = set(itertools.chain.from_iterable(
+            map(itertools.combinations, rows, itertools.repeat(2))
+        ))
+        unseen, extra = shown.copy(), []  # shown pairs not given, given pairs not shown
         for i, j in adjacency:
             if not (0 <= i < m and 0 <= j < m) or i == j:
                 raise PolytopeError(f"bad adjacency pair ({i}, {j})")
-            pairs.add((i, j) if i < j else (j, i))
-        self.adjacency = tuple(sorted(pairs))
+            p = (i, j) if i < j else (j, i)
+            unseen.discard(p)
+            if p not in shown:
+                extra.append(p)
+        # every given pair holds two distinct valid indices, so n entries
+        # none of whose pairs is unseen are n distinct valid facets
+        if unseen or not {dimension}.issuperset(map(len, rows)):
+            t = next(t for t in rows if len(t) != dimension
+                     or not unseen.isdisjoint(itertools.combinations(t, 2)))
+            raise PolytopeError(_vertex_fault(t, dimension, m, unseen))
+        if extra:
+            i, j = min(extra)
+            raise PolytopeError(f"adjacent facets {i},{j} share no vertex")
+        self.adjacency = tuple(sorted(shown))
+        self.vertices = tuple(sorted(rows))
 
         # in sorted pair order, facet i meets its lower neighbours (as the
         # second entry) before its higher ones, so each list comes out sorted
@@ -136,16 +157,6 @@ class Polytope:
             nb[i].append(j)
             nb[j].append(i)
         self.neighbours = tuple(map(tuple, nb))
-
-        vs = set()
-        for v in vertices:
-            t = tuple(sorted(v))
-            # every pair holds two distinct valid indices, so n entries whose
-            # pairs are all adjacent are n distinct valid facets
-            if len(t) != dimension or not pairs.issuperset(itertools.combinations(t, 2)):
-                raise PolytopeError(_vertex_fault(t, dimension, m, pairs))
-            vs.add(t)
-        self.vertices = tuple(sorted(vs))
 
         # one pass in ascending vertex order keeps each list sorted
         incidence: List[List[int]] = [[] for _ in range(m)]
@@ -183,14 +194,13 @@ class Polytope:
     @cached_property
     def digest(self) -> str:
         """Content hash; equal digests mean identical facet-level structure."""
-        data = repr((self.dimension, self.facet_labels, self.adjacency, self.vertices))
+        data = repr((self.dimension, self.facet_labels, self.vertices))
         return hashlib.sha256(data.encode()).hexdigest()
 
     def same_structure(self, other: "Polytope") -> bool:
         return (
             self.dimension == other.dimension
             and self.facet_labels == other.facet_labels
-            and self.adjacency == other.adjacency
             and self.vertices == other.vertices
         )
 
@@ -341,9 +351,7 @@ def facet_subpolytope(P: Polytope, F: int) -> Tuple[Polytope, Tuple[int, ...]]:
     verts = []
     for vi in P.facet_vertices[F]:
         verts.append(tuple(sorted(pos[g] for g in P.vertices[vi] if g != F)))
-    adj = set()
-    for v in verts:
-        adj.update(itertools.combinations(v, 2))
+    adj = itertools.chain.from_iterable(map(itertools.combinations, verts, itertools.repeat(2)))
     labels = [P.facet_labels[g] for g in inc]
     sub = Polytope(P.dimension - 1, labels, adj, verts)
     return sub, inc
@@ -425,19 +433,16 @@ def _glue(
             pieces[row[g]].append(prefix + label)  # type: ignore[index]
         prov.append(row)
 
-    adj = set()
+    adj = ((row[i], row[j]) for (P, _), row in zip(parts, prov) for i, j in P.adjacency
+           if row[i] is not None and row[j] is not None)
     verts = []
     for (P, _), row in zip(parts, prov):
-        for i, j in P.adjacency:
-            a, b = row[i], row[j]
-            if a is not None and b is not None:
-                adj.add((a, b) if a < b else (b, a))
         for v in P.vertices:
             mapped = [row[g] for g in v]
             if None not in mapped:
                 verts.append(mapped)
-    # joined and checked last: a label set taken before the mapping left
-    # certification's peak memory higher
+    # the pairs are mapped as the constructor reads them and the labels
+    # joined last: both keep certification's peak memory lower
     labels = ["|".join(p) for p in pieces]
     if len(set(labels)) != len(labels):
         raise PolytopeError("facet label collision; relabel the summands first")
@@ -597,8 +602,8 @@ def _propagate(
     None if there is none.
 
     Walking vertex to vertex across edges fixes each facet's image without
-    branching; the result is then checked in full: a bijection preserving
-    adjacency and mapping the vertex family onto the vertex family.
+    branching; the result is then checked in full: a bijection mapping the
+    vertex family onto the vertex family, which also preserves adjacency.
     """
     m = src.facet_count
     src_nb, dst_nb = src.neighbours, dst.neighbours
@@ -625,9 +630,6 @@ def _propagate(
                 queue.append(k2)
     if len(set(img)) != m or -1 in img:
         return None
-    masks = dst.adjacency_masks
-    if any(not masks[img[i]] >> img[j] & 1 for i, j in src.adjacency):
-        return None
     if any(frozenset(map(img.__getitem__, v)) not in dst.vertex_sets for v in src.vertices):
         return None
     return tuple(img)
@@ -638,7 +640,6 @@ def _comparable(src: Polytope, dst: Polytope) -> bool:
     return (
         src.dimension == dst.dimension
         and src.facet_count == dst.facet_count
-        and len(src.adjacency) == len(dst.adjacency)
         and len(src.vertices) == len(dst.vertices)
         and sorted(map(len, src.neighbours)) == sorted(map(len, dst.neighbours))
     )

@@ -399,9 +399,9 @@ def enumerate_chromatic_colourings(
     for i, f in enumerate(v0):
         colours[f] = i + 1
     order = greedy_facet_order(P, v0)[n:]
-    # two adjacent facets differ, so only the neighbours pinned or earlier
-    # in the order forbid a colour; P.neighbours also holds adjacencies that
-    # no vertex shows, which _forbidding_sets would miss
+    # two facets that share a vertex differ, so a facet's colour is
+    # forbidden by its neighbours, the facets it shares a vertex with, that
+    # are pinned or earlier in the order
     masks: List[_Mask] = []
     coloured = set(v0)
     for f in order:

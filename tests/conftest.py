@@ -100,24 +100,14 @@ def dodecahedral_chain(n: int) -> Polytope:
     return chain_sum(D, [ends[s % 2] for s in range(n - 1)])[0]
 
 
-def octagons() -> List[Polytope]:
-    """Two octagons with two adjacencies each that no vertex shows,
-    diameters and short chords: same vertices, same degrees, not
-    isomorphic."""
-    ring = [(i, (i + 1) % 8) for i in range(8)]
-    labels = [f"e{i}" for i in range(8)]
-    return [Polytope(2, labels, ring + extra, ring)
-            for extra in ([(0, 4), (2, 6)], [(0, 6), (2, 4)])]
-
-
 def two_tetrahedra() -> Polytope:
-    """Tetrahedra on facets 0-3 and 4-7, joined only by the adjacency
-    (0, 4) that no vertex shows: the facet graph is connected, the vertex
+    """Tetrahedra on facets 0-3 and 0, 4-6, sharing only facet 0: every
+    edge lies on two vertices and the facet graph is connected, the vertex
     graph is not."""
-    blocks = (range(4), range(4, 8))
-    adjacency = [p for b in blocks for p in itertools.combinations(b, 2)] + [(0, 4)]
+    blocks = ((0, 1, 2, 3), (0, 4, 5, 6))
+    adjacency = [p for b in blocks for p in itertools.combinations(b, 2)]
     vertices = [v for b in blocks for v in itertools.combinations(b, 3)]
-    return Polytope(3, [f"t{i}" for i in range(8)], adjacency, vertices)
+    return Polytope(3, [f"t{i}" for i in range(7)], adjacency, vertices)
 
 
 def random_proper_colouring(P: Polytope, rank: int, rng: random.Random) -> Colouring:

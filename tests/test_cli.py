@@ -163,17 +163,30 @@ def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys,
     assert "does not lie on exactly two vertices (1 found)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "cover", "enumerate"])
-@pytest.mark.parametrize("name", ["dodecahedron", "pentagon"])
+@pytest.mark.parametrize("command", ["check", "cover", "enumerate", "chromatic"])
+@pytest.mark.parametrize(
+    "name,extra",
+    [
+        pytest.param("dodecahedron", None, id="dodecahedron"),
+        pytest.param("pentagon", None, id="pentagon"),
+        pytest.param("dodecahedron", (0, 6), id="dodecahedron-extra-pair"),
+        pytest.param("pentagon", (0, 2), id="pentagon-chord"),
+    ],
+)
 def test_every_command_rejects_a_deleted_vertex_row(
-    request, tmp_path, capsys, census, name, command
+    request, tmp_path, capsys, census, name, extra, command
 ):
-    # each edge of the deleted vertex then lies on one vertex only
+    # without the extra pair, the first vertex row is deleted; each edge of
+    # that vertex then lies on one vertex only
     P = request.getfixturevalue(name)
     path = tmp_path / "broken.json"
     write_polytope(P, path)
     obj = json.loads(path.read_text(encoding="utf-8"))
-    assert tuple(obj["vertices"].pop(0)) == P.vertices[0]
+    if extra is None:
+        assert tuple(obj["vertices"].pop(0)) == P.vertices[0]
+    else:
+        assert not P.adjacent(*extra)
+        obj["adjacency"].append(list(extra))
     path.write_text(json.dumps(obj), encoding="utf-8")
     if name == "dodecahedron":
         write_colouring(census.classes[24].colouring, tmp_path / "c.txt")
@@ -184,15 +197,23 @@ def test_every_command_rejects_a_deleted_vertex_row(
         "check": ["check", str(path), str(tmp_path / "c.txt")],
         "cover": ["cover", str(path), str(tmp_path / "c.txt")] + out,
         "enumerate": ["enumerate", str(path)] + out,
+        "chromatic": ["enumerate", str(path), "--chromatic", "4"] + out,
     }[command]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    v = P.vertices[0]
-    edges = [v[:i] + v[i + 1:] for i in range(len(v))]
-    assert any(
-        err == f"error: {path}: edge {e} does not lie on exactly two vertices (1 found)\n"
-        for e in edges
-    )
+    if extra is not None:
+        assert err == f"error: {path}: adjacent facets {extra[0]},{extra[1]} share no vertex\n"
+    elif name == "pentagon":
+        # a polygon's vertex rows are its adjacent pairs, so the deleted
+        # row's pair is an adjacency that no vertex shows
+        assert err == f"error: {path}: adjacent facets 0,1 share no vertex\n"
+    else:
+        v = P.vertices[0]
+        edges = [v[:i] + v[i + 1:] for i in range(len(v))]
+        assert any(
+            err == f"error: {path}: edge {e} does not lie on exactly two vertices (1 found)\n"
+            for e in edges
+        )
 
 
 @pytest.mark.parametrize("chromatic", [[], ["--chromatic", "4"]])
@@ -417,7 +438,9 @@ def test_certify_reports_a_broken_natural_map_as_a_finding(tmp_path, capsys, mon
     monkeypatch.setattr(pipeline, "_natural_map", swapped)
     assert main(["certify", "--n", "1", "--out", str(tmp_path)]) == EXIT_FINDING
     out = capsys.readouterr().out
-    assert "[FAIL] long-facet-subpolytope: PolytopeError: facet map breaks adjacency" in out
+    assert (
+        "[FAIL] long-facet-subpolytope: PolytopeError: facet map breaks the vertex family" in out
+    )
     assert "[FAIL] induced-colouring" in out
     assert out.endswith("FAIL (16/18 checks)\n")
     stored = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))

@@ -393,5 +393,5 @@ def test_verify_facet_map_rejects_two_swapped_facets(dodecahedron):
     _verify_facet_map(dodecahedron, dodecahedron, identity)
     swapped = identity[:]
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    with pytest.raises(PolytopeError, match="adjacency"):
+    with pytest.raises(PolytopeError, match="^facet map breaks the vertex family$"):
         _verify_facet_map(dodecahedron, dodecahedron, swapped)

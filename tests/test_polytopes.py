@@ -13,7 +13,6 @@ from conftest import (
     dodecahedral_chain,
     f_vector,
     identity_matching,
-    octagons,
     relabel,
     renumbered,
     two_tetrahedra,
@@ -338,13 +337,6 @@ def test_find_isomorphism_matches_the_reference_on_random_simple_polytopes(dodec
         assert find_isomorphism(A, B) == _reference_isomorphism(A, B)
 
 
-def test_find_isomorphism_checks_adjacency_no_vertex_shows(dodecahedron):
-    diameters, chords = octagons()
-    assert find_isomorphism(diameters, chords) is None
-    assert _reference_isomorphism(diameters, chords) is None
-    assert find_isomorphism(diameters, renumbered(diameters, random.Random(2))) is not None
-
-
 def test_antipodal_facets(dodecahedron):
     pairing = [antipodal_facet(dodecahedron, f) for f in range(12)]
     assert pairing == [11, 9, 10, 6, 7, 8, 3, 4, 5, 1, 2, 0]
@@ -471,8 +463,9 @@ def test_digest_tracks_structure(pentagon):
 
 def _mask_polytope(dimension, facet_labels, adjacency, vertices):
     """Reference constructor: the big-int adjacency masks first, then the
-    vertex checks, the coverage check and the connectivity BFS on them,
-    as `Polytope.__init__` was first written."""
+    vertex checks, the adjacency pairs no vertex holds, the coverage check
+    and the connectivity BFS on them, as `Polytope.__init__` was first
+    written."""
 
     def bits(mask):
         while mask:
@@ -509,6 +502,9 @@ def _mask_polytope(dimension, facet_labels, adjacency, vertices):
                 raise PolytopeError(f"vertex {t} contains non-adjacent facets {a},{b}")
         vs.add(t)
     verts = tuple(sorted(vs))
+    for a, b in sorted(pairs):
+        if not any(a in v and b in v for v in verts):
+            raise PolytopeError(f"adjacent facets {a},{b} share no vertex")
     if set(itertools.chain.from_iterable(verts)) != set(range(m)):
         raise PolytopeError("some facet lies on no vertex")
     seen = 1
@@ -596,6 +592,7 @@ def test_greedy_facet_order_matches_the_max_reference(request, name, renumber):
 
 
 _SQUARE = [(0, 1), (1, 2), (2, 3), (3, 0)]
+_OCTAGON = [(i, (i + 1) % 8) for i in range(8)]
 
 
 @pytest.mark.parametrize(
@@ -616,6 +613,10 @@ _SQUARE = [(0, 1), (1, 2), (2, 3), (3, 0)]
         (2, "abcd", _SQUARE, [(0, 1), (1, 2)]),
         (3, "abcde", [(0, 1), (3, 4)], [(4, 3, 0)]),
         (2, "abcdef", _SQUARE + [(4, 5)], [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),
+        # an octagon with one chord that no vertex holds
+        (2, "abcdefgh", _OCTAGON + [(4, 0)], _OCTAGON),
+        # a facet on no vertex and in no adjacency pair
+        (2, "abcd", [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)]),
     ],
 )
 def test_constructor_errors_match_the_mask_reference(args):

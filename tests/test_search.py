@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import octagons, renumbered
+from conftest import renumbered
 from racover import gf2, search
 from racover.colouring import (
     Colouring,
@@ -291,15 +291,10 @@ def _full_sweep(P, result):
     "name,k,nodes",
     [
         ("dodecahedron", 4, None), ("dodecahedron", 5, None), ("z120", 5, 7910),
-        ("octagon0", 3, None), ("octagon0", 4, None),
-        ("octagon1", 3, None), ("octagon1", 4, None),
     ],
 )
 def test_generator_orbit_count_matches_the_full_sweep(request, name, k, nodes):
-    if name.startswith("octagon"):
-        P = octagons()[int(name[-1])]
-    else:
-        P = request.getfixturevalue(name)
+    P = request.getfixturevalue(name)
     result = enumerate_chromatic_colourings(P, k)
     assert result.complete
     if nodes is not None:
@@ -1066,15 +1061,6 @@ def test_chromatic_search_matches_the_reference(request, dodecahedron, name, k):
     got = _chromatic(P, k)
     assert got == _reference_chromatic(P, k)
     assert got[2]
-
-
-def test_chromatic_search_reads_adjacencies_no_vertex_shows():
-    for P in octagons():
-        for k in (3, 4, 5):
-            got = _chromatic(P, k)
-            assert got == _reference_chromatic(P, k), k
-            for rep in got[4]:
-                assert all(rep[i] != rep[j] for i, j in P.adjacency)
 
 
 # the search has 11 795 nodes and ends with end-of-palette ticks, so
