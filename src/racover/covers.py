@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import gf2
 from .colouring import Colouring, induced_colouring, is_orientable, is_proper
-from .polytopes import Polytope, codim_faces, orbifold_euler_characteristic, reachable
+from .polytopes import Polytope, _faces, _orbifold_sum, reachable
 
 __all__ = [
     "CoverError",
@@ -159,54 +159,54 @@ def cover_connected(C: CoverComplex) -> bool:
     return len(_components(C.group, lambda g: (g ^ c for c in colours))) == 1
 
 
-def _direct_euler_characteristic(C: CoverComplex) -> int:
-    """Euler characteristic from the glued complex's own face counts.
-
-    A face of P given by the facet subset S has |G| / |span of S's colours|
-    distinct copies in the cover, because copies g and g + colour(F) agree
-    along every face inside F.  Faces are tallied by their colour tuple, so
-    each distinct tuple is ranked once.  No properness assumption enters
-    here, so this genuinely cross-checks the orbifold formula.
-    """
+def _face_tallies(C: CoverComplex) -> Tuple[Dict[int, int], int]:
+    """Face counts of the base by codimension k = 0..n, and the Euler
+    characteristic of the glued complex, from one colour tally per k: a
+    face on the facets S has |G| / |span of S's colours| copies in the
+    cover, as copies g and g + colour(F) agree along every face inside F."""
     P = C.polytope
     n = P.dimension
     cols = C.colouring.colours
     copies = len(C.group)
-    total = (-1) ** n * copies
+    counts, direct = {0: 1}, (-1) ** n * copies
     for k in range(1, n + 1):
-        if k == 1:
-            # every facet lies on a vertex (the constructor checks it)
-            tally = Counter(zip(cols))
-        else:
-            # each face's colours, read k at a time from one stream: no
-            # per-face iterator or per-column copy is built, and the faces
-            # are freed as soon as the stream is read
-            stream = map(cols.__getitem__, itertools.chain.from_iterable(
-                P.vertices if k == n else codim_faces(P, k)
-            ))
-            tally = Counter(zip(*[stream] * k))
-        sign = (-1) ** (n - k)
+        # facets lie on vertices (the constructor checks it); each face's
+        # colours are read k at a time from one stream
+        stream = iter(cols) if k == 1 else map(
+            cols.__getitem__, itertools.chain.from_iterable(_faces(P, k))
+        )
+        tally = Counter(zip(*[stream] * k))
+        counts[k] = sum(tally.values())
         for key, count in tally.items():
-            total += sign * count * (copies >> gf2.rank(key))
-    return total
+            direct += (-1) ** (n - k) * count * (copies >> gf2.rank(key))
+    return counts, direct
+
+
+def _direct_euler_characteristic(C: CoverComplex) -> int:
+    """Euler characteristic from the glued complex's own face counts (see
+    `_face_tallies`); no properness assumption enters."""
+    return _face_tallies(C)[1]
 
 
 def cover_euler_characteristic(C: CoverComplex) -> int:
     """Euler characteristic of the cover, computed two ways.
 
-    The product |G| * chi_orb(P) must be an integer and must agree with
-    the direct face count of the glued complex; disagreement signals a
-    non-manifold gluing and raises.  The checked value is kept on C, so
-    later calls (the certificate writer's summary) reuse it.
+    Both read one enumeration of the base's faces per codimension k and
+    differ in the weight of a face: |G| / 2^k in |G| * chi_orb(P) and
+    |G| / |span of its colours| in the direct count.  Agreement checks full
+    rank of the colours on the faces summed with signs, so it is no
+    properness test.  The product must be an integer equal to the direct
+    count, else a non-manifold gluing raises.  The checked value is kept
+    on C, so later calls reuse it.
     """
     return C.euler_characteristic
 
 
 def _checked_euler_characteristic(C: CoverComplex) -> int:
-    chi = len(C.group) * orbifold_euler_characteristic(C.polytope)
+    counts, direct = _face_tallies(C)
+    chi = len(C.group) * _orbifold_sum(counts)
     if chi.denominator != 1:
         raise CoverError(f"non-integral Euler characteristic {chi}")
-    direct = _direct_euler_characteristic(C)
     if direct != chi:
         raise CoverError(
             f"face count disagrees with orbifold formula: {direct} vs {chi}"

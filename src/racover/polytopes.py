@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import (
-    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+    Callable, Collection, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 )
 
 __all__ = [
@@ -491,41 +491,39 @@ def chain_sum(
 # face counting
 
 def codim_faces(P: Polytope, k: int) -> Dict[Tuple[int, ...], None]:
-    """The faces of codimension k, for 1 < k < n, each as the sorted tuple
-    of the k facets it lies on, as the keys of a dict.
-
-    Vertices are distinct sorted tuples, so their k-subsets name each face
-    once after deduplication.  A dict, not a set, because it holds them in
-    less memory: 3.0 against 3.6 MiB at its peak for the edges of the
-    ambient chain of `certify --n 20`.
-    """
+    """The faces of codimension k, 2 < k < n (the edges of a 4-polytope),
+    as dict keys, each the sorted tuple of the k facets it lies on.  The
+    vertices are distinct sorted tuples, so their k-subsets name each face
+    once after deduplication; a dict holds them in less memory than a set."""
     return dict.fromkeys(itertools.chain.from_iterable(
         map(itertools.combinations, P.vertices, itertools.repeat(k))
     ))
 
 
-def _face_counts(P: Polytope) -> Dict[int, int]:
-    """Number of codimension-k faces for k = 0..n, via subsets of vertices.
-
-    Every facet lies on a vertex and vertices are distinct (the
-    constructor checks both), so only 1 < k < n needs `codim_faces`.
-    """
+def _faces(P: Polytope, k: int) -> Collection[Tuple[int, ...]]:
+    """The faces of codimension k, for 1 < k <= n, as sorted facet tuples:
+    the ridges are the adjacency when n >= 3 (the constructor requires it
+    to be the pairs inside a vertex) and the corners the vertices, so only
+    2 < k < n needs `codim_faces`."""
     n = P.dimension
-    counts = {0: 1, 1: P.facet_count}
-    for k in range(2, n):
-        counts[k] = len(codim_faces(P, k))
-    counts[n] = len(P.vertices)
-    return counts
+    return P.vertices if k == n else P.adjacency if k == 2 else codim_faces(P, k)
+
+
+def _face_counts(P: Polytope) -> Dict[int, int]:
+    """Number of codimension-k faces for k = 0..n."""
+    counts = {k: len(_faces(P, k)) for k in range(2, P.dimension + 1)}
+    return {0: 1, 1: P.facet_count, **counts}
+
+
+def _orbifold_sum(counts: Dict[int, int]) -> Fraction:
+    """Sum of (-1)^dim / 2^codim over faces counted by codimension 0..n."""
+    n = max(counts)
+    return sum(Fraction((-1) ** (n - k) * c, 2 ** k) for k, c in counts.items())
 
 
 def orbifold_euler_characteristic(P: Polytope) -> Fraction:
     """Sum of (-1)^dim / 2^codim over all faces, the polytope included."""
-    counts = _face_counts(P)
-    n = P.dimension
-    total = Fraction(0)
-    for k, c in counts.items():
-        total += Fraction((-1) ** (n - k) * c, 2 ** k)
-    return total
+    return _orbifold_sum(_face_counts(P))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Covers, facet preimages, cuts and volumes on desk-sized examples."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from racover.covers import (
     volume,
     volume_of_cells,
 )
-from racover.polytopes import _face_counts
+from racover.polytopes import _face_counts, codim_faces
 
 DODECA_4COL = [1, 2, 3, 4, 2, 4, 3, 4, 1, 3, 1, 2]
 
@@ -264,3 +265,46 @@ def test_face_counts_match_vertex_subsets(request, name):
         )))
     assert _face_counts(P) == reference
     assert f_vector(P) == tuple(reference[n - d] for d in range(n))
+
+
+@pytest.mark.parametrize("name, rank", [("z120", 5), ("dodecahedron", 4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_euler_cross_check_rejects_a_random_colouring(request, name, rank, seed):
+    # random nonzero colours repeat around faces, so the direct count ranks
+    # some faces below their codimension and the two counts part
+    P = request.getfixturevalue(name)
+    rng = random.Random(seed)
+    cols = tuple(rng.randrange(1, 1 << rank) for _ in range(P.facet_count))
+    C = CoverComplex(P, Colouring(P, rank, cols), tuple(gf2.span(cols)))
+    with pytest.raises(CoverError, match="face count disagrees with orbifold formula"):
+        cover_euler_characteristic(C)
+
+
+def test_euler_cross_check_rejects_a_non_integral_value(pentagon):
+    # two copies of a pentagon, chi_orb = -1/4
+    C = CoverComplex(pentagon, Colouring(pentagon, 1, (1,) * 5), (0, 1))
+    with pytest.raises(CoverError, match="non-integral Euler characteristic -1/2"):
+        cover_euler_characteristic(C)
+
+
+@pytest.mark.parametrize("name, calls", [("cert1", 1), ("cert3", 1), ("dodecahedron", 0)])
+def test_euler_check_enumerates_only_the_edges_of_a_4_polytope(
+    request, monkeypatch, name, calls
+):
+    # ridges are the adjacency and corners the vertices, and both counts
+    # read one tally per codimension, so only a 4-polytope's edges (k = 3)
+    # are enumerated, once per check
+    base = request.getfixturevalue(name)
+    if name == "dodecahedron":
+        C = build_cover(base, from_k_colouring(base, DODECA_4COL))
+    else:
+        # a fresh copy of the certificate's cover (over the 120-cell at
+        # n = 1), whose Euler characteristic is not cached yet
+        C = dataclasses.replace(base.cover)
+    seen = []
+    counted = lambda P, k: seen.append(k) or codim_faces(P, k)
+    # wrapped wherever a module may hold it by name, so no call goes uncounted
+    for module in ("racover.covers", "racover.polytopes"):
+        monkeypatch.setattr(f"{module}.codim_faces", counted, raising=False)
+    cover_euler_characteristic(C)
+    assert seen == [3] * calls
