@@ -280,10 +280,15 @@ def canonical_form(P: Polytope, lam: Colouring) -> bytes:
 
 def equivalent(P: Polytope, lam1: Colouring, lam2: Colouring) -> bool:
     """Same class under symmetries of P and invertible maps of the image:
-    lam2's normal sequence is one of lam1's orbit keys, so only lam1's
-    orbit is walked."""
+    lam2's normal sequence is one of lam1's orbit keys.  lam1's orbit is
+    walked only up to the first symmetry whose key matches."""
+    _require_proper(P, lam1)
     _require_proper(P, lam2)
-    return normal_sequence(lam2.colours) in orbit_keys(P, lam1)
+    target = normal_sequence(lam2.colours)
+    get = lam1.colours.__getitem__
+    return any(
+        normal_sequence(tuple(map(get, sigma))) == target for sigma in symmetry_group(P)
+    )
 
 
 def automorphism_order(P: Polytope, lam: Colouring) -> int:

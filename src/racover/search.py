@@ -4,8 +4,10 @@ Three searches: enumerate all small-cover colourings of a polytope, count
 chromatic colourings up to symmetry, and complete a seeded partial
 colouring of the 120-cell to a fully odd-weight one.  Each sets up a
 static facet order, a palette and per depth one function generated from
-the forbidding sets, and hands them to one shared node (`_depth_first`)
-with a leaf callback.  All are deterministic; budgets cut them off
+the facets that forbid colours there (`_forbidding_sets`): single facets,
+and vertex groups whose span a table of the palette looks up
+(`_span_table`).  It hands them to one shared node (`_depth_first`) with
+a leaf callback.  All are deterministic; budgets cut them off
 reproducibly by node count and coarsely by wall clock.
 """
 from __future__ import annotations
@@ -149,53 +151,76 @@ class SearchOutcome:
     seconds: float
 
 
-_Sets = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int, int], ...]]
+_Sets = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
 
 def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets]:
-    """Per depth d, the distinct nonempty sets of facets that are coloured
-    before order[d] and meet it at one of its vertices, as (singletons,
-    pairs, triples).  Facets outside `order` count as coloured from the
+    """Per depth d, the facets coloured before order[d] at its vertices, as
+    (singles, groups).  Facets outside `order` count as coloured from the
     start.
 
-    A candidate colour is forbidden for order[d] exactly when it is the XOR
-    of the colours of one such set, since those XORs make up the nonzero
-    span at each vertex.  With `odd`, every colour has odd weight, so an
-    even-size set only ever XORs to an even-weight colour and is left out.
-    Built in one pass over the facet-vertex incidences of `order`.  A set
-    leaves a facet of its vertex out, so it has at most dimension - 1 <= 3
-    facets, and the searches XOR pairs and triples by tuple unpacking.
+    A candidate colour is forbidden for order[d] exactly when it lies in
+    the span of the coloured facets at one of its vertices.  A group is
+    the tuple of those facets at one vertex, each distinct tuple once, in
+    the order they were coloured; a vertex with one coloured facet spans
+    only its colour.  With `odd`, every colour has odd weight, so a pair
+    only adds an even-weight colour to its span and counts as two singles:
+    a group then has at least 3 facets, otherwise at least 2.  The singles
+    are the facets in no group.  Built in one pass over the facet-vertex
+    incidences of `order`.  A group leaves the facet order[d] of its vertex
+    out, so it has at most dimension - 1 facets.
     """
     # coloured[vi] lists the facets at vertex vi coloured so far, in the
-    # order they were coloured, so a set always comes out as the same tuple
+    # order they were coloured, so a group always comes out as the same tuple
     coloured: List[List[int]] = [[] for _ in P.vertices]
     rest = set(order)
     for g in range(P.facet_count):
         if g not in rest:
             for vi in P.facet_vertices[g]:
                 coloured[vi].append(g)
-    sizes = range(3 if odd else 2, P.dimension, 2 if odd else 1)
+    smallest = 3 if odd else 2
     sets = []
     for f in order:
-        singles: Set[int] = set()
-        larger: Set[Tuple[int, ...]] = set()
+        # dicts as ordered sets, so the sets come out the same every run
+        near: Dict[int, None] = {}
+        groups: Dict[Tuple[int, ...], None] = {}
         for vi in P.facet_vertices[f]:
             before = coloured[vi]
-            singles.update(before)
-            for k in sizes:
-                if k > len(before):
-                    break
-                larger.update(itertools.combinations(before, k))
+            near.update(dict.fromkeys(before))
+            if len(before) >= smallest:
+                groups[tuple(before)] = None
             before.append(f)
-        sets.append((
-            tuple(singles),
-            tuple(s for s in larger if len(s) == 2),
-            tuple(s for s in larger if len(s) == 3),
-        ))
-    return sets  # type: ignore[return-value]
+        grouped = {g for group in groups for g in group}
+        sets.append((tuple(g for g in near if g not in grouped), tuple(groups)))
+    return sets
 
 
-_Mask = Callable[[List[int], List[Optional[int]], List[int]], int]
+_Span = Dict[int, int]
+_Mask = Callable[[List[int], _Span], int]
+_span_tables: Dict[Tuple[Tuple[int, ...], int], _Span] = {}
+
+
+def _span_table(palette: Sequence[int], size: int) -> _Span:
+    """For every set of 1 to `size` palette positions, keyed by the OR of
+    their bits (bit k for palette[k]): the bits of the palette colours in
+    the nonzero span of their colours.  Built at the first search that
+    asks for it and cached by (palette, size); a search asks for
+    dimension - 1, the most facets a group holds, so at rank 5 the odd
+    palette's table has 16 + 120 + 560 = 696 entries."""
+    key = (tuple(palette), size)
+    table = _span_tables.get(key)
+    if table is None:
+        bit = {v: 1 << k for k, v in enumerate(palette)}
+        table = {}
+        for r in range(1, size + 1):
+            for ks in itertools.combinations(range(len(palette)), r):
+                spanned = {0}
+                for k in ks:
+                    spanned |= {x ^ palette[k] for x in spanned}
+                table[sum(1 << k for k in ks)] = sum(bit.get(x, 0) for x in spanned)
+        _span_tables[key] = table
+    return table
+
 
 # terms per parenthesised group of a generated mask: one flat `a | b | ...`
 # expression nests one level per term, and the compiler's recursion limit
@@ -207,26 +232,26 @@ _MASK_GLOBALS: Dict[str, object] = {"__builtins__": {}}
 
 
 def _mask_function(sets: _Sets) -> _Mask:
-    """One depth's forbidden mask as a generated function of (bit, colours,
-    p), where p[x] is the bit of colour x and bit[f] = p[colours[f]]: the
-    OR of bit[g] over the singletons and of p[XOR of the colours] over each
-    pair and triple of `_forbidding_sets`, such as
-    `b[3] | b[7] | p[c[1] ^ c[2] ^ c[5]]`.  With p[x] = 1 << x that is the
-    mask of the forbidden colours.  Only integer facet indices, formatted
-    here, reach the compiled source; anything else raises TypeError."""
-    singles, pairs, triples = sets
-    for g in itertools.chain(singles, *pairs, *triples):
+    """One depth's forbidden mask as a generated function of (b, s), where
+    b[f] is the bit of facet f's colour and s a span table (see
+    `_span_table`): the OR of b[g] over the singles and of s[OR of b over
+    the group] over each group of `_forbidding_sets`, such as
+    `b[3] | b[7] | s[b[1] | b[2] | b[5]]`.  With bit k for palette[k]
+    that is the mask of the palette positions the coloured facets at the
+    depth's vertices span.  Only integer facet indices, formatted here,
+    reach the compiled source; anything else raises TypeError."""
+    singles, groups = sets
+    for g in itertools.chain(singles, *groups):
         if type(g) is not int:
             raise TypeError(f"facet index {g!r} is not an int")
     terms = [f"b[{g}]" for g in singles]
-    terms += [f"p[c[{x}] ^ c[{y}]]" for x, y in pairs]
-    terms += [f"p[c[{x}] ^ c[{y}] ^ c[{z}]]" for x, y, z in triples]
+    terms += ["s[" + " | ".join(f"b[{g}]" for g in group) + "]" for group in groups]
     while len(terms) > _TERMS_PER_GROUP:
         terms = [
             "(" + " | ".join(terms[i:i + _TERMS_PER_GROUP]) + ")"
             for i in range(0, len(terms), _TERMS_PER_GROUP)
         ]
-    return eval("lambda b, c, p: " + (" | ".join(terms) or "0"), _MASK_GLOBALS)
+    return eval("lambda b, s: " + (" | ".join(terms) or "0"), _MASK_GLOBALS)
 
 
 def _depth_first(
@@ -234,6 +259,7 @@ def _depth_first(
     order: Sequence[int],
     masks: Sequence[_Mask],
     palette: Sequence[int],
+    span: _Span,
     budget: Optional[SearchBudget],
     leaf: Callable[[], bool],
 ) -> Tuple[str, int, float]:
@@ -242,11 +268,12 @@ def _depth_first(
     Colours order[d] at depth d, in place in `colours`, with each colour of
     `palette` that masks[d] (see `_mask_function`) does not forbid, in
     palette order, and calls `leaf` once every facet of `order` is
-    coloured; a true return stops the search.  Masks hold bit k for
-    palette[k], not for the colour itself, so they have only len(palette)
-    bits (8 at rank 4, 16 at rank 5) and stay cheap small integers; every
-    colour, and so every XOR of colours, is below the table `p` of those
-    bits.  One node is counted per
+    coloured; a true return stops the search.  Masks read only the bits
+    b[f], bit k for palette[k], never the colours, so they have only
+    len(palette) bits (8 at rank 4, 16 at rank 5) and stay cheap small
+    integers; the span table `span` (`_span_table` of the palette) turns
+    the bits of a group into the bits of its span.  Colours are written
+    for `leaf`, which reads them.  One node is counted per
     candidate: the inadmissible ones below an admissible colour are ticked
     in one batch with it, and the rest of the palette at the end, so a
     budget stops where one tick per candidate would.  A facet's colour is
@@ -263,22 +290,22 @@ def _depth_first(
     end = len(order)
     size = len(palette)
     palette_mask = (1 << size) - 1
-    # p[x] = 1 << (position of x in the palette), 0 for x outside it
-    p = [0] * (1 << max(palette).bit_length())
     # pick[1 << k] = (the colour at position k, k + 1)
     pick: Dict[int, Tuple[int, int]] = {}
+    position: Dict[int, int] = {}
     for k, v in enumerate(palette):
-        p[v] = 1 << k
         pick[1 << k] = (v, k + 1)
-    # bit[f] = p[colours[f]] for every coloured facet
-    bit = [0 if c is None else p[c] for c in colours]
+        position[v] = 1 << k
+    # bit[f] = 1 << (position of colours[f] in the palette), 0 for a facet
+    # not coloured yet (None, or 0 in the chromatic count)
+    bit = [position.get(c, 0) for c in colours]
     left = [0] * end
     ticked = [0] * end
     depth = 0
     try:
         while True:
             if depth < end:
-                allowed = palette_mask & ~masks[depth](bit, colours, p)
+                allowed = palette_mask & ~masks[depth](bit, span)
                 tick = 0
             elif leaf():
                 meter.nodes = count
@@ -331,10 +358,10 @@ def enumerate_small_covers(
     Depth-first over facets in index order.  The facets of the first vertex
     are pinned to e_1, ..., e_n, which loses no classes (any proper
     colouring can be moved there by a linear map) and removes the GL(n)
-    factor from the search.  The order is static, so the coloured facet
-    sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`), and `_depth_first` reads them through one
-    generated mask function per depth.  A leaf is read with the pinned
+    factor from the search.  The order is static, so the coloured facets
+    at each facet's vertices are fixed per depth (`_forbidding_sets`), and
+    `_depth_first` reads them through one generated mask function per
+    depth.  A leaf is read with the pinned
     facets first; read so, its first n colours are e_1, ..., e_n, which
     makes the tuple its own normal sequence.  Each new class stores its
     orbit keys in that reading order, so a later leaf is recognised by
@@ -367,9 +394,10 @@ def enumerate_small_covers(
             records.append(ClassRecord(lam, is_orientable(P, lam) is not None, order))
         return False
 
+    palette = range(1, 1 << n)
     status, nodes, seconds = _depth_first(
         colours, rest, [_mask_function(s) for s in _forbidding_sets(P, rest, odd=False)],
-        range(1, 1 << n), budget, leaf,
+        palette, _span_table(palette, n - 1), budget, leaf,
     )
     return EnumerationResult(tuple(records), status != "budget-out", nodes, seconds)
 
@@ -405,7 +433,7 @@ def enumerate_chromatic_colourings(
     masks: List[_Mask] = []
     coloured = set(v0)
     for f in order:
-        masks.append(_mask_function((tuple(g for g in P.neighbours[f] if g in coloured), (), ())))
+        masks.append(_mask_function((tuple(g for g in P.neighbours[f] if g in coloured), ())))
         coloured.add(f)
 
     classes: Dict[bytes, Tuple[int, ...]] = {}
@@ -425,7 +453,7 @@ def enumerate_chromatic_colourings(
         return False
 
     status, nodes, seconds = _depth_first(
-        colours, order, masks, range(1, k + 1), budget, leaf  # type: ignore[arg-type]
+        colours, order, masks, range(1, k + 1), {}, budget, leaf  # type: ignore[arg-type]
     )
 
     # Symmetry orbits of classes, walked breadth-first under the group's
@@ -479,9 +507,9 @@ _plan_cache: Dict[Tuple[str, Tuple[int, ...]], _Plan] = {}
 
 def _extension_plan(Z: Polytope, seeded: Tuple[int, ...]) -> _Plan:
     """The static order of the unseeded facets and the mask function of
-    each depth's odd-size forbidding sets, cached by (Z.digest, seeded
-    facets): they depend on nothing else, so searches at either rank from
-    one facet share them."""
+    each depth's singles and vertex groups of at least 3 facets (`odd`),
+    cached by (Z.digest, seeded facets): they depend on nothing else, so
+    searches at either rank from one facet share them."""
     key = (Z.digest, seeded)
     plan = _plan_cache.get(key)
     if plan is None:
@@ -502,9 +530,10 @@ def search_orientable_extension(
     first (most coloured neighbours, ties to lowest index); that choice
     depends only on which facets are coloured, so it is the static
     `greedy_facet_order` from the seeded facets.  With the order fixed, the
-    coloured facet sets around each facet's vertices are fixed per depth
-    (`_forbidding_sets`, odd-size sets only), each compiled to one mask
-    function for `_depth_first`.  Order and masks are planned once per
+    coloured facets at each facet's vertices are fixed per depth
+    (`_forbidding_sets` with `odd`, where a pair forbids no more than its
+    two colours), each depth compiled to one mask function for
+    `_depth_first`.  Order and masks are planned once per
     seeded facet set (`_extension_plan`).
     """
     rank = seed.rank
@@ -527,7 +556,9 @@ def search_orientable_extension(
         result.append(_proper_leaf(Z, rank, colours))
         return True
 
-    status, nodes, seconds = _depth_first(colours, order, masks, palette, budget, leaf)
+    status, nodes, seconds = _depth_first(
+        colours, order, masks, palette, _span_table(palette, Z.dimension - 1), budget, leaf
+    )
     lam = result[0] if result else None
     assert lam is None or is_orientable(Z, lam) is not None
     return SearchOutcome(status, lam, nodes, seconds)

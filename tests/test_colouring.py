@@ -1,6 +1,7 @@
 """Facet colourings: properness, orientability, induction, equivalence."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -333,6 +334,27 @@ def test_equivalent_agrees_with_canonical_forms_on_the_census(dodecahedron, cens
         # and with the sides swapped
         assert equivalent(P, images[i], lam)
         assert not equivalent(P, images[i - 1], lam)
+
+
+def test_equivalent_agrees_with_canonical_forms_on_moved_pairs(dodecahedron, census):
+    # every ordered pair of classes, both sides moved by their own random
+    # symmetry and linear map; the walk over lam1's orbit stops at a match
+    P = dodecahedron
+    rng = random.Random(11)
+    group = symmetry_group(P)
+    maps = invertible_maps(3)
+    classes = [r.colouring for r in census.classes]
+    forms = [canonical_form(P, lam) for lam in classes]
+
+    def moved(lam):
+        sigma, a = rng.choice(group), rng.choice(maps)
+        return Colouring(
+            P, 3, tuple(apply_map(a, lam.colours[sigma[f]]) for f in range(P.facet_count))
+        )
+
+    for i, j in itertools.product(range(len(classes)), repeat=2):
+        lam1, lam2 = moved(classes[i]), moved(classes[j])
+        assert equivalent(P, lam1, lam2) == (forms[i] == forms[j]) == (i == j), (i, j)
 
 
 def test_equivalent_rejects_an_improper_colouring_on_either_side(dodecahedron, census):

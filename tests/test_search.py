@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -196,10 +197,11 @@ def test_120cell_group_has_the_order_of_h4(z120):
 def test_a_sabotaged_census_trips_the_leaf_assertion(dodecahedron, monkeypatch, keep):
     # masks that forbid too little let improper leaves through; the census
     # must not recognise one as a known class instead of asserting
+    # ("singles": each coloured facet forbids its own colour, no span does)
     real = search._mask_function
     sabotaged = {
-        "nothing": lambda sets: real(((), (), ())),
-        "singles": lambda sets: real((sets[0], (), ())),
+        "nothing": lambda sets: real(((), ())),
+        "singles": lambda sets: real((tuple({*sets[0], *itertools.chain(*sets[1])}), ())),
     }[keep]
     monkeypatch.setattr(search, "_mask_function", sabotaged)
     with pytest.raises(AssertionError, match="^incremental properness bookkeeping failed$"):
@@ -604,6 +606,21 @@ def test_recorded_rank4_proofs(z120, census, cls, nodes):
     assert (outcome.status, outcome.nodes) == ("exhausted", nodes)
 
 
+def test_the_budgeted_rank4_experiment_spends_a_fixed_node_count(z120, census):
+    # the work counter of the benchmark's 24 budgeted searches at facet 0
+    budget = SearchBudget(nodes=150_000, seconds=600)
+    got = {}
+    for cls in NON_ORIENTABLE:
+        outcome = search_orientable_extension(z120, _class_seed(z120, census, cls, rank=4), budget)
+        got[cls] = (outcome.status, outcome.nodes)
+    proofs = {1: 79_256, 6: 4_328, 8: 132_664, 9: 45_496, 10: 45_496}
+    assert got == {
+        cls: ("exhausted", proofs[cls]) if cls in proofs else ("budget-out", 150_001)
+        for cls in NON_ORIENTABLE
+    }
+    assert sum(nodes for _, nodes in got.values()) == 3_157_259
+
+
 @pytest.mark.parametrize(
     "facet, cls, nodes", [(0, 22, 2_105_415), (0, 2, 3_891_765), (7, 22, 421_335)]
 )
@@ -704,17 +721,25 @@ def test_span_mask_census_matches_the_reference(dodecahedron, seed, nodes):
 
 
 def _mask_from_sets(sets, colours):
-    """The forbidden mask the searches build from one depth's sets."""
-    singles, *groups = sets
+    """The forbidden colours of one depth's sets, bit x for colour x: each
+    single's colour and the nonzero span of each group's colours."""
+    singles, groups = sets
     mask = 0
     for g in singles:
         mask |= 1 << colours[g]
-    for s in itertools.chain(*groups):
-        x = 0
-        for g in s:
-            x ^= colours[g]
-        mask |= 1 << x
-    return mask
+    for group in groups:
+        for x in gf2.span(colours[g] for g in group):
+            mask |= 1 << x
+    return mask & ~1
+
+
+def _vertex_spans(P, colours, f):
+    """The colours in the span of the coloured facets at a vertex of f."""
+    spanned = set()
+    for vi in P.facet_vertices[f]:
+        spanned.update(gf2.span([colours[g] for g in P.vertices[vi]
+                                 if colours[g] is not None]))
+    return spanned
 
 
 def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
@@ -722,22 +747,22 @@ def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
     the palette colours outside its vertex spans; at every depth reached,
     the palette colours the sets forbid must be those the spans at
     order[d]'s vertices hold.  Returns how many depths were checked and
-    how many of them had sets larger than singletons; every set sits in the
-    group of its own size."""
+    how many of them had groups; a group has at least 2 facets (3 with
+    `odd`) and at most dimension - 1, each group comes once, and no
+    single lies in a group."""
     colours = list(colours)
     sets = _forbidding_sets(P, order, odd)
     assert len(sets) == len(order)
     larger = 0
     for d, f in enumerate(order):
-        spanned = set()
-        for vi in P.facet_vertices[f]:
-            spanned.update(gf2.span([colours[g] for g in P.vertices[vi]
-                                     if colours[g] is not None]))
+        spanned = _vertex_spans(P, colours, f)
         mask = _mask_from_sets(sets[d], colours)
         assert {v for v in palette if mask >> v & 1} == spanned & set(palette), (d, f)
-        _, pairs, triples = sets[d]
-        assert [len(s) for s in pairs + triples] == [2] * len(pairs) + [3] * len(triples)
-        larger += bool(pairs or triples)
+        singles, groups = sets[d]
+        assert all((3 if odd else 2) <= len(s) < P.dimension for s in groups)
+        assert len(set(groups)) == len(groups)
+        assert not set(singles) & {g for s in groups for g in s}
+        larger += bool(groups)
         free = [v for v in palette if v not in spanned]
         if not free:
             return d + 1, larger
@@ -784,36 +809,33 @@ def test_census_sets_match_the_vertex_spans(request, name):
             P, colours, order, palette, False, _random_choice(walk)
         )
         assert depths > len(order) // 2
-        # pairs in three dimensions, none on a polygon
+        # groups (pairs) in three dimensions, none on a polygon
         assert (larger > 0) == (P.dimension == 3)
 
 
-POWERS = [1 << x for x in range(32)]
-
-
-def _check_masks_along_the_order(colours, order, sets, masks, palette, seed, walks=4):
+def _check_masks_along_the_order(
+    P, colours, order, sets, masks, palette, seed, walks=4, spans=True
+):
     """On random partial colourings along the order (palette colours, not
-    necessarily proper), each depth's generated mask equals the OR of the
-    forbidden colours built from its sets, with the bit of colour x taken
-    as 1 << x; with bit k for palette[k], as the search takes it, it holds
-    the positions of the forbidden palette colours.  The colours are left
-    as they were."""
+    necessarily proper), each depth's generated mask, read with bit k for
+    palette[k] and the palette's span table as the search reads it, holds
+    the positions of the palette colours its sets forbid; with `spans`,
+    those are the palette colours in the span of the coloured facets at
+    one of order[d]'s vertices."""
     assert len(masks) == len(sets) == len(order)
-    position = [0] * 32
-    for k, v in enumerate(palette):
-        position[v] = 1 << k
+    position = {v: 1 << k for k, v in enumerate(palette)}
+    span = search._span_table(palette, P.dimension - 1) if spans else {}
     rng = random.Random(seed)
     for _ in range(walks):
         cols = list(colours)
         for d, f in enumerate(order):
-            before = list(cols)
             want = _mask_from_sets(sets[d], cols)
-            bit = [0 if c is None else POWERS[c] for c in cols]
-            assert masks[d](bit, cols, POWERS) == want, d
-            bit = [0 if c is None else position[c] for c in cols]
-            got = masks[d](bit, cols, position)
+            bit = [position.get(c, 0) for c in cols]
+            got = masks[d](bit, span)
             assert got == sum(1 << k for k, v in enumerate(palette) if want >> v & 1), d
-            assert cols == before
+            if spans:
+                spanned = _vertex_spans(P, cols, f)
+                assert got == sum(position[v] for v in spanned if v in position), d
             cols[f] = rng.choice(palette)
 
 
@@ -828,7 +850,7 @@ def test_extension_masks_match_the_sets(z120, census, facet, rank):
         order, masks = search._extension_plan(z120, seeded)
         assert list(order) == _static_order(z120, seed)
         sets = _forbidding_sets(z120, order, True)
-        _check_masks_along_the_order(seed.colours, order, sets, masks, palette, cls)
+        _check_masks_along_the_order(z120, seed.colours, order, sets, masks, palette, cls)
 
 
 def test_census_masks_match_the_sets(dodecahedron):
@@ -839,8 +861,8 @@ def test_census_masks_match_the_sets(dodecahedron):
     order = [f for f in range(P.facet_count) if colours[f] is None]
     sets = _forbidding_sets(P, order, False)
     masks = [search._mask_function(s) for s in sets]
-    assert any(pairs for _, pairs, _ in sets)
-    _check_masks_along_the_order(colours, order, sets, masks, range(1, 8), 0, walks=20)
+    assert any(groups for _, groups in sets)
+    _check_masks_along_the_order(P, colours, order, sets, masks, range(1, 8), 0, walks=20)
 
 
 @pytest.mark.parametrize("name, k", [("dodecahedron", 4), ("z120", 5)])
@@ -856,10 +878,12 @@ def test_chromatic_masks_match_the_sets(request, name, k):
     coloured = set(v0)
     sets = []
     for f in order:
-        sets.append((tuple(g for g in P.neighbours[f] if g in coloured), (), ()))
+        sets.append((tuple(g for g in P.neighbours[f] if g in coloured), ()))
         coloured.add(f)
     masks = [search._mask_function(s) for s in sets]
-    _check_masks_along_the_order(colours, order, sets, masks, range(1, k + 1), k)
+    _check_masks_along_the_order(
+        P, colours, order, sets, masks, range(1, k + 1), k, spans=False
+    )
 
 
 def test_a_mask_of_thousands_of_terms_compiles():
@@ -868,21 +892,52 @@ def test_a_mask_of_thousands_of_terms_compiles():
     facets = range(5_000)
     sets = (
         tuple(rng.sample(facets, 2_000)),
-        tuple(tuple(rng.sample(facets, 2)) for _ in range(1_500)),
-        tuple(tuple(rng.sample(facets, 3)) for _ in range(1_500)),
+        tuple(tuple(rng.sample(facets, 2)) for _ in range(1_500))
+        + tuple(tuple(rng.sample(facets, 3)) for _ in range(1_500)),
     )
     mask = search._mask_function(sets)
+    palette = range(1, 32)
+    span = search._span_table(palette, 3)
     for _ in range(3):
-        cols = [rng.randrange(1, 32) for _ in facets]
-        assert mask([1 << c for c in cols], cols, POWERS) == _mask_from_sets(sets, cols)
-    assert search._mask_function(((), (), ()))([], [], POWERS) == 0
+        cols = [rng.choice(palette) for _ in facets]
+        # colour v sits at palette position v - 1
+        assert mask([1 << c - 1 for c in cols], span) == _mask_from_sets(sets, cols) >> 1
+    assert search._mask_function(((), ()))([], {}) == 0
+
+
+@pytest.mark.parametrize("palette", [
+    range(1, 8),
+    [v for v in range(1, 16) if gf2.parity(v)],
+    [v for v in range(1, 32) if gf2.parity(v)],
+], ids=["census", "odd-rank-4", "odd-rank-5"])
+def test_the_span_table_holds_the_span_of_every_small_set(palette, monkeypatch):
+    monkeypatch.setattr(search, "_span_tables", {})
+    table = search._span_table(palette, 3)
+    position = {v: 1 << k for k, v in enumerate(palette)}
+    subsets = [ks for r in (1, 2, 3) for ks in itertools.combinations(range(len(palette)), r)]
+    assert len(table) == len(subsets)
+    for ks in subsets:
+        spanned = gf2.span(palette[k] for k in ks)
+        want = sum(position[v] for v in spanned if v in position)
+        assert table[sum(1 << k for k in ks)] == want, ks
+    # cached per palette and size, and the smaller table is a part of it
+    assert search._span_table(list(palette), 3) is table
+    small = search._span_table(palette, 2)
+    assert small.items() <= table.items()
+    assert len(small) == len(subsets) - math.comb(len(palette), 3)
+
+
+def test_span_tables_are_built_at_the_first_search(dodecahedron, monkeypatch):
+    monkeypatch.setattr(search, "_span_tables", {})
+    enumerate_small_covers(dodecahedron, SearchBudget(nodes=10, seconds=60))
+    assert list(search._span_tables) == [(tuple(range(1, 8)), 2)]
 
 
 @pytest.mark.parametrize("sets", [
-    (("0] or __import__('os').getpid() or b[0",), (), ()),
-    ((1, 2.0), (), ()),
-    ((), ((1, True),), ()),
-    ((), (), ((1, 2, "3"),)),
+    (("0] or __import__('os').getpid() or b[0",), ()),
+    ((1, 2.0), ()),
+    ((), ((1, True),)),
+    ((), ((1, 2, "3"),)),
 ])
 def test_the_mask_generator_takes_only_int_indices(sets):
     with pytest.raises(TypeError, match="is not an int"):
@@ -962,8 +1017,7 @@ def test_tesseract_census_matches_the_reference():
     assert (result.nodes, result.classes, result.complete) == _reference_census(C)
     assert (result.nodes, len(result.classes)) == (3_855, 19)
     rest = [f for f in range(C.facet_count) if f not in C.vertices[0]]
-    sizes = {len(s) for _, pairs, triples in _forbidding_sets(C, rest, False)
-             for s in pairs + triples}
+    sizes = {len(s) for _, groups in _forbidding_sets(C, rest, False) for s in groups}
     assert sizes == {2, 3}
 
 
