@@ -30,7 +30,7 @@ from .pipeline import (
     polytope_text,
     select_class,
 )
-from .polytopes import Polytope, PolytopeError, _edge_flips
+from .polytopes import Polytope, PolytopeError
 
 
 class FileFormatError(ValueError):
@@ -110,9 +110,7 @@ def load_polytope(path: Union[str, Path]) -> Polytope:
     vertices = _index_rows(path, obj, "vertices", None)
     try:
         P = Polytope(obj["dimension"], facets, adjacency, vertices)
-        # the one check that P is simple: every edge lies on two vertices,
-        # and the vertex graph is connected
-        _edge_flips(P)
+        P.edge_flips  # the checks that P is simple (see `_edge_flips`)
     except PolytopeError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return P

@@ -647,19 +647,16 @@ def class_record(chosen: ChosenClass) -> Dict[str, Any]:
     }
 
 
-def certificate_object(
-    cert: Certificate, files: Optional[Mapping[str, bytes]]
-) -> Dict[str, Any]:
+def certificate_object(cert: Certificate, files: Mapping[str, bytes]) -> Dict[str, Any]:
     """The certificate.json object of a certificate, keys in file order.
 
     `files` is the `certificate_files` of its assembly, whose sha256 the
-    object records, or None for a certificate not written to files.  The
-    writer writes this object, and re-validation compares it, rebuilt from
-    the re-run checks, with the stored one.  The base facet and the notes
-    are derived here, not kept in the certificate.
+    object records.  The writer writes this object, and re-validation
+    compares it, rebuilt from the re-run checks, with the stored one.  The
+    base facet and the notes are derived here, not kept in the certificate.
     """
     a = cert.assembly
-    refs = None if files is None else {
+    refs = {
         key: {"path": name, "sha256": hashlib.sha256(files[key]).hexdigest()}
         for key, name in CERTIFICATE_FILES.items()
     }
@@ -736,20 +733,21 @@ def recheck_certificate(
     rebuild; its `certificate_object`, with the digests of the files the
     writer would write for it, is compared with the stored file.  A
     certificate built in memory is re-derived by `checked_certificate`
-    from its class and assembly, and the two objects are compared.  Both
-    must have the same keys at every level, compared key by key in file
-    order.  The checks come first: each re-run check must reproduce the
+    from its class and assembly, and the two objects, with the digests of
+    the files of that one assembly, are compared.  Both must have the same
+    keys at every level, compared key by key in file order.  The checks come first: each re-run check must reproduce the
     stored one, name, result and detail, or a Finding names the first
     field that differs.  Returns the re-run checks and a message naming
     the first other field or key that differs, or None if all agree.
     """
+    # both sides share one assembly, so one set of files serves both
+    files = certificate_files(cert.assembly)
     if cert.stored is None:
-        stored = certificate_object(cert, None)
+        stored = certificate_object(cert, files)
         cert = checked_certificate(cert.policy, cert.chosen, cert.assembly)
-        fresh = certificate_object(cert, None)
     else:
         stored = cert.stored
-        fresh = certificate_object(cert, certificate_files(cert.assembly))
+    fresh = certificate_object(cert, files)
     field = _first_difference(stored.get("checks"), fresh["checks"], "checks")
     if field is not None:
         raise Finding(f"re-validation disagrees with the certificate at {field}")

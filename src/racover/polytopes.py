@@ -85,6 +85,16 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def _pair_masks(pairs: Iterable[Tuple[int, int]], m: int) -> Tuple[int, ...]:
+    """Bit j of masks[i], i and j below m, is set when the pairs hold (i, j)
+    or (j, i)."""
+    masks = [0] * m
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return tuple(masks)
+
+
 def _vertex_fault(t: Tuple[int, ...], dimension: int, m: int, unseen: Set[Tuple[int, int]]) -> str:
     """What is wrong with the sorted vertex t, checked in this order: its
     size, its index range, then its first pair in `unseen`, which the
@@ -103,8 +113,9 @@ class Polytope:
     Treat instances as frozen.  The given adjacency must equal the facet
     pairs that share a vertex row; duplicate and reversed pairs and rows
     are merged.  Neighbour lists and facet-vertex incidence are built at
-    construction; the bit masks and the vertex-set lookup, which only
-    small polytopes need, and the digest are computed on first use.
+    construction; the bit masks, the vertex-set lookup and the edge table
+    (`edge_flips`, which checks that the polytope is simple), which only
+    small polytopes need, and the digest are computed once, on first use.
     """
 
     def __init__(
@@ -174,15 +185,16 @@ class Polytope:
     @cached_property
     def adjacency_masks(self) -> Tuple[int, ...]:
         """Bit j of adjacency_masks[i] is set when facets i and j are adjacent."""
-        masks = [0] * self.facet_count
-        for i, j in self.adjacency:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
+        return _pair_masks(self.adjacency, self.facet_count)
 
     @cached_property
     def vertex_sets(self) -> FrozenSet[FrozenSet[int]]:
         return frozenset(map(frozenset, self.vertices))
+
+    @cached_property
+    def edge_flips(self) -> _Flips:
+        """The table of `_edge_flips`, whose checks it raises."""
+        return _edge_flips(self)
 
     @property
     def facet_count(self) -> int:
@@ -237,35 +249,27 @@ _DODECA_ADJ = (
 )
 
 
-def _triangles(masks: Sequence[int]) -> List[Tuple[int, int, int]]:
-    out = []
-    for i in range(len(masks)):
-        above_i = masks[i] & (-1 << (i + 1))
-        for j in _bits(above_i):
-            for k in _bits(above_i & masks[j] & (-1 << (j + 1))):
-                out.append((i, j, k))
-    return out
+def _cliques(masks: Sequence[int], size: int) -> List[Tuple[int, ...]]:
+    """The `size`-cliques of the graph whose vertex i has neighbour bits
+    masks[i], as ascending tuples in lexicographic order."""
+    # each partial clique with the bits of the vertices above its last one
+    # that are adjacent to all of it
+    grown: List[Tuple[Tuple[int, ...], int]] = [((), (1 << len(masks)) - 1)]
+    for _ in range(size):
+        grown = [(c + (j,), common & masks[j] & (-1 << (j + 1)))
+                 for c, common in grown for j in _bits(common)]
+    return [c for c, _ in grown]
 
 
 @lru_cache(maxsize=None)
 def make_dodecahedron() -> Polytope:
     """The right-angled dodecahedron, canonical face numbering 0..11."""
-    masks = [0] * 12
-    for i, j in _DODECA_ADJ:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    verts = _triangles(masks)
+    verts = _cliques(_pair_masks(_DODECA_ADJ, 12), 3)
     return Polytope(3, [f"f{i}" for i in range(12)], _DODECA_ADJ, verts)
 
 
 # Exact arithmetic in Z[phi], phi = (1+sqrt5)/2, phi^2 = phi + 1.
 # An element a + b*phi is the int pair (a, b).
-
-def _gmul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-    a, b = x
-    c, d = y
-    return (a * c + b * d, a * d + b * c + b * d)
-
 
 def _600cell_points() -> List[Tuple[Tuple[int, int], ...]]:
     """The 120 vertices of the 600-cell, doubled so coordinates live in Z[phi].
@@ -308,27 +312,16 @@ def make_120cell() -> Polytope:
     600 tetrahedral cells, i.e. 4-cliques of the edge graph.
     """
     pts = _600cell_points()
-    target = (0, 2)  # 2*phi
-    masks = [0] * 120
-    for i in range(120):
-        for j in range(i + 1, 120):
-            acc = (0, 0)
-            for x, y in zip(pts[i], pts[j]):
-                m = _gmul(x, y)
-                acc = (acc[0] + m[0], acc[1] + m[1])
-            if acc == target:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    adj = [(i, j) for i in range(120) for j in _bits(masks[i]) if j > i]
-
-    cliques = []
-    for i in range(120):
-        above_i = masks[i] & (-1 << (i + 1))
-        for j in _bits(above_i):
-            common = above_i & masks[j] & (-1 << (j + 1))
-            for k in _bits(common):
-                for l in _bits(common & masks[k] & (-1 << (k + 1))):
-                    cliques.append((i, j, k, l))
+    adj = []
+    for i, j in itertools.combinations(range(120), 2):
+        # (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi
+        re = im = 0
+        for (a, b), (c, d) in zip(pts[i], pts[j]):
+            re += a * c + b * d
+            im += a * d + b * c + b * d
+        if (re, im) == (0, 2):  # 2*phi
+            adj.append((i, j))
+    cliques = _cliques(_pair_masks(adj, 120), 4)
     assert len(cliques) == 600
     return Polytope(4, [f"f{i}" for i in range(120)], adj, cliques)
 
@@ -569,12 +562,16 @@ _Flips = List[List[Tuple[int, int]]]
 
 
 def _edge_flips(P: Polytope) -> _Flips:
-    """flips[k][i] = (k2, g): dropping the i-th facet of vertex k leaves an
-    edge whose other vertex is k2, where facet g takes the dropped one's
-    place.
+    """The edge table of P, built once as `Polytope.edge_flips`:
+    flips[k][i] = (k2, g) when dropping the i-th facet of vertex k leaves
+    an edge whose other vertex is k2, where facet g takes the dropped
+    one's place.
 
     Raises unless every edge lies on exactly two vertices and the vertex
-    graph is connected, as in every simple polytope; propagation needs both.
+    graph is connected, as propagation needs, and the sum of (-1)^dim
+    over all faces, the polytope's own included, is 1, as for a ball.
+    That Euler relation rules out rows that close up into a torus, but is
+    necessary only: in dimension 4 every closed 3-manifold meets it.
     """
     ends: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
     for k, v in enumerate(P.vertices):
@@ -589,22 +586,25 @@ def _edge_flips(P: Polytope) -> _Flips:
         flips[k2][i2] = (k, P.vertices[k][i])
     if len(reachable(0, lambda k: (k2 for k2, _ in flips[k]))) != len(P.vertices):
         raise PolytopeError("vertex graph is disconnected")
+    euler = sum((-1) ** (P.dimension - k) * c for k, c in _face_counts(P).items())
+    if euler != 1:
+        raise PolytopeError(f"faces break the Euler relation: sum of (-1)^dim is {euler}, not 1")
     return flips
 
 
-def _propagate(
-    src: Polytope, dst: Polytope, src_flips: _Flips, dst_flips: _Flips, target: int, flag: _Flag
-) -> Optional[_Perm]:
+def _propagate(src: Polytope, dst: Polytope, target: int, flag: _Flag) -> Optional[_Perm]:
     """The isomorphism src -> dst sending the facets of src.vertices[0], in
     order, to `flag`, an ordering of the facets of dst.vertices[target];
     None if there is none.
 
-    Walking vertex to vertex across edges fixes each facet's image without
-    branching; the result is then checked in full: a bijection mapping the
-    vertex family onto the vertex family, which also preserves adjacency.
+    Walking vertex to vertex across edges, read from both edge tables
+    (`Polytope.edge_flips`), fixes each facet's image without branching;
+    the result is then checked in full: a bijection mapping the vertex
+    family onto the vertex family, which also preserves adjacency.
     """
     m = src.facet_count
     src_nb, dst_nb = src.neighbours, dst.neighbours
+    src_flips, dst_flips = src.edge_flips, dst.edge_flips
     img = [-1] * m
     for f, t in zip(src.vertices[0], flag):
         if len(src_nb[f]) != len(dst_nb[t]):
@@ -682,7 +682,6 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
     """
     gens = _generator_cache.get(P.digest)
     if gens is None:
-        flips = _edge_flips(P)
         base = P.vertices[0]
         per_vertex = math.factorial(P.dimension)  # flags at one vertex
         found: List[_Perm] = []
@@ -695,7 +694,7 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
                 stabiliser = len(orbit)
             if flag in orbit or flag in failed:
                 continue
-            sigma = _propagate(P, P, flips, flips, k, flag)
+            sigma = _propagate(P, P, k, flag)
             if sigma is None:
                 failed |= _orbit(flag, found)
                 continue
@@ -733,14 +732,13 @@ def find_isomorphism(src: Polytope, dst: Polytope) -> Optional[_Perm]:
     """
     if not _comparable(src, dst):
         return None
-    src_flips, dst_flips = _edge_flips(src), _edge_flips(dst)
     order = greedy_facet_order(src, [0])
     for first in range(dst.facet_count):
         best: Optional[Tuple[List[int], _Perm]] = None
         for k in dst.facet_vertices[first]:
             rest = [t for t in dst.vertices[k] if t != first]
             for tail in itertools.permutations(rest):
-                sigma = _propagate(src, dst, src_flips, dst_flips, k, (first,) + tail)
+                sigma = _propagate(src, dst, k, (first,) + tail)
                 if sigma is not None:
                     key = [sigma[f] for f in order]
                     if best is None or key < best[0]:

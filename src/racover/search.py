@@ -154,7 +154,7 @@ class SearchOutcome:
 _Sets = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
 
-def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets]:
+def _forbidding_sets(P: Polytope, order: Sequence[int], smallest: int) -> List[_Sets]:
     """Per depth d, the facets coloured before order[d] at its vertices, as
     (singles, groups).  Facets outside `order` count as coloured from the
     start.
@@ -162,13 +162,15 @@ def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets
     A candidate colour is forbidden for order[d] exactly when it lies in
     the span of the coloured facets at one of its vertices.  A group is
     the tuple of those facets at one vertex, each distinct tuple once, in
-    the order they were coloured; a vertex with one coloured facet spans
-    only its colour.  With `odd`, every colour has odd weight, so a pair
-    only adds an even-weight colour to its span and counts as two singles:
-    a group then has at least 3 facets, otherwise at least 2.  The singles
-    are the facets in no group.  Built in one pass over the facet-vertex
-    incidences of `order`.  A group leaves the facet order[d] of its vertex
-    out, so it has at most dimension - 1 facets.
+    the order they were coloured, when it holds at least `smallest`
+    facets; the singles are the coloured neighbours of order[d] in no
+    group, each forbidding only its own colour.  The census takes 2.  The
+    extension search takes 3: every colour has odd weight there, so a
+    pair only adds an even-weight colour to its span and counts as two
+    singles.  The chromatic count, whose colours are labels, not vectors,
+    takes P.dimension: a group leaves the facet order[d] of its vertex
+    out, so it has at most dimension - 1 facets, and there are singles
+    only.  Built in one pass over the facet-vertex incidences of `order`.
     """
     # coloured[vi] lists the facets at vertex vi coloured so far, in the
     # order they were coloured, so a group always comes out as the same tuple
@@ -178,20 +180,19 @@ def _forbidding_sets(P: Polytope, order: Sequence[int], odd: bool) -> List[_Sets
         if g not in rest:
             for vi in P.facet_vertices[g]:
                 coloured[vi].append(g)
-    smallest = 3 if odd else 2
     sets = []
     for f in order:
-        # dicts as ordered sets, so the sets come out the same every run
-        near: Dict[int, None] = {}
+        # a dict as an ordered set, so the groups come out the same every run
         groups: Dict[Tuple[int, ...], None] = {}
         for vi in P.facet_vertices[f]:
             before = coloured[vi]
-            near.update(dict.fromkeys(before))
             if len(before) >= smallest:
                 groups[tuple(before)] = None
             before.append(f)
+        rest.discard(f)
         grouped = {g for group in groups for g in group}
-        sets.append((tuple(g for g in near if g not in grouped), tuple(groups)))
+        singles = tuple(g for g in P.neighbours[f] if g not in rest and g not in grouped)
+        sets.append((singles, tuple(groups)))
     return sets
 
 
@@ -214,9 +215,7 @@ def _span_table(palette: Sequence[int], size: int) -> _Span:
         table = {}
         for r in range(1, size + 1):
             for ks in itertools.combinations(range(len(palette)), r):
-                spanned = {0}
-                for k in ks:
-                    spanned |= {x ^ palette[k] for x in spanned}
+                spanned = gf2.span(palette[k] for k in ks)
                 table[sum(1 << k for k in ks)] = sum(bit.get(x, 0) for x in spanned)
         _span_tables[key] = table
     return table
@@ -396,7 +395,7 @@ def enumerate_small_covers(
 
     palette = range(1, 1 << n)
     status, nodes, seconds = _depth_first(
-        colours, rest, [_mask_function(s) for s in _forbidding_sets(P, rest, odd=False)],
+        colours, rest, [_mask_function(s) for s in _forbidding_sets(P, rest, 2)],
         palette, _span_table(palette, n - 1), budget, leaf,
     )
     return EnumerationResult(tuple(records), status != "budget-out", nodes, seconds)
@@ -428,13 +427,8 @@ def enumerate_chromatic_colourings(
         colours[f] = i + 1
     order = greedy_facet_order(P, v0)[n:]
     # two facets that share a vertex differ, so a facet's colour is
-    # forbidden by its neighbours, the facets it shares a vertex with, that
-    # are pinned or earlier in the order
-    masks: List[_Mask] = []
-    coloured = set(v0)
-    for f in order:
-        masks.append(_mask_function((tuple(g for g in P.neighbours[f] if g in coloured), ())))
-        coloured.add(f)
+    # forbidden by the neighbours pinned or earlier in the order: singles
+    masks = [_mask_function(s) for s in _forbidding_sets(P, order, n)]
 
     classes: Dict[bytes, Tuple[int, ...]] = {}
 
@@ -507,14 +501,14 @@ _plan_cache: Dict[Tuple[str, Tuple[int, ...]], _Plan] = {}
 
 def _extension_plan(Z: Polytope, seeded: Tuple[int, ...]) -> _Plan:
     """The static order of the unseeded facets and the mask function of
-    each depth's singles and vertex groups of at least 3 facets (`odd`),
+    each depth's singles and vertex groups of at least 3 facets,
     cached by (Z.digest, seeded facets): they depend on nothing else, so
     searches at either rank from one facet share them."""
     key = (Z.digest, seeded)
     plan = _plan_cache.get(key)
     if plan is None:
         order = tuple(greedy_facet_order(Z, seeded)[len(seeded):])
-        masks = tuple(map(_mask_function, _forbidding_sets(Z, order, odd=True)))
+        masks = tuple(map(_mask_function, _forbidding_sets(Z, order, 3)))
         plan = _plan_cache[key] = (order, masks)
     return plan
 
@@ -531,8 +525,8 @@ def search_orientable_extension(
     depends only on which facets are coloured, so it is the static
     `greedy_facet_order` from the seeded facets.  With the order fixed, the
     coloured facets at each facet's vertices are fixed per depth
-    (`_forbidding_sets` with `odd`, where a pair forbids no more than its
-    two colours), each depth compiled to one mask function for
+    (`_forbidding_sets` with groups of at least 3, where a pair forbids no
+    more than its two colours), each depth compiled to one mask function for
     `_depth_first`.  Order and masks are planned once per
     seeded facet set (`_extension_plan`).
     """

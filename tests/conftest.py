@@ -110,6 +110,15 @@ def two_tetrahedra() -> Polytope:
     return Polytope(3, [f"t{i}" for i in range(7)], adjacency, vertices)
 
 
+def torus_dual() -> Polytope:
+    """The dual of the 7-vertex torus: 7 facets, all 21 pairs adjacent, and
+    the vertex rows the 14 triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7.
+    Every edge lies on two vertices and the vertex graph is connected, but
+    the faces sum to -1 in the Euler relation, not 1."""
+    vertices = [sorted({i, (i + a) % 7, (i + 3) % 7}) for i in range(7) for a in (1, 2)]
+    return Polytope(3, [f"t{i}" for i in range(7)], itertools.combinations(range(7), 2), vertices)
+
+
 def random_proper_colouring(P: Polytope, rank: int, rng: random.Random) -> Colouring:
     """A uniformly seeded (not uniformly distributed) proper colouring.
 

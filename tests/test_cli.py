@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from conftest import two_tetrahedra
-from racover import __version__, pipeline
+from conftest import torus_dual, two_tetrahedra
+from racover import __version__, fileio, pipeline, polytopes
 from racover.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from racover.colouring import Colouring
 from racover.fileio import load_colouring, write_colouring, write_polytope
@@ -171,18 +171,22 @@ def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys,
         pytest.param("pentagon", None, id="pentagon"),
         pytest.param("dodecahedron", (0, 6), id="dodecahedron-extra-pair"),
         pytest.param("pentagon", (0, 2), id="pentagon-chord"),
+        pytest.param("torus", None, id="torus-dual"),
     ],
 )
 def test_every_command_rejects_a_deleted_vertex_row(
     request, tmp_path, capsys, census, name, extra, command
 ):
     # without the extra pair, the first vertex row is deleted; each edge of
-    # that vertex then lies on one vertex only
-    P = request.getfixturevalue(name)
+    # that vertex then lies on one vertex only.  The torus's dual is written
+    # as it is: its rows close up into a torus, not a sphere
+    P = torus_dual() if name == "torus" else request.getfixturevalue(name)
     path = tmp_path / "broken.json"
     write_polytope(P, path)
     obj = json.loads(path.read_text(encoding="utf-8"))
-    if extra is None:
+    if name == "torus":
+        pass
+    elif extra is None:
         assert tuple(obj["vertices"].pop(0)) == P.vertices[0]
     else:
         assert not P.adjacent(*extra)
@@ -190,6 +194,8 @@ def test_every_command_rejects_a_deleted_vertex_row(
     path.write_text(json.dumps(obj), encoding="utf-8")
     if name == "dodecahedron":
         write_colouring(census.classes[24].colouring, tmp_path / "c.txt")
+    elif name == "torus":
+        write_colouring(Colouring(P, 3, tuple(range(1, 8))), tmp_path / "c.txt")
     else:
         write_colouring(Colouring(P, 2, (1, 2, 1, 2, 3)), tmp_path / "c.txt")
     out = ["--out", str(tmp_path / "out")]
@@ -201,7 +207,9 @@ def test_every_command_rejects_a_deleted_vertex_row(
     }[command]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    if extra is not None:
+    if name == "torus":
+        assert err == f"error: {path}: faces break the Euler relation: sum of (-1)^dim is -1, not 1\n"
+    elif extra is not None:
         assert err == f"error: {path}: adjacent facets {extra[0]},{extra[1]} share no vertex\n"
     elif name == "pentagon":
         # a polygon's vertex rows are its adjacent pairs, so the deleted
@@ -214,6 +222,27 @@ def test_every_command_rejects_a_deleted_vertex_row(
             err == f"error: {path}: edge {e} does not lie on exactly two vertices (1 found)\n"
             for e in edges
         )
+
+
+def test_chromatic_enumerate_builds_one_edge_table(tmp_path, z120, monkeypatch, capsys):
+    # the reader's check and the symmetry engine read the same table; the
+    # reader's module is patched too, should it hold its own reference
+    builds = []
+    real = polytopes._edge_flips
+
+    def counting(P):
+        builds.append(len(P.vertices))
+        return real(P)
+
+    monkeypatch.setattr(polytopes, "_edge_flips", counting)
+    monkeypatch.setattr(fileio, "_edge_flips", counting, raising=False)
+    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    path = tmp_path / "120cell.json"
+    write_polytope(z120, path)
+    code = main(["enumerate", str(path), "--chromatic", "5", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "10 colouring(s) up to renaming, 1 up to symmetry" in capsys.readouterr().out
+    assert builds == [600]
 
 
 @pytest.mark.parametrize("chromatic", [[], ["--chromatic", "4"]])

@@ -17,6 +17,7 @@ from racover.pipeline import (
     _facet_map,
     _verify_facet_map,
     assemble_chain,
+    certificate_files,
     certificate_object,
     certify,
     extend_class,
@@ -163,7 +164,7 @@ def test_certificate_passes_all_checks(cert1):
     assert cert1.chosen.glue_facet == 10
     assert cert1.cover.cells == 32
     assert cert1.cut.boundary_cell_counts == (16,)
-    notes = certificate_object(cert1, None)["notes"]
+    notes = certificate_object(cert1, certificate_files(cert1.assembly))["notes"]
     assert len(notes) == 3
     assert any("four copies" in note for note in notes)
 

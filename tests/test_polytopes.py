@@ -15,6 +15,7 @@ from conftest import (
     identity_matching,
     relabel,
     renumbered,
+    torus_dual,
     two_tetrahedra,
 )
 from racover import covers, polytopes
@@ -222,14 +223,13 @@ def test_symmetry_group_of_the_120cell(z120):
 
 def _generators_by_full_scan(P):
     """`symmetry_generators` without its early stop: every flag is scanned."""
-    flips = polytopes._edge_flips(P)
     base = P.vertices[0]
     found, orbit, failed = [], {base}, set()
     for k, v in enumerate(P.vertices):
         for flag in itertools.permutations(v):
             if flag in orbit or flag in failed:
                 continue
-            sigma = polytopes._propagate(P, P, flips, flips, k, flag)
+            sigma = polytopes._propagate(P, P, k, flag)
             if sigma is None:
                 failed |= polytopes._orbit(flag, found)
             else:
@@ -441,6 +441,32 @@ def test_symmetries_need_a_connected_vertex_graph():
         symmetry_group(two_tetrahedra())
 
 
+def test_symmetries_need_the_euler_relation():
+    # every edge of the torus's dual lies on two vertices and its vertex
+    # graph is connected: only the face counts tell it from a sphere
+    msg = r"^faces break the Euler relation: sum of \(-1\)\^dim is -1, not 1$"
+    with pytest.raises(PolytopeError, match=msg):
+        symmetry_group(torus_dual())
+
+
+def test_the_edge_table_is_built_once_per_polytope(monkeypatch, dodecahedron):
+    builds = []
+    real = polytopes._edge_flips
+    monkeypatch.setattr(polytopes, "_edge_flips", lambda P: builds.append(P) or real(P))
+    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    P = Polytope(3, dodecahedron.facet_labels, dodecahedron.adjacency, dodecahedron.vertices)
+    assert symmetry_generators(P) == symmetry_generators(dodecahedron)
+    assert find_isomorphism(P, P) == tuple(range(12))
+    assert builds == [P]
+
+
+def test_the_generated_polytopes_keep_their_digests():
+    # a digest covers the vertex rows, so the clique listing that builds
+    # them must keep their order
+    assert make_dodecahedron().digest == "d33d7cf1ba982c207a15aa2ffb0759196e2a76ae84b567405bc5bdd715479064"
+    assert make_120cell().digest == "951325254278fa60bef8651680f96bbf6c346c71b62b0bbb2cfe0581117bf9e8"
+
+
 def test_constructor_rejects_bad_input():
     with pytest.raises(PolytopeError):
         make_polygon(2)
@@ -640,14 +666,13 @@ def _generators_from_every_failed_flag(P):
     """Reference generator search: a flag is skipped only when it lies in
     the orbit of the base flag, so every flag that admits no automorphism
     is propagated."""
-    flips = polytopes._edge_flips(P)
     base = P.vertices[0]
     found = []
     orbit = {base}
     for k, v in enumerate(P.vertices):
         for flag in itertools.permutations(v):
             if flag not in orbit:
-                sigma = polytopes._propagate(P, P, flips, flips, k, flag)
+                sigma = polytopes._propagate(P, P, k, flag)
                 if sigma is not None:
                     found.append(sigma)
                     orbit = polytopes._orbit(base, found)

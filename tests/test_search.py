@@ -742,16 +742,16 @@ def _vertex_spans(P, colours, f):
     return spanned
 
 
-def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
+def _check_sets_along_a_walk(P, colours, order, palette, smallest, choose):
     """Walk the static order, colouring order[d] with choose(d, free) from
     the palette colours outside its vertex spans; at every depth reached,
     the palette colours the sets forbid must be those the spans at
     order[d]'s vertices hold.  Returns how many depths were checked and
-    how many of them had groups; a group has at least 2 facets (3 with
-    `odd`) and at most dimension - 1, each group comes once, and no
-    single lies in a group."""
+    how many of them had groups; a group has at least `smallest` facets
+    and at most dimension - 1, each group comes once, and no single lies
+    in a group."""
     colours = list(colours)
-    sets = _forbidding_sets(P, order, odd)
+    sets = _forbidding_sets(P, order, smallest)
     assert len(sets) == len(order)
     larger = 0
     for d, f in enumerate(order):
@@ -759,7 +759,7 @@ def _check_sets_along_a_walk(P, colours, order, palette, odd, choose):
         mask = _mask_from_sets(sets[d], colours)
         assert {v for v in palette if mask >> v & 1} == spanned & set(palette), (d, f)
         singles, groups = sets[d]
-        assert all((3 if odd else 2) <= len(s) < P.dimension for s in groups)
+        assert all(smallest <= len(s) < P.dimension for s in groups)
         assert len(set(groups)) == len(groups)
         assert not set(singles) & {g for s in groups for g in s}
         larger += bool(groups)
@@ -783,14 +783,14 @@ def test_extension_sets_match_the_vertex_spans(z120, census, facet, rank):
         seed = _class_seed(z120, census, cls, facet, rank)
         order = _static_order(z120, seed)
         depths, larger = _check_sets_along_a_walk(
-            z120, seed.colours, order, palette, True, _random_choice(walk)
+            z120, seed.colours, order, palette, 3, _random_choice(walk)
         )
         assert depths >= 5 and larger >= 1, (cls, depths, larger)
         if rank == 5:
             # the search's own path, down to a complete colouring
             found = search_orientable_extension(z120, seed).colouring.colours
             depths, larger = _check_sets_along_a_walk(
-                z120, seed.colours, order, palette, True,
+                z120, seed.colours, order, palette, 3,
                 lambda d, free: found[order[d]],
             )
             assert depths == len(order)
@@ -806,7 +806,7 @@ def test_census_sets_match_the_vertex_spans(request, name):
     palette = range(1, 1 << P.dimension)
     for walk in range(4):
         depths, larger = _check_sets_along_a_walk(
-            P, colours, order, palette, False, _random_choice(walk)
+            P, colours, order, palette, 2, _random_choice(walk)
         )
         assert depths > len(order) // 2
         # groups (pairs) in three dimensions, none on a polygon
@@ -849,7 +849,7 @@ def test_extension_masks_match_the_sets(z120, census, facet, rank):
         # the plan the search itself runs on
         order, masks = search._extension_plan(z120, seeded)
         assert list(order) == _static_order(z120, seed)
-        sets = _forbidding_sets(z120, order, True)
+        sets = _forbidding_sets(z120, order, 3)
         _check_masks_along_the_order(z120, seed.colours, order, sets, masks, palette, cls)
 
 
@@ -859,16 +859,17 @@ def test_census_masks_match_the_sets(dodecahedron):
     for k, f in enumerate(P.vertices[0]):
         colours[f] = 1 << k
     order = [f for f in range(P.facet_count) if colours[f] is None]
-    sets = _forbidding_sets(P, order, False)
+    sets = _forbidding_sets(P, order, 2)
     masks = [search._mask_function(s) for s in sets]
     assert any(groups for _, groups in sets)
     _check_masks_along_the_order(P, colours, order, sets, masks, range(1, 8), 0, walks=20)
 
 
 @pytest.mark.parametrize("name, k", [("dodecahedron", 4), ("z120", 5)])
-def test_chromatic_masks_match_the_sets(request, name, k):
+def test_chromatic_masks_match_the_sets(request, monkeypatch, name, k):
     # the chromatic count forbids the colours of the neighbours pinned or
-    # earlier in the order, singletons only
+    # earlier in the order, singletons only: `_forbidding_sets` asking for
+    # groups of P.dimension facets, which no vertex holds
     P = request.getfixturevalue(name)
     v0 = P.vertices[0]
     colours = [None] * P.facet_count
@@ -880,7 +881,18 @@ def test_chromatic_masks_match_the_sets(request, name, k):
     for f in order:
         sets.append((tuple(g for g in P.neighbours[f] if g in coloured), ()))
         coloured.add(f)
-    masks = [search._mask_function(s) for s in sets]
+    assert _forbidding_sets(P, order, P.dimension) == sets
+    # the order and masks the count itself runs on
+    runs = []
+    real = search._depth_first
+    monkeypatch.setattr(
+        search, "_depth_first",
+        lambda cols, run_order, masks, *rest: runs.append((list(run_order), masks))
+        or real(cols, run_order, masks, *rest),
+    )
+    assert enumerate_chromatic_colourings(P, k).count == 10
+    [(run_order, masks)] = runs
+    assert run_order == order
     _check_masks_along_the_order(
         P, colours, order, sets, masks, range(1, k + 1), k, spans=False
     )
@@ -1017,7 +1029,7 @@ def test_tesseract_census_matches_the_reference():
     assert (result.nodes, result.classes, result.complete) == _reference_census(C)
     assert (result.nodes, len(result.classes)) == (3_855, 19)
     rest = [f for f in range(C.facet_count) if f not in C.vertices[0]]
-    sizes = {len(s) for _, groups in _forbidding_sets(C, rest, False) for s in groups}
+    sizes = {len(s) for _, groups in _forbidding_sets(C, rest, 2) for s in groups}
     assert sizes == {2, 3}
 
 
