@@ -9,7 +9,9 @@ equivalent to a covector hitting 1 on every colour.
 from __future__ import annotations
 
 import bisect
+import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -75,7 +77,8 @@ class Colouring:
 
 @dataclass(frozen=True)
 class PartialColouring:
-    """Colouring with gaps; proper at every fully assigned vertex."""
+    """Colouring with gaps; proper at every fully assigned vertex, the only
+    vertices its construction tests (`dependent_vertex`)."""
 
     polytope: Polytope
     rank: int
@@ -98,57 +101,87 @@ class PartialColouring:
         return sum(1 for c in self.colours if c is not None)
 
 
-# Whether the colours at a vertex pass the properness test, by colour
+# Whether the colours at a vertex are linearly independent, by colour
 # tuple: a chain has thousands of vertices but a few hundred distinct
-# tuples, and a census meets the same tuples at every leaf.  A tuple with
-# an unassigned facet (None) passes.  Process-wide, and cleared before it
+# tuples, and a census meets the same tuples at every leaf.  Only tuples
+# of assigned colours enter it.  Process-wide, and cleared before it
 # would pass _INDEPENDENCE_LIMIT entries.
-_independence: Dict[Tuple[Optional[int], ...], bool] = {}
+_independence: Dict[Tuple[int, ...], bool] = {}
 _INDEPENDENCE_LIMIT = 1 << 14
 # _COLUMN[j] reads the j-th facet of a vertex (dimension is at most 4)
 _COLUMN = tuple(map(operator.itemgetter, range(4)))
 
 
-def _vertex_colours(P: Polytope, cols: Sequence[Optional[int]]) -> Iterator[tuple]:
-    # the colour tuple at each vertex in vertex order, built column by
-    # column in C from streamed columns: stored ones would cost memory on
-    # chains, and transposed 20-tuples (the dodecahedron's) pile up in
-    # CPython's tuple free list
+def _vertex_colours(
+    P: Polytope, rows: Sequence[Tuple[int, ...]], cols: Sequence[Optional[int]]
+) -> Iterator[tuple]:
+    # the colour tuple at each of the vertex rows of P, in their order,
+    # built column by column in C from streamed columns: stored ones would
+    # cost memory on chains, and transposed 20-tuples (the dodecahedron's)
+    # pile up in CPython's tuple free list
     get = cols.__getitem__
-    return zip(*[map(get, map(column, P.vertices)) for column in _COLUMN[:P.dimension]])
+    return zip(*[map(get, map(column, rows)) for column in _COLUMN[:P.dimension]])
 
 
-def _independent_at_vertices(P: Polytope, cols: Sequence[Optional[int]]) -> bool:
+def _independent_at(
+    P: Polytope, rows: Sequence[Tuple[int, ...]], cols: Sequence[Optional[int]]
+) -> bool:
+    """Whether the colours at each of the vertex rows, all assigned, are
+    independent: the tuples are read once, into a set of distinct keys,
+    and only the keys the memo lacks are ranked."""
     memo = _independence
-    try:
-        return all(map(memo.__getitem__, _vertex_colours(P, cols)))
-    except KeyError:
-        keys = set(_vertex_colours(P, cols))
-    if len(memo) + len(keys) > _INDEPENDENCE_LIMIT:
-        memo.clear()
-    for key in keys - memo.keys():
-        memo[key] = None in key or gf2.independent(key)
-    return all(map(memo.__getitem__, _vertex_colours(P, cols)))
+    keys = set(_vertex_colours(P, rows, cols))
+    missing = keys.difference(memo)
+    if missing:
+        if len(memo) + len(missing) > _INDEPENDENCE_LIMIT:
+            memo.clear()
+            missing = keys
+        for key in missing:
+            memo[key] = gf2.rank(key) == len(key)
+    return all(map(memo.__getitem__, keys))
+
+
+def _independent_at_vertices(P: Polytope, cols: Sequence[int]) -> bool:
+    return _independent_at(P, P.vertices, cols)
+
+
+def _assigned_rows(P: Polytope, cols: Sequence[Optional[int]]) -> Sequence[Tuple[int, ...]]:
+    """The vertex rows of P whose facets are all assigned (not None), in
+    vertex order, found from the facet-vertex incidences of the assigned
+    facets: a vertex lies on P.dimension facets."""
+    if None not in cols:
+        return P.vertices
+    on = Counter(itertools.chain.from_iterable(
+        P.facet_vertices[f] for f, c in enumerate(cols) if c is not None
+    ))
+    n = P.dimension
+    return [P.vertices[vi] for vi in sorted(vi for vi, k in on.items() if k == n)]
 
 
 def dependent_vertex(
     P: Polytope, cols: Sequence[Optional[int]]
 ) -> Optional[Tuple[int, ...]]:
     """The first vertex of P whose colours are all assigned (not None) and
-    linearly dependent, or None when there is none."""
-    if _independent_at_vertices(P, cols):
+    linearly dependent, or None when there is none.  Only the vertices
+    whose facets are all assigned are read."""
+    rows = _assigned_rows(P, cols)
+    if _independent_at(P, rows, cols):
         return None
-    # the lookup above stopped at the first failing vertex, so every tuple
-    # up to it is in the memo
+    # the check above put every tuple of these rows in the memo
     return next(
-        v for v, key in zip(P.vertices, _vertex_colours(P, cols)) if not _independence[key]
+        v for v, key in zip(rows, _vertex_colours(P, rows, cols)) if not _independence[key]
     )
 
 
 def is_proper(P: Polytope, lam: Colouring) -> bool:
-    """True when the colours at every vertex are linearly independent."""
+    """True when the colours at every vertex are linearly independent; a
+    colouring with one colour per facet of another polytope raises."""
     if P is lam.polytope:
         return lam._proper
+    if len(lam.colours) != P.facet_count:
+        raise ColouringError(
+            f"colouring has {len(lam.colours)} colours for {P.facet_count} facets"
+        )
     return _independent_at_vertices(P, lam.colours)
 
 

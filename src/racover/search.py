@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -468,6 +469,19 @@ def enumerate_chromatic_colourings(
     )
 
 
+_facet_cache: Dict[Tuple[str, int], Tuple[Polytope, Tuple[int, ...]]] = {}
+
+
+def _seed_facet(Z: Polytope, F0: int) -> Tuple[Polytope, Tuple[int, ...]]:
+    """`facet_subpolytope(Z, F0)`, built once per (Z.digest, F0) like the
+    extension plan, so every seed from one facet shares one subpolytope."""
+    key = (Z.digest, F0)
+    facet = _facet_cache.get(key)
+    if facet is None:
+        facet = _facet_cache[key] = facet_subpolytope(Z, F0)
+    return facet
+
+
 def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> PartialColouring:
     """Seed a rank-5 (or rank-4) search from a colouring of one facet.
 
@@ -477,7 +491,7 @@ def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> Parti
     has even weight).  At rank 5 the fourth coordinate stays zero on all 13
     seeded facets; at rank 4 it is the top coordinate.
     """
-    sub, inc = facet_subpolytope(Z, F0)
+    sub, inc = _seed_facet(Z, F0)
     if not mu.polytope.same_structure(sub):
         raise ColouringError("seed colouring does not live on the chosen facet")
     if mu.rank != 3:
@@ -536,8 +550,10 @@ def search_orientable_extension(
         if c is not None and not gf2.parity(c):
             raise ColouringError("seed contains an even-weight colour")
     seeded = tuple(f for f, c in enumerate(colours) if c is not None)
-    # a vertex off the seeded facets has no colour yet to be dependent
-    for vi in sorted({vi for f in seeded for vi in Z.facet_vertices[f]}):
+    # a vertex on no seeded facet has no colour yet to be dependent, and
+    # one on a single seeded facet has one colour, odd-weight so nonzero
+    on = Counter(itertools.chain.from_iterable(map(Z.facet_vertices.__getitem__, seeded)))
+    for vi in sorted(vi for vi, k in on.items() if k > 1):
         v = Z.vertices[vi]
         if not gf2.independent([colours[g] for g in v if colours[g] is not None]):
             raise ColouringError(f"seed already breaks properness at vertex {v}")

@@ -33,6 +33,7 @@ from racover.colouring import (
     zero_sum_triples,
 )
 from racover.covers import CoverError, build_cover
+from racover.pipeline import extend_from_facet
 from racover.polytopes import facet_subpolytope, symmetry_group
 from racover.search import enumerate_chromatic_colourings
 
@@ -167,9 +168,11 @@ def test_properness_is_checked_once_per_colouring(monkeypatch, dodecahedron):
 
 def _first_dependent_by_rank(P, cols):
     """The per-vertex loop the properness memo replaced: the first vertex
-    whose colours have rank below the dimension, or None."""
+    whose colours are all assigned (not None) and have rank below the
+    dimension, or None."""
     for v in P.vertices:
-        if gf2.rank([cols[i] for i in v]) != P.dimension:
+        key = [cols[i] for i in v]
+        if None not in key and gf2.rank(key) != P.dimension:
             return v
     return None
 
@@ -223,6 +226,105 @@ def test_memoised_properness_matches_a_per_vertex_rank_loop(request, name, rank)
         for cols in _colourings_to_check(P, rank, random.Random(rank))
     }
     assert verdicts == {True, False}
+
+
+def _partial_colourings_to_check(P, rank, propers, rng):
+    """Partial colourings cut from the proper colourings `propers`, with 0
+    to all facets assigned, each followed by variants made dependent on
+    purpose: an assigned colour repeated from an assigned neighbour, one
+    zeroed, and a fully assigned vertex's last colour replaced by the XOR
+    of two of its others."""
+    m = P.facet_count
+    out = []
+    for cols in propers:
+        for count in sorted({0, 1, 2, m // 4, m // 2, 3 * m // 4, m - 1, m}):
+            part = [None] * m
+            for f in rng.sample(range(m), count):
+                part[f] = cols[f]
+            out.append(tuple(part))
+            assigned = [f for f in range(m) if part[f] is not None]
+            pairs = [(f, g) for f in assigned for g in P.neighbours[f] if part[g] is not None]
+            if pairs:
+                f, g = rng.choice(pairs)
+                repeat = part[:]
+                repeat[f] = part[g]
+                out.append(tuple(repeat))
+            if assigned:
+                zero = part[:]
+                zero[rng.choice(assigned)] = 0
+                out.append(tuple(zero))
+            full = [v for v in P.vertices if None not in map(part.__getitem__, v)]
+            if full:
+                *rest, last = rng.choice(full)
+                xor = part[:]
+                xor[last] = 0
+                for f in rest[-2:]:
+                    xor[last] ^= part[f]
+                out.append(tuple(xor))
+    return out
+
+
+@pytest.mark.parametrize("name,rank", [("dodecahedron", 3), ("z120", 4), ("z120", 5)])
+def test_partial_colourings_match_a_per_vertex_rank_loop(request, census, name, rank):
+    # PartialColouring tests only the vertices whose facets are all
+    # assigned; the reference ranks every vertex and skips the others
+    P = request.getfixturevalue(name)
+    rng = random.Random(100 + rank)
+    if name == "dodecahedron":
+        propers = [random_proper_colouring(P, rank, rng).colours for _ in range(3)]
+    elif rank == 4:
+        propers = [cols for cols in _colourings_to_check(P, rank, rng) if
+                   is_proper(P, Colouring(P, rank, cols))]
+    else:
+        propers = [extend_from_facet(census.classes[k].colouring).colouring.colours
+                   for k in (0, 3, 14)]
+    assert len(propers) == 3
+    accepted, firsts = 0, set()
+    for cols in _partial_colourings_to_check(P, rank, propers, rng):
+        first = _first_dependent_by_rank(P, cols)
+        assert dependent_vertex(P, cols) == first
+        if first is None:
+            assert PartialColouring(P, rank, cols).colours == cols
+            accepted += 1
+        else:
+            with pytest.raises(ColouringError) as err:
+                PartialColouring(P, rank, cols)
+            assert str(err.value) == f"dependent colours at vertex {first}"
+            firsts.add(first)
+    assert accepted >= 3
+    # rejections name more vertices than the first one
+    assert len(firsts - {P.vertices[0]}) >= 5
+
+
+def test_partial_colourings_leave_unassigned_tuples_out_of_the_memo(dodecahedron):
+    colouring._independence.clear()
+    cols = [None] * 12
+    for k, f in enumerate(dodecahedron.vertices[0]):
+        cols[f] = 1 << k
+    PartialColouring(dodecahedron, 3, tuple(cols))
+    assert list(colouring._independence) == [(1, 2, 4)]
+    assert dependent_vertex(dodecahedron, (None,) * 12) is None
+    assert list(colouring._independence) == [(1, 2, 4)]
+
+
+def test_properness_needs_one_colour_per_facet(dodecahedron, z120):
+    # a colouring of another polytope with a different facet count is a
+    # ColouringError naming both counts, in both directions
+    lam = from_k_colouring(dodecahedron, DODECA_4COL)
+    big = Colouring(z120, 4, (1,) * 120)
+    calls = [
+        (z120, lam, "12 colours for 120 facets"),
+        (dodecahedron, big, "120 colours for 12 facets"),
+    ]
+    for P, mu, counts in calls:
+        for call in (
+            lambda: is_proper(P, mu),
+            lambda: is_orientable(P, mu),
+            lambda: orbit_keys(P, mu),
+            lambda: equivalent(P, mu, mu),
+        ):
+            with pytest.raises(ColouringError, match=f"^colouring has {counts}$"):
+                call()
 
 
 def test_properness_memo_is_shared_across_polytopes_and_survives_clearing(

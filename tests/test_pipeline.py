@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import f_vector, identity_matching, relabel
-from racover import gf2, polytopes
+from racover import gf2, polytopes, search
 from racover.colouring import equivalent, induced_colouring, is_orientable, is_proper, transport
 from racover.fileio import load_certificate, write_certificate
 from racover.pipeline import (
@@ -21,6 +21,7 @@ from racover.pipeline import (
     certificate_object,
     certify,
     extend_class,
+    extend_from_facet,
     select_class,
     validate_certificate,
 )
@@ -362,31 +363,53 @@ def test_assembly_builds_a_constant_number_of_polytopes(census, z120, monkeypatc
     assert counts[0] == counts[1]
 
 
-def test_certificate_round_trip_builds_few_facet_subpolytopes(census, tmp_path, monkeypatch):
-    # every module that imported facet_subpolytope calls through the counter
+@pytest.fixture
+def facet_builds(monkeypatch):
+    """Cold facet caches; the returned list collects the facet of every
+    facet subpolytope built, through whichever module imported it."""
     calls = []
     original = polytopes.facet_subpolytope
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def counting(P, F):
+        calls.append(F)
+        return original(P, F)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("racover") and getattr(module, "facet_subpolytope", None) is original:
             monkeypatch.setattr(module, "facet_subpolytope", counting)
+    monkeypatch.setattr(search, "_facet_cache", {})
+    _facet_map.cache_clear()
+    yield calls
+    _facet_map.cache_clear()
+
+
+def test_an_extend_loop_builds_its_facet_subpolytope_once(census, facet_builds):
+    # every class at both ranks from one facet, as the `extend` benchmark runs
+    budget = SearchBudget(nodes=2_000, seconds=600)
+    for record in census.classes:
+        if not record.orientable:
+            for rank in (5, 4):
+                extend_from_facet(record.colouring, 7, rank, budget)
+    assert facet_builds == [7]
+
+
+def test_certificate_round_trip_builds_few_facet_subpolytopes(census, tmp_path, facet_builds):
     # each step starts cold, as a `racover` process does
     for n in (1, 3):
-        calls.clear()
+        facet_builds.clear()
         _facet_map.cache_clear()
+        search._facet_cache.clear()
         cert = certify(n)
-        assert len(calls) <= 3, n
+        # the base facet, shared by the search seed, and the merged facet of Q
+        assert len(facet_builds) <= 2, n
         path = write_certificate(cert, tmp_path / str(n))
-        calls.clear()
+        facet_builds.clear()
         _facet_map.cache_clear()
+        search._facet_cache.clear()
         validate_certificate(load_certificate(path))
         # the rebuild traces the chains through the 120-cell's base facet,
         # and the long-facet check builds the merged facet of Q
-        assert len(calls) <= 2, n
+        assert len(facet_builds) <= 2, n
 
 
 def test_verify_facet_map_rejects_two_swapped_facets(dodecahedron):

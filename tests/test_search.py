@@ -208,6 +208,17 @@ def test_a_sabotaged_census_trips_the_leaf_assertion(dodecahedron, monkeypatch, 
         enumerate_small_covers(dodecahedron)
 
 
+@pytest.mark.parametrize("rank", [4, 5])
+def test_a_sabotaged_extension_search_trips_the_leaf_assertion(z120, census, monkeypatch, rank):
+    # with masks that forbid nothing, the first leaf colours every unseeded
+    # facet alike; the one-pass leaf check must still reject it
+    real = search._mask_function
+    monkeypatch.setattr(search, "_mask_function", lambda sets: real(((), ())))
+    monkeypatch.setattr(search, "_plan_cache", {})
+    with pytest.raises(AssertionError, match="^incremental properness bookkeeping failed$"):
+        search_orientable_extension(z120, _class_seed(z120, census, 0, rank=rank))
+
+
 def test_enumeration_budget_cuts_off(dodecahedron):
     result = enumerate_small_covers(dodecahedron, SearchBudget(nodes=100, seconds=60))
     assert not result.complete
