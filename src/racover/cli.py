@@ -193,6 +193,9 @@ def cmd_enumerate(args: argparse.Namespace, t0: float) -> int:
 
 def cmd_extend(args: argparse.Namespace, t0: float) -> int:
     mu = _load_total_colouring(make_dodecahedron(), args.colouring)
+    # an improper class is a finding, as for `check` and `cover`; the seed refuses other ranks
+    if mu.rank == 3 and not is_proper(mu.polytope, mu):
+        raise Finding(f"{args.colouring}: facet colouring is not proper")
     outcome = extend_from_facet(mu, args.seed_facet, args.rank, _budget(args))
     outdir = _outdir(args)
     summary = {

@@ -182,12 +182,6 @@ def _face_tallies(C: CoverComplex) -> Tuple[Dict[int, int], int]:
     return counts, direct
 
 
-def _direct_euler_characteristic(C: CoverComplex) -> int:
-    """Euler characteristic from the glued complex's own face counts (see
-    `_face_tallies`); no properness assumption enters."""
-    return _face_tallies(C)[1]
-
-
 def cover_euler_characteristic(C: CoverComplex) -> int:
     """Euler characteristic of the cover, computed two ways.
 

@@ -44,11 +44,21 @@ def write_json(obj: dict, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
+def _text(data: bytes, path: Union[str, Path]) -> str:
+    """`data`, the bytes of the file at `path`, as UTF-8 text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
 def _read_json(path: Union[str, Path]) -> dict:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long an integer
+        raise FileFormatError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: expected a JSON object")
     return obj
@@ -131,7 +141,7 @@ def write_colouring(
 def load_colouring(
     P: Polytope, path: Union[str, Path]
 ) -> Union[Colouring, PartialColouring]:
-    return _parse_colouring(P, Path(path).read_text(encoding="utf-8"), path)
+    return _parse_colouring(P, _text(Path(path).read_bytes(), path), path)
 
 
 def _parse_colouring(
@@ -226,7 +236,7 @@ def load_certificate(path: Union[str, Path]) -> Certificate:
             actual = sha256_file(base / name)
         if actual != digests[key]:
             raise FileFormatError(f"{base / name}: digest {actual} differs from the certificate")
-    text = data.decode("utf-8")
+    text = _text(data, ambient)
     # a gluing merges two facets away and their 12 neighbours pairwise,
     # so Q has 106n + 14 facets, one colour line each after the header:
     # checked first, this bounds the rebuild by the colouring file's size

@@ -52,6 +52,7 @@ from .polytopes import (
     PolytopeError,
     antipodal_facet,
     chain_sum,
+    facet_subpolytope,
     find_isomorphism,
     make_120cell,
     make_dodecahedron,
@@ -61,7 +62,6 @@ from .search import (
     EnumerationResult,
     SearchBudget,
     SearchOutcome,
-    _seed_facet,
     enumerate_small_covers,
     search_orientable_extension,
     seed_from_facet,
@@ -212,10 +212,10 @@ def select_class(result: EnumerationResult, policy: str = "max-symmetry") -> Cho
 @lru_cache(maxsize=None)
 def _facet_map(base_facet: int) -> Tuple[Polytope, Tuple[int, ...], Tuple[int, ...]]:
     """The facet subpolytope of a 120-cell facet, the one the extension
-    search seeds from (`_seed_facet`), with its incidence and trace maps:
-    facet j of it sits on 120-cell facet inc[j] and corresponds to
-    dodecahedron facet psi[j]."""
-    sub, inc = _seed_facet(make_120cell(), base_facet)
+    search seeds from, with its incidence and trace maps: facet j of it
+    sits on 120-cell facet inc[j] and corresponds to dodecahedron facet
+    psi[j]."""
+    sub, inc = facet_subpolytope(make_120cell(), base_facet)
     psi = find_isomorphism(sub, make_dodecahedron())
     if psi is None:
         raise PolytopeError(f"facet {base_facet} of the 120-cell is not dodecahedral")

@@ -181,6 +181,8 @@ class Polytope:
             raise PolytopeError("facet adjacency graph is disconnected")
 
         self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incidence))
+        # derived data that depends on the labels lives here; the rest is shared by `digest`
+        self.subpolytopes: Dict[int, Tuple[Polytope, Tuple[int, ...]]] = {}
 
     @cached_property
     def adjacency_masks(self) -> Tuple[int, ...]:
@@ -205,8 +207,8 @@ class Polytope:
 
     @cached_property
     def digest(self) -> str:
-        """Content hash; equal digests mean identical facet-level structure."""
-        data = repr((self.dimension, self.facet_labels, self.vertices))
+        """Content hash of the vertex rows alone, which fix the structure."""
+        data = repr((self.dimension, self.vertices))
         return hashlib.sha256(data.encode()).hexdigest()
 
     def same_structure(self, other: "Polytope") -> bool:
@@ -336,18 +338,21 @@ def facet_subpolytope(P: Polytope, F: int) -> Tuple[Polytope, Tuple[int, ...]]:
     P-index order; the incidence map sends sub-facet position j to the
     P-facet it came from.  Sub-vertices are the P-vertices on F with F
     dropped; two sub-facets are adjacent when they share such a vertex.
+    Built once per polytope and facet, and kept in `P.subpolytopes`.
     """
-    if not 0 <= F < P.facet_count:
-        raise PolytopeError(f"no facet {F}")
-    inc = P.neighbours[F]
-    pos = {g: j for j, g in enumerate(inc)}
-    verts = []
-    for vi in P.facet_vertices[F]:
-        verts.append(tuple(sorted(pos[g] for g in P.vertices[vi] if g != F)))
-    adj = itertools.chain.from_iterable(map(itertools.combinations, verts, itertools.repeat(2)))
-    labels = [P.facet_labels[g] for g in inc]
-    sub = Polytope(P.dimension - 1, labels, adj, verts)
-    return sub, inc
+    facet = P.subpolytopes.get(F)
+    if facet is None:
+        if not 0 <= F < P.facet_count:
+            raise PolytopeError(f"no facet {F}")
+        inc = P.neighbours[F]
+        pos = {g: j for j, g in enumerate(inc)}
+        verts = []
+        for vi in P.facet_vertices[F]:
+            verts.append(tuple(sorted(pos[g] for g in P.vertices[vi] if g != F)))
+        adj = itertools.chain.from_iterable(map(itertools.combinations, verts, itertools.repeat(2)))
+        labels = [P.facet_labels[g] for g in inc]
+        facet = P.subpolytopes[F] = (Polytope(P.dimension - 1, labels, adj, verts), inc)
+    return facet
 
 
 @dataclass(frozen=True)

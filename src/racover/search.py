@@ -469,19 +469,6 @@ def enumerate_chromatic_colourings(
     )
 
 
-_facet_cache: Dict[Tuple[str, int], Tuple[Polytope, Tuple[int, ...]]] = {}
-
-
-def _seed_facet(Z: Polytope, F0: int) -> Tuple[Polytope, Tuple[int, ...]]:
-    """`facet_subpolytope(Z, F0)`, built once per (Z.digest, F0) like the
-    extension plan, so every seed from one facet shares one subpolytope."""
-    key = (Z.digest, F0)
-    facet = _facet_cache.get(key)
-    if facet is None:
-        facet = _facet_cache[key] = facet_subpolytope(Z, F0)
-    return facet
-
-
 def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> PartialColouring:
     """Seed a rank-5 (or rank-4) search from a colouring of one facet.
 
@@ -491,7 +478,7 @@ def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> Parti
     has even weight).  At rank 5 the fourth coordinate stays zero on all 13
     seeded facets; at rank 4 it is the top coordinate.
     """
-    sub, inc = _seed_facet(Z, F0)
+    sub, inc = facet_subpolytope(Z, F0)
     if not mu.polytope.same_structure(sub):
         raise ColouringError("seed colouring does not live on the chosen facet")
     if mu.rank != 3:

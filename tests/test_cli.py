@@ -393,6 +393,24 @@ def test_extend_finds_an_extension(tmp_path, z120, census, capsys):
     assert lam.rank == 5
 
 
+def test_extend_on_an_improper_class_is_a_finding(tmp_path, capsys):
+    path = tmp_path / "class.txt"
+    path.write_text("rank 3\n" + "1\n" * 12, encoding="utf-8")
+    assert main(["extend", str(path), "--out", str(tmp_path)]) == EXIT_FINDING
+    assert capsys.readouterr().err == f"finding: {path}: facet colouring is not proper\n"
+    # a class of another rank stays a usage error
+    path.write_text("rank 2\n" + "1\n" * 12, encoding="utf-8")
+    assert main(["extend", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "facet colouring must have rank 3" in capsys.readouterr().err
+
+
+def test_a_deeply_nested_polytope_file_is_a_file_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["enumerate", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {path}: maximum recursion depth")
+
+
 def test_extend_matches_extend_class(tmp_path, z120, census):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main(["extend", str(tmp_path / "class.txt"), "--out", str(tmp_path)])

@@ -34,7 +34,7 @@ from racover.colouring import (
 )
 from racover.covers import CoverError, build_cover
 from racover.pipeline import extend_from_facet
-from racover.polytopes import facet_subpolytope, symmetry_group
+from racover.polytopes import Polytope, facet_subpolytope, symmetry_group
 from racover.search import enumerate_chromatic_colourings
 
 # a proper 4-colouring of the dodecahedron in the canonical face numbering
@@ -159,7 +159,8 @@ def test_properness_is_checked_once_per_colouring(monkeypatch, dodecahedron):
     assert is_proper(dodecahedron, twin)
     assert seen.count((dodecahedron, lam.colours)) == 2
     # checked against a polytope other than its own, nothing is remembered
-    sub, copy = facet_subpolytope(dodecahedron, 0)[0], facet_subpolytope(dodecahedron, 0)[0]
+    sub = facet_subpolytope(dodecahedron, 0)[0]
+    copy = Polytope(sub.dimension, sub.facet_labels, sub.adjacency, sub.vertices)
     mu = Colouring(sub, 2, (1, 2, 1, 2, 3))
     for _ in range(2):
         assert is_proper(copy, mu)

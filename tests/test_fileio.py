@@ -1,7 +1,10 @@
 """On-disk formats: round trips, determinism, tamper detection."""
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +113,27 @@ def test_polytope_file_errors(tmp_path, pentagon):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"vertices": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "maximum recursion depth"),
+        (b'{"format": "racover-polytope\xff"}', "codec can't decode byte 0xff"),
+        # an interpreter with an integer digit limit refuses an integer of
+        # more than 4 300 digits; one without reads it, in no polytope file
+        (
+            b'{"dimension": ' + b"9" * 5_000 + b"}",
+            "Exceeds the limit" if hasattr(sys, "set_int_max_str_digits") else "not a polytope file",
+        ),
+    ],
+    ids=["deep", "not-utf8", "long-int"],
+)
+def test_undecodable_polytope_files_name_the_file(tmp_path, data, message):
+    path = tmp_path / "p.json"
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: .*{message}"):
+        load_polytope(path)
+
+
 def test_colouring_round_trip(tmp_path, pentagon):
     lam = Colouring(pentagon, 2, (1, 2, 1, 2, 3))
     path = tmp_path / "c.txt"
@@ -163,6 +187,17 @@ def test_colouring_file_errors(tmp_path, pentagon):
         path.write_text(f"rank 2\n1\n2\n1\n2\n{colour}\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match="bad colour"):
             load_colouring(pentagon, path)
+
+
+# the message of a file that is not UTF-8, after its path
+UNDECODABLE = "'utf-8' codec can't decode byte 0xff "
+
+
+def test_an_undecodable_colouring_file_is_named(tmp_path, pentagon):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"rank 2\n1\n2\n1\n2\n\xff\n")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {UNDECODABLE}"):
+        load_colouring(pentagon, path)
 
 
 def test_volume_and_summary_records(dodecahedron):
@@ -316,6 +351,23 @@ def test_certificate_detects_tampered_files(tmp_path, cert1):
     text = chain.read_text(encoding="utf-8")
     chain.write_text(text.replace("rank 3", "rank 4", 1), encoding="utf-8")
     with pytest.raises(FileFormatError):
+        load_certificate(path)
+
+
+def test_undecodable_certificate_files_are_named(tmp_path, cert1):
+    outdir = tmp_path / "cert"
+    path = write_certificate(cert1, outdir)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    # the ambient colouring, the one data file decoded, with its digest recorded
+    ambient = outdir / "ambient-colouring.txt"
+    data = ambient.read_bytes().replace(b"rank 5", b"rank \xff5", 1)
+    ambient.write_bytes(data)
+    obj["files"]["ambient_colouring"]["sha256"] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(ambient))}: {UNDECODABLE}"):
+        load_certificate(path)
+    path.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {UNDECODABLE}"):
         load_certificate(path)
 
 

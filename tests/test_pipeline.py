@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from functools import lru_cache
 
 import pytest
 
 from conftest import f_vector, identity_matching, relabel
-from racover import gf2, polytopes, search
+from racover import gf2, pipeline, polytopes
 from racover.colouring import equivalent, induced_colouring, is_orientable, is_proper, transport
 from racover.fileio import load_certificate, write_certificate
 from racover.pipeline import (
@@ -366,20 +367,22 @@ def test_assembly_builds_a_constant_number_of_polytopes(census, z120, monkeypatc
 @pytest.fixture
 def facet_builds(monkeypatch):
     """Cold facet caches; the returned list collects the facet of every
-    facet subpolytope built, through whichever module imported it."""
-    calls = []
-    original = polytopes.facet_subpolytope
+    facet subpolytope built, counted as the `Polytope` constructions that
+    `facet_subpolytope` makes, so calls the memo answers are not counted."""
+    built = []
+    init = polytopes.Polytope.__init__
+    code = polytopes.facet_subpolytope.__code__
 
-    def counting(P, F):
-        calls.append(F)
-        return original(P, F)
+    def counting_init(self, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is code:
+            built.append(caller.f_locals["F"])
+        init(self, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("racover") and getattr(module, "facet_subpolytope", None) is original:
-            monkeypatch.setattr(module, "facet_subpolytope", counting)
-    monkeypatch.setattr(search, "_facet_cache", {})
+    monkeypatch.setattr(polytopes.Polytope, "__init__", counting_init)
+    monkeypatch.setattr(make_120cell(), "subpolytopes", {})
     _facet_map.cache_clear()
-    yield calls
+    yield built
     _facet_map.cache_clear()
 
 
@@ -393,23 +396,57 @@ def test_an_extend_loop_builds_its_facet_subpolytope_once(census, facet_builds):
     assert facet_builds == [7]
 
 
+def test_induced_colourings_on_one_facet_build_its_subpolytope_once(census, facet_builds):
+    # the `extend` benchmark's gate induces each class's rank-5 extension
+    # back onto the seed facet
+    Z = make_120cell()
+    extensions = [
+        extend_from_facet(record.colouring, 7).colouring
+        for record in census.classes if not record.orientable
+    ]
+    Z.subpolytopes.clear()
+    facet_builds.clear()
+    for lam in extensions:
+        induced_colouring(Z, 7, lam)
+    assert len(extensions) == 24
+    assert facet_builds == [7]
+
+
 def test_certificate_round_trip_builds_few_facet_subpolytopes(census, tmp_path, facet_builds):
     # each step starts cold, as a `racover` process does
     for n in (1, 3):
         facet_builds.clear()
         _facet_map.cache_clear()
-        search._facet_cache.clear()
+        make_120cell().subpolytopes.clear()
         cert = certify(n)
         # the base facet, shared by the search seed, and the merged facet of Q
         assert len(facet_builds) <= 2, n
         path = write_certificate(cert, tmp_path / str(n))
         facet_builds.clear()
         _facet_map.cache_clear()
-        search._facet_cache.clear()
+        make_120cell().subpolytopes.clear()
         validate_certificate(load_certificate(path))
         # the rebuild traces the chains through the 120-cell's base facet,
         # and the long-facet check builds the merged facet of Q
         assert len(facet_builds) <= 2, n
+
+
+def test_certify_builds_one_edge_table_per_structure(monkeypatch, facet_builds):
+    # cold symmetry caches, edge tables and census, as in a fresh process
+    builds = []
+    real = polytopes._edge_flips
+    monkeypatch.setattr(polytopes, "_edge_flips", lambda P: builds.append(P) or real(P))
+    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    monkeypatch.setattr(polytopes, "_group_cache", {})
+    for P in (make_dodecahedron(), make_120cell()):
+        monkeypatch.delitem(P.__dict__, "edge_flips", raising=False)
+    census = lru_cache(maxsize=1)(pipeline._dodecahedron_census.__wrapped__)
+    monkeypatch.setattr(pipeline, "_dodecahedron_census", census)
+    certify(1)
+    # the dodecahedron, for the census, and the 120-cell's base facet, which
+    # `find_isomorphism` maps onto it; the summand relabelled `1.f*` shares
+    # the dodecahedron's symmetries by digest
+    assert builds == [make_dodecahedron(), facet_subpolytope(make_120cell(), _BASE_FACET)[0]]
 
 
 def test_verify_facet_map_rejects_two_swapped_facets(dodecahedron):

@@ -463,8 +463,8 @@ def test_the_edge_table_is_built_once_per_polytope(monkeypatch, dodecahedron):
 def test_the_generated_polytopes_keep_their_digests():
     # a digest covers the vertex rows, so the clique listing that builds
     # them must keep their order
-    assert make_dodecahedron().digest == "d33d7cf1ba982c207a15aa2ffb0759196e2a76ae84b567405bc5bdd715479064"
-    assert make_120cell().digest == "951325254278fa60bef8651680f96bbf6c346c71b62b0bbb2cfe0581117bf9e8"
+    assert make_dodecahedron().digest == "0ef32aa995a402f488bfd5328ff6eaa13229097f50190331e00d84e4ed16871c"
+    assert make_120cell().digest == "6f79c08f3a656a7c2784a17dd04b09153b90761e2e33f78a8c73b1ce0af440bf"
 
 
 def test_constructor_rejects_bad_input():
@@ -485,6 +485,25 @@ def test_digest_tracks_structure(pentagon):
     assert pentagon.digest != make_polygon(6).digest
     assert pentagon.same_structure(make_polygon(5))
     assert not pentagon.same_structure(relabel(pentagon, "x"))
+
+
+def test_relabelled_copies_share_a_digest_but_not_their_structure(pentagon, dodecahedron, z120):
+    for P in (pentagon, dodecahedron, z120):
+        copy = relabel(P, "1.")
+        assert copy.digest == P.digest
+        assert not copy.same_structure(P)
+
+
+def test_a_relabelled_copy_reuses_the_symmetry_group(monkeypatch, dodecahedron):
+    builds = []
+    real = polytopes._edge_flips
+    monkeypatch.setattr(polytopes, "_edge_flips", lambda P: builds.append(P) or real(P))
+    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    monkeypatch.setattr(polytopes, "_group_cache", {})
+    group = symmetry_group(dodecahedron)
+    builds.clear()
+    assert symmetry_group(relabel(dodecahedron, "1.")) is group
+    assert builds == []
 
 
 def _mask_polytope(dimension, facet_labels, adjacency, vertices):
