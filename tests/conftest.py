@@ -5,8 +5,9 @@ Heavy objects (the 120-cell, the dodecahedral census, the chain
 certificates) are built once per session; the library's own caches make
 repeats cheap, but the fixtures keep the dependency explicit.  The
 helpers include the brute-force GL(s, 2) oracle (`invertible_maps`,
-`apply_map`), the generic orientable extension of a facet colouring and
-the f-vector; no command of the package needs them.
+`apply_map`), the pivot-loop normal sequence and the canonical form as
+the least of all orbit keys, the generic orientable extension of a facet
+colouring and the f-vector; no command of the package needs them.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from racover.polytopes import (
     make_120cell,
     make_dodecahedron,
     make_polygon,
+    symmetry_group,
 )
 from racover.search import EnumerationResult
 
@@ -200,6 +202,35 @@ def apply_map(cols: List[int], v: int) -> int:
         v >>= 1
         i += 1
     return out
+
+
+def pivot_normal_sequence(seq) -> Tuple[int, ...]:
+    """Greedy re-echelonization by elimination on pivot bits: the j-th new
+    independent entry becomes e_j, and each entry is rewritten in that
+    basis.  The reference for `colouring.normal_sequence`, which reads the
+    entries through the frame of their greedy basis."""
+    pivots: List[Tuple[int, int]] = []
+    out = []
+    for v in seq:
+        im = 0
+        for p, pim in pivots:
+            if v & (p & -p):
+                v ^= p
+                im ^= pim
+        if v:
+            e = 1 << len(pivots)
+            pivots.append((v, e ^ im))
+            im = e
+        out.append(im)
+    return tuple(out)
+
+
+def least_orbit_key_form(P: Polytope, lam: Colouring) -> bytes:
+    """The canonical form as the least of all orbit keys, each key computed
+    in full by the pivot loop.  The reference for `colouring.canonical_form`,
+    which drops each key at its first entry above the least so far."""
+    keys = (pivot_normal_sequence([lam.colours[f] for f in sigma]) for sigma in symmetry_group(P))
+    return " ".join(map(str, min(keys))).encode()
 
 
 def extend_colouring_generic(P: Polytope, F: int, lam_sub: Colouring) -> Colouring:

@@ -1,8 +1,12 @@
 """Facet colourings: properness, orientability, induction, equivalence."""
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
+import operator
 import random
+import sys
 
 import pytest
 
@@ -11,6 +15,8 @@ from conftest import (
     dodecahedral_chain,
     extend_colouring_generic,
     invertible_maps,
+    least_orbit_key_form,
+    pivot_normal_sequence,
     random_proper_colouring,
 )
 from racover import colouring, gf2
@@ -28,6 +34,7 @@ from racover.colouring import (
     is_orientable,
     is_proper,
     non_orientability_witness,
+    normal_sequence,
     orbit_keys,
     transport,
     zero_sum_triples,
@@ -407,6 +414,118 @@ def test_canonical_form_is_a_class_invariant(pentagon):
         )
         assert canonical_form(pentagon, mapped) == base
         assert equivalent(pentagon, mapped, lam)
+
+
+def _random_sequence(rng, rank):
+    """A sequence of GF(2)^5 vectors spanning a space of dimension `rank`:
+    random combinations of a random basis, zeros and repeats among them,
+    after a prefix that is dependent (zeros and copies of one vector)."""
+    basis = []
+    while len(basis) < rank:
+        v = rng.randrange(1, 32)
+        if gf2.independent(basis + [v]):
+            basis.append(v)
+    body = basis + [
+        functools.reduce(operator.xor, rng.sample(basis, rng.randint(0, rank)), 0)
+        for _ in range(rng.randint(0, 10))
+    ]
+    rng.shuffle(body)
+    prefix = [rng.choice((0, body[0])) for _ in range(rng.randint(0, 3))]
+    return prefix + body
+
+
+def test_normal_sequence_matches_the_pivot_loop():
+    rng = random.Random(32)
+    for trial in range(500):
+        rank = 1 + trial % 5
+        seq = _random_sequence(rng, rank)
+        assert gf2.rank(seq) == rank
+        assert normal_sequence(seq) == pivot_normal_sequence(seq), seq
+    for seq in ((), (0,), (0, 0, 3), (5, 5, 0, 5), (1, 2, 3, 4, 8, 16, 31)):
+        assert normal_sequence(seq) == pivot_normal_sequence(seq), seq
+
+
+def test_normal_sequence_is_invariant_under_invertible_maps():
+    rng = random.Random(33)
+    for trial in range(200):
+        seq = _random_sequence(rng, 1 + trial % 5)
+        cols = []
+        while len(cols) < 5:
+            c = rng.randrange(1, 32)
+            if gf2.independent(cols + [c]):
+                cols.append(c)
+        assert normal_sequence([apply_map(cols, v) for v in seq]) == normal_sequence(seq)
+
+
+def test_canonical_form_is_the_least_orbit_key(pentagon, dodecahedron, census):
+    # the early abort against every key computed in full by the pivot loop:
+    # every census class, and proper pentagon colourings of ranks 2 and 3
+    P = dodecahedron
+    for rec in census.classes:
+        lam = rec.colouring
+        assert canonical_form(P, lam) == least_orbit_key_form(P, lam)
+        assert orbit_keys(P, lam) == {
+            pivot_normal_sequence([lam.colours[f] for f in sigma]) for sigma in symmetry_group(P)
+        }
+    rng = random.Random(3)
+    for rank in (2, 3):
+        tuples = list(itertools.product(range(1, 1 << rank), repeat=5))
+        proper = [
+            lam for lam in (Colouring(pentagon, rank, cols) for cols in tuples)
+            if is_proper(pentagon, lam)
+        ]
+        for lam in rng.sample(proper, min(60, len(proper))):
+            assert canonical_form(pentagon, lam) == least_orbit_key_form(pentagon, lam)
+
+
+def test_frame_memo_is_bounded_and_answers_survive_clearing(monkeypatch, dodecahedron, census):
+    P = dodecahedron
+    classes = [r.colouring for r in census.classes]
+    rng = random.Random(34)
+    seqs = [_random_sequence(rng, 1 + k % 5) for k in range(100)]
+
+    def answers():
+        return (
+            [orbit_keys(P, lam) for lam in classes],
+            [canonical_form(P, lam) for lam in classes],
+            [equivalent(P, classes[k], classes[k - k % 2]) for k in range(len(classes))],
+            [normal_sequence(seq) for seq in seqs],
+        )
+
+    want = answers()
+    clears = []
+
+    class Bounded(dict):
+        def __setitem__(self, basis, frame):
+            super().__setitem__(basis, frame)
+            assert len(self) <= 8
+
+        def clear(self):
+            clears.append(len(self))
+            super().clear()
+
+    monkeypatch.setattr(colouring, "_FRAMES_LIMIT", 8)
+    monkeypatch.setattr(colouring, "_frames", Bounded())
+    assert answers() == want
+    assert clears and set(clears) == {8}
+    assert 0 < len(colouring._frames) <= 8
+
+
+def test_a_full_frame_memo_of_rank5_frames_stays_small():
+    # each rank-5 frame maps the 32 vectors of its span; the limit keeps
+    # a full memo of them under 1.5 MiB
+    basis = (1, 2, 4, 8, 16)
+    frame = colouring._frame(basis)
+    assert frame == {v: v for v in range(32)}
+    assert colouring._FRAMES_LIMIT * (sys.getsizeof(frame) + sys.getsizeof(basis)) < 1.5 * 2 ** 20
+
+
+def test_census_class_ids_are_pinned(dodecahedron, census):
+    # the 25 canonical forms, the class ids certificates record, in census order
+    forms = b"\n".join(canonical_form(dodecahedron, r.colouring) for r in census.classes)
+    assert hashlib.sha256(forms).hexdigest() == (
+        "8c59b75e9b386f9e637026ed9fa4c1af74073eff96633056eac13463c13c7436"
+    )
 
 
 def test_census_classes_are_pairwise_inequivalent(dodecahedron, census):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import renumbered
+from conftest import least_orbit_key_form, renumbered
 from racover import gf2, search
 from racover.colouring import (
     Colouring,
@@ -646,6 +646,24 @@ def test_decided_rank4_extensions(z120, census, facet, cls, nodes):
     assert is_orientable(z120, lam) is not None
     assert all(gf2.rank(lam.colours[f] for f in v) == 4 for v in z120.vertices)
     assert equivalent(mu.polytope, induced_colouring(z120, facet, lam), mu)
+
+
+@pytest.mark.parametrize("facet, cls, rank", [(7, 22, 4), (7, 0, 5)])
+def test_canonical_form_is_the_least_orbit_key_on_the_120cell(z120, census, facet, cls, rank):
+    # an orientable extension found by the search, against all 14 400 keys
+    # computed in full by the pivot loop; a moved copy is equivalent to it
+    mu = _class_on_facet(z120, census, cls, facet)
+    lam = search_orientable_extension(z120, seed_from_facet(z120, facet, mu, rank=rank)).colouring
+    assert canonical_form(z120, lam) == least_orbit_key_form(z120, lam)
+    rng = random.Random(rank)
+    sigma = rng.choice(symmetry_group(z120))
+    # v -> v + v_1 shift is invertible, as shift has no first coordinate
+    shift = rng.randrange(2, 1 << rank, 2)
+    moved = Colouring(z120, rank, tuple(
+        lam.colours[sigma[f]] ^ (shift if lam.colours[sigma[f]] & 1 else 0) for f in range(120)
+    ))
+    assert equivalent(z120, lam, moved)
+    assert canonical_form(z120, moved) == canonical_form(z120, lam)
 
 
 @pytest.mark.parametrize(
