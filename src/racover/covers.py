@@ -296,10 +296,10 @@ def cut_along(C: CoverComplex, S: HypersurfaceComponent) -> CutReport:
     if one_sided != (is_orientable(sub, mu) is None):
         raise CoverError("sidedness disagrees with induced-colouring orientability")
 
-    # the boundary is the cover of the facet subpolytope under the
-    # restriction colouring (full ambient colours of the neighbours)
-    restriction = Colouring(sub, lam.rank, tuple(lam.colours[g] for g in P.neighbours[F]))
-    boundary_orientable = cover_orientable(build_cover(sub, restriction))
+    # the boundary is the cover of the facet subpolytope under the ambient
+    # colours of F's neighbours, proper as the ambient colouring is (a vertex
+    # of the facet drops F's colour from an independent set)
+    boundary_orientable = gf2.solve_all_ones({lam.colours[g] for g in P.neighbours[F]}) is not None
 
     sizes = tuple(s * C.cells_per_copy for s in comp_sizes)
     ambient_vol = volume_of_cells(C.cells, P.dimension)

@@ -604,8 +604,7 @@ def _propagate(src: Polytope, dst: Polytope, target: int, flag: _Flag) -> Option
 
     Walking vertex to vertex across edges, read from both edge tables
     (`Polytope.edge_flips`), fixes each facet's image without branching;
-    the result is then checked in full: a bijection mapping the vertex
-    family onto the vertex family, which also preserves adjacency.
+    the result is then checked in full by `_isomorphism_fault`.
     """
     m = src.facet_count
     src_nb, dst_nb = src.neighbours, dst.neighbours
@@ -631,11 +630,19 @@ def _propagate(src: Polytope, dst: Polytope, target: int, flag: _Flag) -> Option
             if at[k2] < 0:
                 at[k2] = w2
                 queue.append(k2)
-    if len(set(img)) != m or -1 in img:
-        return None
-    if any(frozenset(map(img.__getitem__, v)) not in dst.vertex_sets for v in src.vertices):
-        return None
-    return tuple(img)
+    return None if _isomorphism_fault(src, dst, img) else tuple(img)
+
+
+def _isomorphism_fault(src: Polytope, dst: Polytope, sigma: Sequence[int]) -> Optional[str]:
+    """Why the facet map sigma is no isomorphism src -> dst, or None when
+    it is one: a bijection onto dst's facets mapping the vertex family
+    onto dst's, which also preserves adjacency.  The one test of every
+    facet map, whether propagated or read off a construction."""
+    if sorted(sigma) != list(range(dst.facet_count)):
+        return "facet map is not a bijection"
+    if {frozenset(map(sigma.__getitem__, v)) for v in src.vertices} != dst.vertex_sets:
+        return "facet map breaks the vertex family"
+    return None
 
 
 def _comparable(src: Polytope, dst: Polytope) -> bool:

@@ -418,7 +418,7 @@ def enumerate_chromatic_colourings(
     """
     n = P.dimension
     if k < n:
-        raise ValueError(f"{k} colours cannot colour an {n}-polytope (clique bound)")
+        raise ValueError(f"{k} colours cannot colour a {n}-polytope (clique bound)")
     m = P.facet_count
     gens = symmetry_generators(P)
 

@@ -147,6 +147,29 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_a_blank_colouring_file_is_a_usage_error(tmp_path, pentagon, capsys):
+    write_polytope(pentagon, tmp_path / "p.json")
+    (tmp_path / "c.txt").write_text("\n  \n\n", encoding="utf-8")
+    code = main(["check", str(tmp_path / "p.json"), str(tmp_path / "c.txt")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'c.txt'}: missing 'rank <s>' header\n"
+
+
+def test_a_partial_colour_outside_the_rank_is_a_usage_error(tmp_path, pentagon, capsys):
+    write_polytope(pentagon, tmp_path / "p.json")
+    (tmp_path / "c.txt").write_text("rank 3\n9\n-\n1\n2\n-\n", encoding="utf-8")
+    code = main(["check", str(tmp_path / "p.json"), str(tmp_path / "c.txt")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'c.txt'}: colour 9 outside GF(2)^3\n"
+
+
+def test_a_polytope_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["enumerate", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+
+
 @pytest.mark.parametrize("chromatic", [[], ["--chromatic", "4"]])
 def test_enumerate_rejects_a_non_simple_polytope(tmp_path, dodecahedron, capsys, chromatic):
     # without one vertex, three edges lie on a single vertex
@@ -381,6 +404,13 @@ def test_enumerate_chromatic_on_a_ten_summand_chain(tmp_path, capsys):
     )
 
 
+def test_enumerate_chromatic_below_the_dimension_is_a_usage_error(tmp_path, dodecahedron, capsys):
+    write_polytope(dodecahedron, tmp_path / "d.json")
+    code = main(["enumerate", str(tmp_path / "d.json"), "--chromatic", "2", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: 2 colours cannot colour a 3-polytope (clique bound)\n"
+
+
 def test_extend_finds_an_extension(tmp_path, z120, census, capsys):
     write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
     code = main(["extend", str(tmp_path / "class.txt"), "--out", str(tmp_path)])
@@ -434,6 +464,16 @@ def test_extend_budget_out_keeps_exit_zero(tmp_path, census, capsys):
     summary = json.loads((tmp_path / "extension-summary.json").read_text("utf-8"))
     assert summary["status"] == "budget-out"
     assert not (tmp_path / "extension.txt").exists()
+
+
+@pytest.mark.parametrize("facet", ["120", "-1"])
+def test_extend_from_a_facet_outside_the_120cell_is_a_usage_error(tmp_path, census, capsys, facet):
+    write_colouring(census.classes[0].colouring, tmp_path / "class.txt")
+    code = main([
+        "extend", str(tmp_path / "class.txt"), "--seed-facet", facet, "--out", str(tmp_path),
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: no facet {facet}\n"
 
 
 def test_cover_summary_output(tmp_path, dodecahedron, census, capsys):
@@ -493,6 +533,15 @@ def test_certify_reports_a_broken_natural_map_as_a_finding(tmp_path, capsys, mon
     stored = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
     failed = [c["name"] for c in stored["checks"] if not c["passed"]]
     assert failed == ["long-facet-subpolytope", "induced-colouring"]
+
+
+def test_certify_budget_out_is_a_finding(tmp_path, capsys):
+    code = main(["certify", "--n", "1", "--budget-nodes", "1", "--out", str(tmp_path)])
+    assert code == EXIT_FINDING
+    assert capsys.readouterr().err == (
+        "budget exhausted: extension search stopped after 2 nodes\n"
+    )
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_readme_extend_example(tmp_path, monkeypatch, capsys):
@@ -707,6 +756,15 @@ def test_verify_rejects_a_files_record_that_is_not_an_object(cert1_dir, tmp_path
     _edit_certificate(target, lambda obj: obj.update(files=[]))
     assert main(["verify", str(target)]) == EXIT_USAGE
     assert "files is not an object" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_file_of_another_format(cert1_dir, tmp_path, capsys):
+    target = _cert_copy(cert1_dir, tmp_path)
+    _edit_certificate(target, lambda obj: obj.update(format="x"))
+    assert main(["verify", str(target)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {target / 'certificate.json'}: not a certificate file\n"
+    )
 
 
 def _swap(items, i, j):

@@ -9,14 +9,15 @@ import pytest
 
 from conftest import f_vector, identity_matching, relabel
 from racover import gf2, pipeline, polytopes
-from racover.colouring import equivalent, induced_colouring, is_orientable, is_proper, transport
+from racover.colouring import (
+    equivalent, induced_colouring, is_orientable, is_proper, normal_sequence, transport,
+)
 from racover.fileio import load_certificate, write_certificate
 from racover.pipeline import (
     _BASE_FACET,
     Finding,
     GlueStep,
     _facet_map,
-    _verify_facet_map,
     assemble_chain,
     certificate_files,
     certificate_object,
@@ -432,27 +433,47 @@ def test_certificate_round_trip_builds_few_facet_subpolytopes(census, tmp_path, 
 
 
 def test_certify_builds_one_edge_table_per_structure(monkeypatch, facet_builds):
-    # cold symmetry caches, edge tables and census, as in a fresh process
     builds = []
     real = polytopes._edge_flips
     monkeypatch.setattr(polytopes, "_edge_flips", lambda P: builds.append(P) or real(P))
-    monkeypatch.setattr(polytopes, "_generator_cache", {})
-    monkeypatch.setattr(polytopes, "_group_cache", {})
-    for P in (make_dodecahedron(), make_120cell()):
-        monkeypatch.delitem(P.__dict__, "edge_flips", raising=False)
-    census = lru_cache(maxsize=1)(pipeline._dodecahedron_census.__wrapped__)
-    monkeypatch.setattr(pipeline, "_dodecahedron_census", census)
-    certify(1)
-    # the dodecahedron, for the census, and the 120-cell's base facet, which
-    # `find_isomorphism` maps onto it; the summand relabelled `1.f*` shares
-    # the dodecahedron's symmetries by digest
-    assert builds == [make_dodecahedron(), facet_subpolytope(make_120cell(), _BASE_FACET)[0]]
+    for n in (1, 3):
+        # cold symmetry caches, edge tables and census, as in a fresh process
+        builds.clear()
+        monkeypatch.setattr(polytopes, "_generator_cache", {})
+        monkeypatch.setattr(polytopes, "_group_cache", {})
+        for P in (make_dodecahedron(), make_120cell()):
+            monkeypatch.delitem(P.__dict__, "edge_flips", raising=False)
+        make_120cell().subpolytopes.clear()
+        _facet_map.cache_clear()
+        census = lru_cache(maxsize=1)(pipeline._dodecahedron_census.__wrapped__)
+        monkeypatch.setattr(pipeline, "_dodecahedron_census", census)
+        certify(n)
+        # the dodecahedron, for the census, and the 120-cell's base facet,
+        # which `find_isomorphism` maps onto it; the chain's own map is
+        # tested directly, with no symmetry group of the chain
+        assert builds == [
+            make_dodecahedron(), facet_subpolytope(make_120cell(), _BASE_FACET)[0]
+        ], n
 
 
-def test_verify_facet_map_rejects_two_swapped_facets(dodecahedron):
-    identity = list(range(12))
-    _verify_facet_map(dodecahedron, dodecahedron, identity)
-    swapped = identity[:]
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    with pytest.raises(PolytopeError, match="^facet map breaks the vertex family$"):
-        _verify_facet_map(dodecahedron, dodecahedron, swapped)
+def test_induced_colouring_is_read_through_the_natural_map(monkeypatch):
+    # a chain symmetry that moves the chain colouring to another colouring
+    # of its class keeps the natural map an isomorphism, but the induced
+    # colouring read through it is no longer the chain colouring
+    a = certify(1).assembly
+    moved = next(
+        sigma for sigma in polytopes.symmetry_group(a.P)
+        if normal_sequence(transport(a.mu_P, sigma, a.P).colours)
+        != normal_sequence(a.mu_P.colours)
+    )
+    real = pipeline._natural_map
+    monkeypatch.setattr(
+        pipeline, "_natural_map", lambda *args: tuple(moved[f] for f in real(*args))
+    )
+    checks = {c.name: c for c in certify(1).checks}
+    assert checks["long-facet-subpolytope"].passed
+    assert not checks["induced-colouring"].passed
+    assert checks["induced-colouring"].detail == (
+        "Finding: induced colouring is not the chain colouring"
+    )
+    assert [c.name for c in checks.values() if not c.passed] == ["induced-colouring"]

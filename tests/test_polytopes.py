@@ -304,6 +304,24 @@ def test_120cell_symmetries_need_few_flag_propagations(monkeypatch):
     assert len(calls) <= 16
 
 
+def test_isomorphism_fault_rejects_two_swapped_facets(dodecahedron):
+    identity = list(range(12))
+    assert polytopes._isomorphism_fault(dodecahedron, dodecahedron, identity) is None
+    swapped = identity[:]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    fault = polytopes._isomorphism_fault(dodecahedron, dodecahedron, swapped)
+    assert fault == "facet map breaks the vertex family"
+
+
+def test_isomorphism_fault_rejects_a_map_that_is_not_a_bijection(dodecahedron, z120):
+    sub, _ = facet_subpolytope(z120, 0)
+    psi = find_isomorphism(sub, dodecahedron)
+    assert polytopes._isomorphism_fault(sub, dodecahedron, psi) is None
+    for bad in (psi[:1] + psi[:-1], psi[:-1], psi + (12,), (0,) * 12):
+        fault = polytopes._isomorphism_fault(sub, dodecahedron, bad)
+        assert fault == "facet map is not a bijection", bad
+
+
 def test_find_isomorphism_matches_the_reference_on_every_120cell_facet(z120, dodecahedron):
     for F in range(z120.facet_count):
         sub, _ = facet_subpolytope(z120, F)
