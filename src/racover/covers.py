@@ -350,7 +350,11 @@ def volume_of_cells(
             None,
             cells * V_DODECAHEDRON,
         )
-    if dimension == 2 and polygon_edges is not None and polygon_edges >= 5:
+    if dimension == 2 and polygon_edges is not None:
+        if polygon_edges < 5:
+            raise CoverError(
+                f"a right-angled {polygon_edges}-gon is not hyperbolic (it needs at least 5 edges)"
+            )
         half = Fraction(polygon_edges - 4, 2) * cells
         return Volume(
             cells,

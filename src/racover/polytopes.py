@@ -25,7 +25,6 @@ base flag's orbit is listed to skip flags, and every vertex is scanned.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -115,7 +114,7 @@ class Polytope:
     are merged.  Neighbour lists and facet-vertex incidence are built at
     construction; the bit masks, the vertex-set lookup and the edge table
     (`edge_flips`, which checks that the polytope is simple), which only
-    small polytopes need, and the digest are computed once, on first use.
+    small polytopes need, are computed once, on first use.
     """
 
     def __init__(
@@ -181,7 +180,7 @@ class Polytope:
             raise PolytopeError("facet adjacency graph is disconnected")
 
         self.facet_vertices: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incidence))
-        # derived data that depends on the labels lives here; the rest is shared by `digest`
+        # kept on the polytope, not in a module cache, so that a chain's are freed with it
         self.subpolytopes: Dict[int, Tuple[Polytope, Tuple[int, ...]]] = {}
 
     @cached_property
@@ -204,12 +203,6 @@ class Polytope:
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i]
-
-    @cached_property
-    def digest(self) -> str:
-        """Content hash of the vertex rows alone, which fix the structure."""
-        data = repr((self.dimension, self.vertices))
-        return hashlib.sha256(data.encode()).hexdigest()
 
     def same_structure(self, other: "Polytope") -> bool:
         return (
@@ -663,12 +656,9 @@ def _orbit(start: Tuple[int, ...], gens: Sequence[_Perm]) -> Set[Tuple[int, ...]
     return reachable(start, lambda t: map(itemgetter(*t), gens))
 
 
-_generator_cache: Dict[str, Tuple[_Perm, ...]] = {}
-_group_cache: Dict[str, Tuple[_Perm, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
-    """Generators of the automorphism group of P, cached by digest.
+    """Generators of the automorphism group of P, computed once per polytope.
 
     A flag is a vertex with an ordering of its facets; the base flag is
     P.vertices[0] in sorted order.  An automorphism is fixed by the flag
@@ -692,45 +682,40 @@ def symmetry_generators(P: Polytope) -> Tuple[_Perm, ...]:
     the orbit is built to skip flags and the scan goes on; where vertex
     0's stabiliser is smaller than n!, no vertex orbit is built at all.
     """
-    gens = _generator_cache.get(P.digest)
-    if gens is None:
-        base = P.vertices[0]
-        per_vertex = math.factorial(P.dimension)  # flags at one vertex
-        found: List[_Perm] = []
-        orbit = {base}
-        failed: Set[_Flag] = set()
-        stabiliser = 0  # order of the stabiliser of vertex 0, once its flags are scanned
-        scan = ((k, flag) for k, v in enumerate(P.vertices) for flag in itertools.permutations(v))
-        for k, flag in scan:
-            if k and not stabiliser:
-                stabiliser = len(orbit)
-            if flag in orbit or flag in failed:
-                continue
-            sigma = _propagate(P, P, k, flag)
-            if sigma is None:
-                failed |= _orbit(flag, found)
-                continue
-            found.append(sigma)
-            # both factors of (orbit of vertex 0) x stabiliser must be full
-            if stabiliser == per_vertex:
-                vertices = reachable(
-                    frozenset(base), lambda s: map(frozenset, map(itemgetter(*s), found))
-                )
-                if len(vertices) == len(P.vertices):
-                    break
-            orbit = _orbit(base, found)
-        gens = _generator_cache[P.digest] = tuple(found)
-    return gens
+    base = P.vertices[0]
+    per_vertex = math.factorial(P.dimension)  # flags at one vertex
+    found: List[_Perm] = []
+    orbit = {base}
+    failed: Set[_Flag] = set()
+    stabiliser = 0  # order of the stabiliser of vertex 0, once its flags are scanned
+    scan = ((k, flag) for k, v in enumerate(P.vertices) for flag in itertools.permutations(v))
+    for k, flag in scan:
+        if k and not stabiliser:
+            stabiliser = len(orbit)
+        if flag in orbit or flag in failed:
+            continue
+        sigma = _propagate(P, P, k, flag)
+        if sigma is None:
+            failed |= _orbit(flag, found)
+            continue
+        found.append(sigma)
+        # both factors of (orbit of vertex 0) x stabiliser must be full
+        if stabiliser == per_vertex:
+            vertices = reachable(
+                frozenset(base), lambda s: map(frozenset, map(itemgetter(*s), found))
+            )
+            if len(vertices) == len(P.vertices):
+                break
+        orbit = _orbit(base, found)
+    return tuple(found)
 
 
+@lru_cache(maxsize=None)
 def symmetry_group(P: Polytope) -> Tuple[_Perm, ...]:
     """All facet permutations preserving adjacency and the vertex family,
-    sorted, cached by digest; sigma[f] is the image of facet f."""
-    group = _group_cache.get(P.digest)
-    if group is None:
-        identity = tuple(range(P.facet_count))
-        group = _group_cache[P.digest] = tuple(sorted(_orbit(identity, symmetry_generators(P))))
-    return group
+    sorted, computed once per polytope; sigma[f] is the image of facet f."""
+    identity = tuple(range(P.facet_count))
+    return tuple(sorted(_orbit(identity, symmetry_generators(P))))
 
 
 def find_isomorphism(src: Polytope, dst: Polytope) -> Optional[_Perm]:

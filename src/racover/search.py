@@ -18,6 +18,7 @@ import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
@@ -199,26 +200,22 @@ def _forbidding_sets(P: Polytope, order: Sequence[int], smallest: int) -> List[_
 
 _Span = Dict[int, int]
 _Mask = Callable[[List[int], _Span], int]
-_span_tables: Dict[Tuple[Tuple[int, ...], int], _Span] = {}
 
 
-def _span_table(palette: Sequence[int], size: int) -> _Span:
+@lru_cache(maxsize=None)
+def _span_table(palette: Tuple[int, ...], size: int) -> _Span:
     """For every set of 1 to `size` palette positions, keyed by the OR of
     their bits (bit k for palette[k]): the bits of the palette colours in
     the nonzero span of their colours.  Built at the first search that
     asks for it and cached by (palette, size); a search asks for
     dimension - 1, the most facets a group holds, so at rank 5 the odd
     palette's table has 16 + 120 + 560 = 696 entries."""
-    key = (tuple(palette), size)
-    table = _span_tables.get(key)
-    if table is None:
-        bit = {v: 1 << k for k, v in enumerate(palette)}
-        table = {}
-        for r in range(1, size + 1):
-            for ks in itertools.combinations(range(len(palette)), r):
-                spanned = gf2.span(palette[k] for k in ks)
-                table[sum(1 << k for k in ks)] = sum(bit.get(x, 0) for x in spanned)
-        _span_tables[key] = table
+    bit = {v: 1 << k for k, v in enumerate(palette)}
+    table = {}
+    for r in range(1, size + 1):
+        for ks in itertools.combinations(range(len(palette)), r):
+            spanned = gf2.span(palette[k] for k in ks)
+            table[sum(1 << k for k in ks)] = sum(bit.get(x, 0) for x in spanned)
     return table
 
 
@@ -394,7 +391,7 @@ def enumerate_small_covers(
             records.append(ClassRecord(lam, is_orientable(P, lam) is not None, order))
         return False
 
-    palette = range(1, 1 << n)
+    palette = tuple(range(1, 1 << n))
     status, nodes, seconds = _depth_first(
         colours, rest, [_mask_function(s) for s in _forbidding_sets(P, rest, 2)],
         palette, _span_table(palette, n - 1), budget, leaf,
@@ -497,21 +494,16 @@ def seed_from_facet(Z: Polytope, F0: int, mu: Colouring, rank: int = 5) -> Parti
 
 
 _Plan = Tuple[Tuple[int, ...], Tuple[_Mask, ...]]
-_plan_cache: Dict[Tuple[str, Tuple[int, ...]], _Plan] = {}
 
 
+@lru_cache(maxsize=None)
 def _extension_plan(Z: Polytope, seeded: Tuple[int, ...]) -> _Plan:
     """The static order of the unseeded facets and the mask function of
-    each depth's singles and vertex groups of at least 3 facets,
-    cached by (Z.digest, seeded facets): they depend on nothing else, so
-    searches at either rank from one facet share them."""
-    key = (Z.digest, seeded)
-    plan = _plan_cache.get(key)
-    if plan is None:
-        order = tuple(greedy_facet_order(Z, seeded)[len(seeded):])
-        masks = tuple(map(_mask_function, _forbidding_sets(Z, order, 3)))
-        plan = _plan_cache[key] = (order, masks)
-    return plan
+    each depth's singles and vertex groups of at least 3 facets, cached
+    by (Z, seeded facets): they depend on nothing else, so searches at
+    either rank from one facet share them."""
+    order = tuple(greedy_facet_order(Z, seeded)[len(seeded):])
+    return order, tuple(map(_mask_function, _forbidding_sets(Z, order, 3)))
 
 
 def search_orientable_extension(
@@ -545,7 +537,7 @@ def search_orientable_extension(
         if not gf2.independent([colours[g] for g in v if colours[g] is not None]):
             raise ColouringError(f"seed already breaks properness at vertex {v}")
 
-    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    palette = tuple(v for v in range(1, 1 << rank) if gf2.parity(v))
     order, masks = _extension_plan(Z, seeded)
     result: List[Colouring] = []
 

@@ -15,6 +15,7 @@ from racover.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from racover.colouring import Colouring
 from racover.fileio import load_colouring, write_colouring, write_polytope
 from racover.pipeline import extend_class, select_class
+from racover.polytopes import make_polygon
 
 
 def _manifest(outdir):
@@ -259,7 +260,7 @@ def test_chromatic_enumerate_builds_one_edge_table(tmp_path, z120, monkeypatch, 
 
     monkeypatch.setattr(polytopes, "_edge_flips", counting)
     monkeypatch.setattr(fileio, "_edge_flips", counting, raising=False)
-    monkeypatch.setattr(polytopes, "_generator_cache", {})
+    polytopes.symmetry_generators.cache_clear()
     path = tmp_path / "120cell.json"
     write_polytope(z120, path)
     code = main(["enumerate", str(path), "--chromatic", "5", "--out", str(tmp_path / "out")])
@@ -499,6 +500,24 @@ def test_cover_rejects_partial_colourings(tmp_path, pentagon, capsys):
         "--out", str(tmp_path),
     ])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cover_says_why_a_small_polygon_has_no_volume(tmp_path, capsys, k):
+    # a right-angled k-gon has area (k - 4)*pi/2, so it needs 5 edges
+    P = make_polygon(k)
+    write_polytope(P, tmp_path / "p.json")
+    write_colouring(Colouring(P, 2, tuple([1, 2] * (k // 2) + [3] * (k % 2))), tmp_path / "c.txt")
+    code = main([
+        "cover", str(tmp_path / "p.json"), str(tmp_path / "c.txt"), "--out", str(tmp_path / "out"),
+    ])
+    out, err = capsys.readouterr()
+    if k == 5:
+        assert code == EXIT_OK
+        assert "volume (2)*pi" in out
+    else:
+        assert code == EXIT_FINDING
+        assert err == f"finding: a right-angled {k}-gon is not hyperbolic (it needs at least 5 edges)\n"
 
 
 def test_certify_writes_a_passing_certificate(tmp_path, capsys):

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import sys
+import weakref
 from functools import lru_cache
 
 import pytest
 
 from conftest import f_vector, identity_matching, relabel
-from racover import gf2, pipeline, polytopes
+from racover import gf2, pipeline, polytopes, search
 from racover.colouring import (
     equivalent, induced_colouring, is_orientable, is_proper, normal_sequence, transport,
 )
@@ -35,6 +37,7 @@ from racover.polytopes import (
     facet_subpolytope,
     make_120cell,
     make_dodecahedron,
+    reachable,
 )
 from racover.search import BudgetError, EnumerationResult, SearchBudget
 
@@ -439,8 +442,8 @@ def test_certify_builds_one_edge_table_per_structure(monkeypatch, facet_builds):
     for n in (1, 3):
         # cold symmetry caches, edge tables and census, as in a fresh process
         builds.clear()
-        monkeypatch.setattr(polytopes, "_generator_cache", {})
-        monkeypatch.setattr(polytopes, "_group_cache", {})
+        polytopes.symmetry_generators.cache_clear()
+        polytopes.symmetry_group.cache_clear()
         for P in (make_dodecahedron(), make_120cell()):
             monkeypatch.delitem(P.__dict__, "edge_flips", raising=False)
         make_120cell().subpolytopes.clear()
@@ -454,6 +457,52 @@ def test_certify_builds_one_edge_table_per_structure(monkeypatch, facet_builds):
         assert builds == [
             make_dodecahedron(), facet_subpolytope(make_120cell(), _BASE_FACET)[0]
         ], n
+
+
+def test_no_chain_outlives_certify_and_verify_in_a_cache(monkeypatch, tmp_path):
+    # symmetry data, extension plans and span tables are memoised by the
+    # object they come from for the life of the process, so only the base
+    # polytopes may reach them; a chain held there would never be freed
+    memos = (
+        polytopes.symmetry_generators, polytopes.symmetry_group,
+        search._extension_plan, search._span_table,
+    )
+    for memo in memos:
+        memo.cache_clear()
+    D, Z = make_dodecahedron(), make_120cell()
+    Z.subpolytopes.clear()
+    _facet_map.cache_clear()
+    census = lru_cache(maxsize=1)(pipeline._dodecahedron_census.__wrapped__)
+    monkeypatch.setattr(pipeline, "_dodecahedron_census", census)
+    built = []
+    init = polytopes.Polytope.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(polytopes.Polytope, "__init__", recording_init)
+    validate_certificate(load_certificate(write_certificate(certify(3), tmp_path)))
+    gc.collect()
+    # what outlives the run is facet subpolytopes, kept on their polytope
+    kept = set().union(*(
+        reachable(P, lambda Q: (sub for sub, _ in Q.subpolytopes.values())) for P in (D, Z)
+    ))
+    alive = [P for P in (ref() for ref in built) if P is not None]
+    assert [P for P in alive if P not in kept] == []
+
+    def holds_only(memo, *args):
+        before = memo.cache_info()
+        memo(*args)
+        return before.currsize == 1 and memo.cache_info().hits == before.hits + 1
+
+    # the census reads the dodecahedron's group; the search plans one
+    # seeded facet set of the 120-cell
+    assert holds_only(polytopes.symmetry_generators, D)
+    assert holds_only(polytopes.symmetry_group, D)
+    seeded = tuple(sorted({_BASE_FACET, *facet_subpolytope(Z, _BASE_FACET)[1]}))
+    assert holds_only(search._extension_plan, Z, seeded)
+    assert search._span_table.cache_info().currsize == 2
 
 
 def test_induced_colouring_is_read_through_the_natural_map(monkeypatch):

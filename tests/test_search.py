@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -208,13 +209,19 @@ def test_a_sabotaged_census_trips_the_leaf_assertion(dodecahedron, monkeypatch, 
         enumerate_small_covers(dodecahedron)
 
 
+def _cold(memo):
+    """A fresh cache over an lru_cache function, to patch in for one test."""
+    return lru_cache(maxsize=None)(memo.__wrapped__)
+
+
 @pytest.mark.parametrize("rank", [4, 5])
 def test_a_sabotaged_extension_search_trips_the_leaf_assertion(z120, census, monkeypatch, rank):
     # with masks that forbid nothing, the first leaf colours every unseeded
     # facet alike; the one-pass leaf check must still reject it
     real = search._mask_function
     monkeypatch.setattr(search, "_mask_function", lambda sets: real(((), ())))
-    monkeypatch.setattr(search, "_plan_cache", {})
+    # a fresh plan cache, so that no sabotaged plan outlives the test
+    monkeypatch.setattr(search, "_extension_plan", _cold(search._extension_plan))
     with pytest.raises(AssertionError, match="^incremental properness bookkeeping failed$"):
         search_orientable_extension(z120, _class_seed(z120, census, 0, rank=rank))
 
@@ -871,7 +878,7 @@ def _check_masks_along_the_order(
 @pytest.mark.parametrize("rank", [4, 5])
 @pytest.mark.parametrize("facet", [0, 7])
 def test_extension_masks_match_the_sets(z120, census, facet, rank):
-    palette = [v for v in range(1, 1 << rank) if gf2.parity(v)]
+    palette = tuple(v for v in range(1, 1 << rank) if gf2.parity(v))
     for cls in (0, 14, 23):
         seed = _class_seed(z120, census, cls, facet, rank)
         seeded = tuple(f for f, c in enumerate(seed.colours) if c is not None)
@@ -947,12 +954,12 @@ def test_a_mask_of_thousands_of_terms_compiles():
 
 
 @pytest.mark.parametrize("palette", [
-    range(1, 8),
-    [v for v in range(1, 16) if gf2.parity(v)],
-    [v for v in range(1, 32) if gf2.parity(v)],
+    tuple(range(1, 8)),
+    tuple(v for v in range(1, 16) if gf2.parity(v)),
+    tuple(v for v in range(1, 32) if gf2.parity(v)),
 ], ids=["census", "odd-rank-4", "odd-rank-5"])
 def test_the_span_table_holds_the_span_of_every_small_set(palette, monkeypatch):
-    monkeypatch.setattr(search, "_span_tables", {})
+    monkeypatch.setattr(search, "_span_table", _cold(search._span_table))
     table = search._span_table(palette, 3)
     position = {v: 1 << k for k, v in enumerate(palette)}
     subsets = [ks for r in (1, 2, 3) for ks in itertools.combinations(range(len(palette)), r)]
@@ -962,16 +969,20 @@ def test_the_span_table_holds_the_span_of_every_small_set(palette, monkeypatch):
         want = sum(position[v] for v in spanned if v in position)
         assert table[sum(1 << k for k in ks)] == want, ks
     # cached per palette and size, and the smaller table is a part of it
-    assert search._span_table(list(palette), 3) is table
+    assert search._span_table(tuple(list(palette)), 3) is table
     small = search._span_table(palette, 2)
     assert small.items() <= table.items()
     assert len(small) == len(subsets) - math.comb(len(palette), 3)
 
 
 def test_span_tables_are_built_at_the_first_search(dodecahedron, monkeypatch):
-    monkeypatch.setattr(search, "_span_tables", {})
+    built = []
+    build = search._span_table.__wrapped__
+    monkeypatch.setattr(search, "_span_table", lru_cache(maxsize=None)(
+        lambda palette, size: built.append((tuple(palette), size)) or build(palette, size)
+    ))
     enumerate_small_covers(dodecahedron, SearchBudget(nodes=10, seconds=60))
-    assert list(search._span_tables) == [(tuple(range(1, 8)), 2)]
+    assert built == [(tuple(range(1, 8)), 2)]
 
 
 @pytest.mark.parametrize("sets", [
@@ -991,7 +1002,7 @@ def plan_builds(monkeypatch):
     polytope of every plan built."""
     builds = []
     real = search._forbidding_sets
-    monkeypatch.setattr(search, "_plan_cache", {})
+    monkeypatch.setattr(search, "_extension_plan", _cold(search._extension_plan))
     monkeypatch.setattr(
         search, "_forbidding_sets",
         lambda P, *args, **kwargs: builds.append(P) or real(P, *args, **kwargs),
